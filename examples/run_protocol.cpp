@@ -13,11 +13,8 @@
 // textual protocol through the frontend instead of a built-in bundle;
 // frontend failures exit 3 like the sharpie driver. The shared
 // observability flags (--trace-out, --events-out, --log-level, --stats;
-// SHARPIE_TRACE / SHARPIE_EVENTS / SHARPIE_LOG_LEVEL in the environment),
-// --no-incremental (the monolithic-Houdini A/B baseline; see
-// SynthOptions::Incremental), --no-refine / --refine-budget N (the
-// model-guided instance-refinement knobs; see SynthOptions::Refine), and
-// the resilience flags (--faults / SHARPIE_FAULTS, --no-supervise,
+// SHARPIE_TRACE / SHARPIE_EVENTS / SHARPIE_LOG_LEVEL in the environment)
+// and the resilience flags (--faults / SHARPIE_FAULTS, --no-supervise,
 // --smt-timeout MS) work exactly as in tools/sharpie.cpp.
 //
 // Exit codes: 0 expected outcome (verified, or counterexample on a buggy
@@ -99,11 +96,8 @@ static int runMain(int argc, char **argv) {
   bool Verbose = false;
   bool Json = false;
   bool NoSupervise = false;
-  bool NoIncremental = false;
-  bool NoRefine = false;
   unsigned Workers = 1;
   unsigned SmtTimeoutMs = 0;  // 0 = keep the SynthOptions default.
-  unsigned RefineBudget = 0;  // 0 = keep the SynthOptions default.
   std::string Name;
   std::string ProtocolFile;
   std::string FaultSpec;
@@ -130,13 +124,6 @@ static int runMain(int argc, char **argv) {
       FaultSpec = argv[++I];
     else if (!std::strcmp(argv[I], "--no-supervise"))
       NoSupervise = true;
-    else if (!std::strcmp(argv[I], "--no-incremental"))
-      NoIncremental = true;
-    else if (!std::strcmp(argv[I], "--no-refine"))
-      NoRefine = true;
-    else if (!std::strcmp(argv[I], "--refine-budget") && I + 1 < argc)
-      RefineBudget =
-          static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
     else if (!std::strcmp(argv[I], "--smt-timeout") && I + 1 < argc)
       SmtTimeoutMs =
           static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
@@ -204,10 +191,6 @@ static int runMain(int argc, char **argv) {
   Opts.Verbose = Verbose;
   Opts.NumWorkers = Workers;
   Opts.Supervise.Enabled = !NoSupervise;
-  Opts.Incremental = !NoIncremental;
-  Opts.Refine = !NoRefine;
-  if (RefineBudget)
-    Opts.RefineBudget = RefineBudget;
   if (SmtTimeoutMs)
     Opts.SmtTimeoutMs = SmtTimeoutMs;
   if (!Faults.empty())

@@ -104,7 +104,7 @@ struct AxiomOptions {
   /// Skipped instances are tallied in AxiomStats::NumDeferred. Dropping
   /// axioms only weakens the reduction, so a filtered Unsat is still a
   /// proof; a filtered Sat may be spurious and must be confirmed against
-  /// the full axiom set (the synthesizer's escalation / recheck does so).
+  /// the full axiom set (the synthesizer's recheck does so).
   bool RelevancyFilter = false;
   unsigned MaxVennRegions = 192;
   unsigned MaxVennPreds = 24;

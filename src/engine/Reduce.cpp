@@ -145,7 +145,6 @@ ReduceResult sharpie::engine::reduceToGround(
     Res.Complete &= ExOrig.Complete && ExAx.Complete && ExDef.Complete;
     Res.NumInstances =
         ExOrig.NumInstances + ExAx.NumInstances + ExDef.NumInstances;
-    Res.NumFilteredInstances = ExOrig.NumFiltered + ExAx.NumFiltered;
     Expanded = M.mkAnd(ExOrig.Formula, ExAx.Formula);
     std::vector<Term> OrigDeferred = std::move(ExOrig.Deferred);
     DeferredConjs = OrigDeferred;
@@ -247,10 +246,8 @@ ReduceResult sharpie::engine::reduceToGround(
     Trace->counter("card_axioms.update", AS.NumUpdate);
     Trace->counter("card_axioms.cover", AS.NumCover);
     Trace->counter("card_axioms.venn", AS.NumVennAxioms);
-    Trace->counter("axioms_lazy_deferred",
-                   AS.NumDeferred + Res.NumFilteredInstances);
+    Trace->counter("axioms_lazy_deferred", AS.NumDeferred);
     Trace->counter("quant_instances", Res.NumInstances);
-    Trace->counter("quant_instances_filtered", Res.NumFilteredInstances);
     if (!Res.Deferred.empty())
       Trace->counter("manifest_instances",
                      static_cast<unsigned>(Res.Deferred.size()));
@@ -286,7 +283,6 @@ uint64_t sharpie::engine::reduceOptionsFingerprint(const ReduceOptions &O) {
   H = hashMix(H, O.Card.Update);
   H = hashMix(H, O.Card.Venn);
   H = hashMix(H, O.Card.RelevancyFilter);
-  H = hashMix(H, O.Expand.RelevancyFilter);
   H = hashMix(H, O.Card.MaxVennRegions);
   H = hashMix(H, O.Card.MaxVennPreds);
   H = hashMix(H, O.Card.MaxDefs);
@@ -500,10 +496,9 @@ size_t sharpie::engine::ReduceCache::serializeShared(std::string &Out) const {
       for (Term D : R.Deferred)
         Out += "def " + logic::serializeTerm(D) + "\n";
     }
-    std::snprintf(Buf, sizeof(Buf), "meta %d %u %u %u %u %u %u %d\n",
+    std::snprintf(Buf, sizeof(Buf), "meta %d %u %u %u %u %u %d\n",
                   R.Complete ? 1 : 0, R.NumRounds, R.NumAxioms, R.NumInstances,
-                  R.NumDeferred, R.NumFilteredInstances, R.NumVennRegions,
-                  R.VennApplied ? 1 : 0);
+                  R.NumDeferred, R.NumVennRegions, R.VennApplied ? 1 : 0);
     Out += Buf;
     Out += "ncv " + std::to_string(R.CardVars.size()) + "\n";
     for (const auto &[C, K2] : R.CardVars) {
@@ -631,18 +626,17 @@ size_t sharpie::engine::ReduceCache::deserializeShared(
       return Corrupt("bad meta line");
     {
       int Complete = 0, VennApplied = 0;
-      unsigned Rounds = 0, Axioms = 0, Insts = 0, Deferred = 0, Filtered = 0,
+      unsigned Rounds = 0, Axioms = 0, Insts = 0, Deferred = 0,
                VennRegions = 0;
-      if (std::sscanf(std::string(Rest).c_str(), "%d %u %u %u %u %u %u %d",
+      if (std::sscanf(std::string(Rest).c_str(), "%d %u %u %u %u %u %d",
                       &Complete, &Rounds, &Axioms, &Insts, &Deferred,
-                      &Filtered, &VennRegions, &VennApplied) != 8)
+                      &VennRegions, &VennApplied) != 7)
         return Corrupt("bad meta fields");
       R.Complete = Complete != 0;
       R.NumRounds = Rounds;
       R.NumAxioms = Axioms;
       R.NumInstances = Insts;
       R.NumDeferred = Deferred;
-      R.NumFilteredInstances = Filtered;
       R.NumVennRegions = VennRegions;
       R.VennApplied = VennApplied != 0;
     }

@@ -65,13 +65,12 @@ struct ReduceResult {
   unsigned NumRounds = 0;
   unsigned NumAxioms = 0;
   unsigned NumInstances = 0;
-  /// CARD-axiom slots skipped by card::AxiomOptions::RelevancyFilter plus
-  /// quantifier instances skipped by quant::ExpandOptions::RelevancyFilter
-  /// (split kept below); 0 outside lazy mode. A nonzero value means Ground
-  /// is a *weakening* of the full reduction: Unsat is still a proof, Sat
-  /// must be confirmed against an unfiltered reduction.
+  /// CARD-axiom slots skipped by card::AxiomOptions::RelevancyFilter, or,
+  /// in manifest mode, the CARD-axiom instances routed into Deferred. With
+  /// the filter on, a nonzero value means Ground is a *weakening* of the
+  /// full reduction: Unsat is still a proof, Sat must be confirmed against
+  /// an unfiltered reduction.
   unsigned NumDeferred = 0;
-  unsigned NumFilteredInstances = 0;
   unsigned NumVennRegions = 0;
   bool VennApplied = false;
   /// Maps every cardinality term seen to the k variable standing for it.

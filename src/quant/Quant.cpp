@@ -80,21 +80,12 @@ namespace {
 
 class Expander {
 public:
-  Expander(TermManager &M, Term Root, const std::vector<Term> &TidTerms,
+  Expander(TermManager &M, const std::vector<Term> &TidTerms,
            const std::vector<Term> &IntTerms, const ExpandOptions &Opts,
            ExpandResult &R)
       : M(M), TidTerms(TidTerms), IntTerms(IntTerms), Opts(Opts), R(R) {
     if (Opts.CollectDeferred && Opts.CoreTids)
       CoreTidSet.insert(Opts.CoreTids->begin(), Opts.CoreTids->end());
-    if (!Opts.RelevancyFilter)
-      return;
-    // Relevancy pre-pass: which arrays is each candidate index term used
-    // with anywhere in the formula? (Read indices are always Tid-sorted
-    // and the term language has no compound Tid terms, so the index of a
-    // Read is directly a variable comparable against the domain.)
-    for (Term Rd : logic::collectSubterms(
-             Root, [](Term S) { return S.kind() == Kind::Read; }))
-      ArraysIndexedBy[Rd->kid(1)].insert(Rd->kid(0));
   }
 
   /// \p Conjunctive: T is at a conjunctive position of the root -- every
@@ -129,35 +120,24 @@ private:
     const logic::Node *N = Q.node();
     const std::vector<Term> &Bs = N->binders();
     // Routing instances into the manifest is only sound at conjunctive
-    // positions; in partition mode enumeration always runs over the full
-    // domains (core AND deferred must equal the full expansion).
+    // positions; enumeration always runs over the full domains (core AND
+    // deferred must equal the full expansion).
     bool Partition = Opts.CollectDeferred && Conjunctive;
-    // Per-binder domains, relevancy-filtered when enabled (lazy mode) or
-    // full (partition mode, where the filter only steers routing).
     std::vector<std::vector<Term>> Doms;
     Doms.reserve(Bs.size());
     std::vector<std::set<Term>> CoreDoms;
     if (Partition)
       CoreDoms.reserve(Bs.size());
     for (Term B : Bs) {
-      if (!Opts.CollectDeferred) {
-        Doms.push_back(domainFor(N, B));
-        continue;
-      }
       Doms.push_back(B.sort() == Sort::Tid ? TidTerms : IntTerms);
       if (!Partition)
         continue;
-      // The core sub-domain: filter-kept terms intersected with the
-      // explicit worklist. Int binders are never the bloat source and
-      // stay core.
+      // The core sub-domain: the Tid terms on the explicit worklist. Int
+      // binders are never the bloat source and stay core.
       std::set<Term> Core;
-      if (B.sort() == Sort::Tid) {
-        for (Term D : domainFor(N, B))
-          if (CoreTidSet.empty() || CoreTidSet.count(D))
-            Core.insert(D);
-      } else {
-        Core.insert(Doms.back().begin(), Doms.back().end());
-      }
+      for (Term D : Doms.back())
+        if (B.sort() != Sort::Tid || CoreTidSet.empty() || CoreTidSet.count(D))
+          Core.insert(D);
       CoreDoms.push_back(std::move(Core));
     }
     // Estimate the instance count; weaken to true on budget overrun.
@@ -178,42 +158,6 @@ private:
     Subst S;
     enumerate(N, Doms, Partition ? &CoreDoms : nullptr, 0, S, Instances);
     return M.mkAnd(Instances);
-  }
-
-  /// The instantiation domain for binder \p B of quantifier \p N: the full
-  /// per-sort index set, or the relevancy-filtered subset of it. A term is
-  /// relevant to B when it indexes (anywhere in the formula) one of the
-  /// arrays the quantifier body reads at B; if the body reads no array at
-  /// B, or the filter would empty the domain, the full domain is kept.
-  std::vector<Term> domainFor(const logic::Node *N, Term B) {
-    const std::vector<Term> &Full =
-        B.sort() == Sort::Tid ? TidTerms : IntTerms;
-    if (!Opts.RelevancyFilter || B.sort() != Sort::Tid)
-      return Full;
-    std::set<Term> BodyArrays;
-    for (Term Rd : logic::collectSubterms(N->body(), [&](Term S) {
-           return S.kind() == Kind::Read && S->kid(1) == B;
-         }))
-      BodyArrays.insert(Rd->kid(0));
-    if (BodyArrays.empty())
-      return Full;
-    std::vector<Term> Kept;
-    for (Term D : Full) {
-      auto It = ArraysIndexedBy.find(D);
-      bool Relevant = false;
-      if (It != ArraysIndexedBy.end())
-        for (Term A : It->second)
-          if (BodyArrays.count(A)) {
-            Relevant = true;
-            break;
-          }
-      if (Relevant)
-        Kept.push_back(D);
-    }
-    if (Kept.empty())
-      return Full;
-    R.NumFiltered += static_cast<unsigned>(Full.size() - Kept.size());
-    return Kept;
   }
 
   void enumerate(const logic::Node *N,
@@ -255,9 +199,6 @@ private:
   const std::vector<Term> &IntTerms;
   const ExpandOptions &Opts;
   ExpandResult &R;
-  /// index term -> arrays it is read with, over the whole input formula.
-  /// Populated only when Opts.RelevancyFilter is set.
-  std::map<Term, std::set<Term>> ArraysIndexedBy;
   /// The explicit core worklist (partition mode); empty = no restriction.
   std::set<Term> CoreTidSet;
 };
@@ -274,7 +215,7 @@ ExpandResult sharpie::quant::expandForalls(TermManager &M, Term T,
     BoundedInt.resize(Opts.MaxIntTerms);
     R.Complete = false;
   }
-  R.Formula = Expander(M, T, TidTerms, BoundedInt, Opts, R)
+  R.Formula = Expander(M, TidTerms, BoundedInt, Opts, R)
                   .walk(T, /*Conjunctive=*/true);
   return R;
 }

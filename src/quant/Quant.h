@@ -49,37 +49,25 @@ SkolemResult skolemize(logic::TermManager &M, logic::Term T);
 struct ExpandOptions {
   unsigned MaxInstantiations = 20000; ///< Total budget of binder instances.
   unsigned MaxIntTerms = 24;          ///< Cap on Int-sorted index terms.
-  /// Relevancy-filtered instantiation (lazy mode): a Tid-sorted binder is
-  /// instantiated only at index terms the formula actually reads one of
-  /// the binder's arrays with -- a universal whose body reads pc(t) need
-  /// not be instantiated at a term that never indexes pc anywhere in the
-  /// formula. Skipping instances only weakens the expansion (still sound
-  /// for Unsat), and when the filter would empty a domain the full domain
-  /// is kept instead, so it never manufactures a vacuous expansion. A Sat
-  /// answer obtained under the filter may be spurious; callers escalate
-  /// to an unfiltered expansion before trusting one.
-  bool RelevancyFilter = false;
-  /// Partitioned expansion (model-guided refinement mode): instead of
-  /// *skipping* instances, every universal at a conjunctive position is
-  /// expanded over the full domain, and each instance is routed either
-  /// into the returned formula (the core) or into ExpandResult::Deferred,
-  /// so that Formula AND Deferred equals the unpartitioned expansion by
-  /// construction. An instance is core when every Tid binder draws from
-  /// \p CoreTids (when set) and survives the relevancy filter; everything
-  /// else -- witness-cascade instances in particular -- is deferred.
-  /// Universals below an Or cannot be split off (their instances are not
-  /// conjuncts of the whole) and are expanded fully in place.
+  /// Partitioned expansion (model-guided refinement mode): every universal
+  /// at a conjunctive position is expanded over the full domain, and each
+  /// instance is routed either into the returned formula (the core) or
+  /// into ExpandResult::Deferred, so that Formula AND Deferred equals the
+  /// unpartitioned expansion by construction. An instance is core when
+  /// every Tid binder draws from \p CoreTids (when set); everything else
+  /// -- witness-cascade instances in particular -- is deferred. Universals
+  /// below an Or cannot be split off (their instances are not conjuncts of
+  /// the whole) and are expanded fully in place.
   bool CollectDeferred = false;
   /// The explicit core instance worklist for CollectDeferred: Tid terms a
-  /// core instance may bind. Null means "no worklist restriction" (the
-  /// relevancy filter alone decides the routing).
+  /// core instance may bind. Null means no restriction: every instance is
+  /// core.
   const std::vector<logic::Term> *CoreTids = nullptr;
 };
 
 struct ExpandResult {
   logic::Term Formula;   ///< Universal-free formula.
   unsigned NumInstances = 0;
-  unsigned NumFiltered = 0; ///< Instances skipped by RelevancyFilter.
   bool Complete = true;  ///< False if the budget truncated an expansion.
   /// CollectDeferred only: the routed-out instances (each universal-free).
   /// Invariant: mkAnd(Formula, mkAnd(Deferred)) == the full expansion.

@@ -25,9 +25,6 @@ Json VerifyRequest::encode() const {
   J["max_tuples"] = Json(MaxTuples);
   J["smt_timeout_ms"] = Json(SmtTimeoutMs);
   J["no_supervise"] = Json(NoSupervise);
-  J["no_incremental"] = Json(NoIncremental);
-  J["no_refine"] = Json(NoRefine);
-  J["refine_budget"] = Json(RefineBudget);
   J["faults"] = Json(Faults);
   J["json"] = Json(JsonLine);
   return J;
@@ -42,9 +39,6 @@ VerifyRequest VerifyRequest::decode(const serve::Json &J) {
   R.MaxTuples = static_cast<unsigned>(J.get("max_tuples").asInt(0));
   R.SmtTimeoutMs = static_cast<unsigned>(J.get("smt_timeout_ms").asInt(0));
   R.NoSupervise = J.get("no_supervise").asBool(false);
-  R.NoIncremental = J.get("no_incremental").asBool(false);
-  R.NoRefine = J.get("no_refine").asBool(false);
-  R.RefineBudget = static_cast<unsigned>(J.get("refine_budget").asInt(0));
   R.Faults = J.get("faults").asString();
   R.JsonLine = J.get("json").asBool(false);
   return R;

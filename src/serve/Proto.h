@@ -6,8 +6,7 @@
 //
 //   verify       {"op":"verify","protocol_text":...,"file":...,
 //                 "workers":N,"time_budget":S,"max_tuples":N,
-//                 "smt_timeout_ms":N,"no_supervise":B,"no_incremental":B,
-//                 "no_refine":B,"refine_budget":N,
+//                 "smt_timeout_ms":N,"no_supervise":B,
 //                 "faults":"...","json":B}
 //             -> {"ok":true,"exit":E,"verdict":"verified",
 //                 "output":"<full stdout text>","error":"",
@@ -73,9 +72,6 @@ struct VerifyRequest {
   unsigned MaxTuples = 0;    ///< 0 = SynthOptions default.
   unsigned SmtTimeoutMs = 0; ///< 0 = SynthOptions default.
   bool NoSupervise = false;
-  bool NoIncremental = false;
-  bool NoRefine = false;     ///< Coarse lazy escalation, no CEGAR loop.
-  unsigned RefineBudget = 0; ///< 0 = SynthOptions default.
   std::string Faults;    ///< FaultPlan spec; empty = none.
   bool JsonLine = false; ///< Client passed --json: include the JSON line.
 

@@ -573,13 +573,6 @@ VerifyResponse Server::verifyImpl(uint64_t Id, const VerifyRequest &Req,
   if (Req.MaxTuples)
     SO.MaxTuples = Req.MaxTuples;
   SO.Supervise.Enabled = !Req.NoSupervise;
-  SO.Incremental = !Req.NoIncremental;
-  // Mode knobs never change the verdict or the invariant (the modes are
-  // equivalence-checked by the parity suite), so the tier-1 cache key
-  // stays the canonical problem hash alone.
-  SO.Refine = !Req.NoRefine;
-  if (Req.RefineBudget)
-    SO.RefineBudget = Req.RefineBudget;
   if (Req.SmtTimeoutMs)
     SO.SmtTimeoutMs = Req.SmtTimeoutMs;
   if (!Faults.empty())

@@ -126,10 +126,8 @@ inline SatResult checkTraced(SmtSolver &S, obs::TraceBuffer *Trace,
   return R;
 }
 
-/// Instrumented checkAssuming(): like checkTraced, but the latency also
-/// lands in the "smt_ms.assume" histogram, so the assumption-based
-/// (incremental Houdini) checks are separable from monolithic ones in the
-/// stats table and --json output.
+/// Instrumented checkAssuming(): like checkTraced, over the assumption
+/// literals \p A.
 inline SatResult checkAssumingTraced(SmtSolver &S,
                                      const std::vector<logic::Term> &A,
                                      obs::TraceBuffer *Trace,
@@ -144,7 +142,6 @@ inline SatResult checkAssumingTraced(SmtSolver &S,
                   std::chrono::steady_clock::now() - T0)
                   .count();
   Trace->sample("smt_ms", Ms);
-  Trace->sample("smt_ms.assume", Ms);
   if (PhaseHist)
     Trace->sample(PhaseHist, Ms);
   Trace->counter("smt_checks", 1);

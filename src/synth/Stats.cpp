@@ -118,10 +118,6 @@ std::string sharpie::synth::renderInconclusiveReport(const SynthResult &Res) {
     appendf(Out, "  #{t | %s}\n", SB.c_str());
   for (const std::string &A : P.Atoms)
     appendf(Out, "  %s\n", A.c_str());
-  Out += "clauses discharged:";
-  for (const std::string &C : P.VerifiedClauses)
-    Out += " " + C;
-  Out += "\n";
   return Out;
 }
 

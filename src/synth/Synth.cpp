@@ -73,16 +73,7 @@ struct ReducedClause {
   std::vector<PlaceholderInst> Insts;
   bool HasHead = false;
   bool IsSafety = false;
-  /// The unreduced clause conjunction and its extra index terms, retained
-  /// so the incremental path can escalate from the lazy (relevancy-
-  /// filtered) reduction to the full one on demand.
-  Term Raw;
-  std::vector<Term> Extra;
-  /// True when the lazy reduction deferred axioms or instances, i.e.
-  /// Ground is a weakening of the full reduction: a Sat answer must be
-  /// confirmed against the full reduction before a model is trusted.
-  bool LazyWeakened = false;
-  /// Refine mode: the deferred-instance manifest of the clause's reduction
+  /// The deferred-instance manifest of the clause's reduction
   /// (engine::ReduceResult::Deferred). Ground AND every entry is the full
   /// reduction; entries are asserted individually as candidate models
   /// violate them (incCheck's refinement loop).
@@ -137,11 +128,10 @@ private:
     std::vector<Term> Atoms;
     Term Invariant;
     std::string Why;
-    /// Near-miss data: Houdini reached a fixpoint that discharged every
-    /// inductiveness clause, but the safety check failed or went Unknown.
+    /// Near-miss data: a Houdini check found a counterexample to the
+    /// safety clause under the live atoms.
     bool HasPartial = false;
     std::vector<Term> PartialAtoms;
-    std::vector<std::string> VerifiedClauses;
     std::string FailedOn;
   };
 
@@ -203,21 +193,7 @@ private:
   std::vector<ReducedClause>
   buildClauses(const std::vector<Term> &SetBodies, smt::SmtSolver *Oracle);
 
-  // -- SOLVE (Houdini over the atom pool) ----------------------------------------
-  bool houdini(const std::vector<ReducedClause> &Clauses,
-               std::vector<Term> &Cand, TupleOutcome &Out);
-  bool isGlobalAtom(logic::Term A) const;
-  Term substitutedClause(const ReducedClause &C,
-                         const std::vector<Term> &Cand) const;
-
-  void minimizeAtoms(const std::vector<ReducedClause> &Clauses,
-                     std::vector<Term> &Cand);
-  Term closedInvariant(const std::vector<Term> &SetBodies,
-                       const std::vector<Term> &Atoms) const;
-  bool recheck(Term Inv, const std::vector<sys::ParamSystem::State> &States,
-               std::string &Why);
-
-  // -- Incremental assumption-based solving (Opts.Incremental) -----------------
+  // -- SOLVE (incremental, assumption-based Houdini over the atom pool) ---------
   //
   // Per tuple, ALL reduced clauses are asserted ONCE into one merged
   // solver context, each behind a selector literal (sel[i] -> ground_i),
@@ -235,13 +211,13 @@ private:
   // asserted, never assumed, so unsat cores range over pure indicator
   // literals; while the recorded core is consistent with the live set the
   // merged context is provably still Unsat and minimize accepts removals
-  // without a solver call ("core_drops"). Clauses are built with the lazy
-  // (relevancy-filtered) reduction; a model that picks a weakened clause
-  // may be spurious, so that clause escalates once to its full reduction
-  // before any model is trusted -- every accepting answer is an Unsat
-  // (sound under weakening) and every counterexample satisfies the full
-  // ground, which is why verdicts and invariants match the monolithic
-  // path.
+  // without a solver call ("core_drops"). Clauses are built with the
+  // partitioned reduction (a core ground plus a deferred manifest); a
+  // model that survives the core is refined against the manifest before
+  // it is trusted -- every accepting answer is an Unsat (sound under the
+  // weaker core) and every counterexample satisfies the full reduction,
+  // which is why verdicts and invariants match the eager grounding
+  // (RefineBudget = 0).
   struct IncCtx {
     bool Active = false;
     std::vector<Term> Atoms; ///< Candidate pool, fixing indicator indices.
@@ -252,16 +228,17 @@ private:
     /// selector, the indicator-guarded placeholder definitions, and the
     /// selector disjunction, asserted once.
     std::unique_ptr<smt::SmtSolver> S;
-    std::vector<Term> Sel;          ///< Sel[i] guards clause i's ground.
-    std::vector<char> Lazy;         ///< Clause i's reduction was weakened.
-    std::vector<char> FullAsserted; ///< Clause i escalated to full.
-    /// Refine mode: InstSel[i] guards clause i's refinement conjuncts
+    std::vector<Term> Sel; ///< Sel[i] guards clause i's ground.
+    /// FullAsserted[i]: clause i's whole manifest is asserted (from the
+    /// start when it has none), so its ground is the full reduction.
+    std::vector<char> FullAsserted;
+    /// InstSel[i] guards clause i's refinement conjuncts
     /// (houdini$inst$<i>). Sel[i] -> InstSel[i] is asserted at setup, so
     /// manifest items asserted as InstSel[i] -> item bind exactly when the
     /// clause is selected and retract with it.
     std::vector<Term> InstSel;
-    /// Refine mode: DefAsserted[i][j] marks clause i's manifest entry j as
-    /// already asserted into the live context.
+    /// DefAsserted[i][j] marks clause i's manifest entry j as already
+    /// asserted into the live context.
     std::vector<std::vector<char>> DefAsserted;
     size_t SafetyIdx = static_cast<size_t>(-1);
     /// Unsat core of the last Unsat answer, as (atom index, assumed
@@ -270,19 +247,17 @@ private:
     std::vector<std::pair<size_t, bool>> Core;
     bool CoreKnown = false;
     unsigned Checks = 0; ///< Checks answered by this context.
-    /// Quantifier instances asserted into the merged context so far
-    /// (lazy grounds at setup plus full-reduction escalations); sampled
-    /// per incCheck as instantiations_per_check.
+    /// Quantifier instances asserted into the merged context so far (core
+    /// grounds at setup plus asserted manifest entries); sampled per
+    /// incCheck as instantiations_per_check.
     uint64_t Instances = 0;
-    smt::SmtSolver *Oracle = nullptr; ///< Borrowed, for escalation reduces.
   };
 
-  /// The lazy variant of Opts.Reduce: relevancy-filtered CARD axioms and
-  /// quantifier instances (see card::AxiomOptions::RelevancyFilter).
+  /// The recheck's first-phase variant of Opts.Reduce: relevancy-filtered
+  /// CARD axioms (see card::AxiomOptions::RelevancyFilter).
   engine::ReduceOptions lazyReduceOptions() const {
     engine::ReduceOptions RO = Opts.Reduce;
     RO.Card.RelevancyFilter = true;
-    RO.Expand.RelevancyFilter = true;
     return RO;
   }
   /// The manifest variant of Opts.Reduce for the refinement loop: the full
@@ -295,21 +270,25 @@ private:
     return RO;
   }
   void incSetup(const std::vector<ReducedClause> &Clauses,
-                const std::vector<Term> &Cand, smt::SmtSolver *Oracle);
+                const std::vector<Term> &Cand);
   /// Destroys the merged context and forgets the tuple's state.
   /// Idempotent; called on every tryTuple exit path and by resetSolver.
   void incTeardown();
   std::vector<Term> incAssumptions() const;
   bool coreConsistent() const;
   void incRecordCore();
-  void ensureFullAsserted(const ReducedClause &C, size_t CI);
-  /// Refine mode: asserts every not-yet-asserted manifest entry of clause
-  /// \p CI -- the full grounding, reached without a re-reduction because
-  /// core AND manifest is the full reduction by construction.
+  /// Asserts every not-yet-asserted manifest entry of clause \p CI -- the
+  /// full grounding, reached without a re-reduction because core AND
+  /// manifest is the full reduction by construction.
   void assertAllDeferred(const ReducedClause &C, size_t CI);
+  /// Fully grounds every clause with pending manifest entries that
+  /// \p Model elects (every pending clause when \p Model is null).
+  /// Returns true when any clause was grounded.
+  bool groundPending(const std::vector<ReducedClause> &Clauses,
+                     smt::SmtModel *Model);
   /// One refinement round against a surviving candidate model: evaluates
-  /// every selected, still-lazy clause's manifest under \p Model and
-  /// asserts exactly the violated entries (a clause whose model evaluation
+  /// every selected clause's pending manifest entries under \p Model and
+  /// asserts exactly the violated ones (a clause whose model evaluation
   /// fails degrades to assertAllDeferred -- never an unsound keep).
   /// Returns true when anything was asserted (the model is refuted and the
   /// caller must re-check); false certifies the model against the full
@@ -317,21 +296,25 @@ private:
   bool refineAgainstModel(const std::vector<ReducedClause> &Clauses,
                           smt::SmtModel &Model, unsigned Round);
   /// One assumption-based check of the merged context, with the
-  /// lazy->full escalation loop folded in: an Unsat records the core; a
-  /// returned Sat comes with a model in which no selected clause's ground
-  /// is a weakening (each was escalated if needed), so the model is a
-  /// genuine counterexample for every clause it selects.
+  /// refinement loop folded in: an Unsat records the core; a returned Sat
+  /// comes with a model that satisfies every selected clause's whole
+  /// manifest, so the model is a genuine counterexample for every clause
+  /// it selects.
   SatResult incCheck(const std::vector<ReducedClause> &Clauses,
                      const char *Hist,
                      std::unique_ptr<smt::SmtModel> &Model);
   std::vector<Term> liveAtoms() const;
-  bool houdiniInc(const std::vector<ReducedClause> &Clauses,
-                  std::vector<Term> &Cand, TupleOutcome &Out);
-  void minimizeAtomsInc(const std::vector<ReducedClause> &Clauses,
-                        std::vector<Term> &Cand);
-  bool recheckInc(Term Inv,
-                  const std::vector<sys::ParamSystem::State> &States,
-                  std::string &Why);
+  bool houdini(const std::vector<ReducedClause> &Clauses,
+               std::vector<Term> &Cand, TupleOutcome &Out);
+  void minimizeAtoms(const std::vector<ReducedClause> &Clauses,
+                     std::vector<Term> &Cand);
+  bool isGlobalAtom(logic::Term A) const;
+  Term substitutedClause(const ReducedClause &C,
+                         const std::vector<Term> &Cand) const;
+  Term closedInvariant(const std::vector<Term> &SetBodies,
+                       const std::vector<Term> &Atoms) const;
+  bool recheck(Term Inv, const std::vector<sys::ParamSystem::State> &States,
+               std::string &Why);
 
   /// Builds this synthesizer's standard solver stack for injection site
   /// \p Site: supervised Z3 with a MiniSolver fallback factory, wired to
@@ -352,7 +335,7 @@ private:
   Formals F;
   SynthStats Stats;
   std::unique_ptr<smt::SmtSolver> Solver;
-  /// The merged per-tuple context of the incremental path (Opts.Incremental).
+  /// The merged per-tuple Houdini context.
   IncCtx Inc;
   std::chrono::steady_clock::time_point Deadline;
   /// Retry/fallback/fault tallies from every supervised solver this
@@ -660,34 +643,24 @@ Synthesizer::buildClauses(const std::vector<Term> &SetBodies,
     return Sk;
   };
 
-  // Incremental mode reduces lazily: refine mode (the default) partitions
-  // the full reduction into a core ground plus a deferred-instance
-  // manifest (model-guided refinement asserts manifest entries on demand);
-  // --no-refine keeps the PR5 relevancy-filtered reduction whose surviving
-  // models trigger one whole-clause escalation (ensureFullAsserted). The
-  // raw conjunction and index terms are retained for that coarse path.
-  const engine::ReduceOptions BuildRO =
-      !Opts.Incremental ? Opts.Reduce
-      : Opts.Refine     ? refineReduceOptions()
-                        : lazyReduceOptions();
+  // Every clause is reduced in manifest mode: the full reduction split
+  // into a core ground plus a deferred-instance manifest, whose entries
+  // model-guided refinement asserts on demand.
+  const engine::ReduceOptions BuildRO = refineReduceOptions();
   auto Reduce = [&](ReducedClause &C, const std::vector<Term> &Conj) {
     obs::Span Sp(TB, "reduce_clause", [&] { return C.Name; });
-    C.Raw = M.mkAnd(Conj);
-    C.Extra = InstanceTerms(C.Insts);
+    Term Raw = M.mkAnd(Conj);
     engine::ReduceResult R = engine::reduceToGroundCached(
-        RC, M, C.Raw, BuildRO, Oracle, Externals, C.Extra, TB);
+        RC, M, Raw, BuildRO, Oracle, Externals, InstanceTerms(C.Insts), TB);
     C.Ground = R.Ground;
     C.Deferred = std::move(R.Deferred);
-    C.LazyWeakened = BuildRO.DeferManifest
-                         ? !C.Deferred.empty()
-                         : R.NumDeferred + R.NumFilteredInstances > 0;
     C.NumInstances = R.NumInstances;
     SHARPIE_LOGF(TB, obs::LogLevel::Debug,
                  "[reduce] %-16s size=%-7zu inst=%-6u axioms=%-5u venn=%s/%u"
                  " deferred=%u manifest=%zu",
                  C.Name.c_str(), logic::termSize(C.Ground), R.NumInstances,
                  R.NumAxioms, R.VennApplied ? "yes" : "no", R.NumVennRegions,
-                 R.NumDeferred + R.NumFilteredInstances, C.Deferred.size());
+                 R.NumDeferred, C.Deferred.size());
   };
 
   // Clause (a): init /\ !Inv.
@@ -791,163 +764,9 @@ Term Synthesizer::substitutedClause(const ReducedClause &C,
   return logic::replaceAll(M, C.Ground, Rep);
 }
 
-bool Synthesizer::houdini(const std::vector<ReducedClause> &Clauses,
-                          std::vector<Term> &Cand, TupleOutcome &Out) {
-  std::string &Why = Out.Why;
-  auto Bail = [&](std::string &W) {
-    W = outOfTime() ? "time budget exhausted"
-                    : "superseded by a lower-ranked tuple";
-    return false;
-  };
-  unsigned MaxIters = static_cast<unsigned>(Cand.size()) + 8;
-  for (unsigned Iter = 0; Iter < MaxIters; ++Iter) {
-    if (aborted())
-      return Bail(Why);
-    obs::Span IterSp(TB, "houdini_iter", [&] {
-      return "iter=" + std::to_string(Iter) +
-             " atoms=" + std::to_string(Cand.size());
-    });
-    bool AllPassed = true;
-    for (const ReducedClause &C : Clauses) {
-      if (C.IsSafety)
-        continue;
-      // Cancellation must be prompt under parallelism: the budget is
-      // polled between the SMT checks of one iteration, not only between
-      // iterations.
-      if (aborted())
-        return Bail(Why);
-      Solver->push();
-      Solver->add(substitutedClause(C, Cand));
-      SatResult R =
-          smt::checkTraced(*Solver, TB, "smt_ms.houdini", C.Name.c_str());
-      ++Stats.SmtChecks;
-      // Monolithic checks see exactly one clause's ground formula, so the
-      // per-check instantiation load is that clause's expansion count.
-      if (TB)
-        TB->sample("instantiations_per_check",
-                   static_cast<double>(C.NumInstances));
-      if (R == SatResult::Unsat) {
-        Solver->pop();
-        continue;
-      }
-      if (R == SatResult::Unknown) {
-        Solver->pop();
-        Why = "smt unknown on " + C.Name;
-        return false;
-      }
-      std::unique_ptr<smt::SmtModel> Model = Solver->model();
-      const PlaceholderInst *Head = nullptr;
-      for (const PlaceholderInst &I : C.Insts)
-        if (I.IsHead)
-          Head = &I;
-      assert(Head && "inductive clause without head instance");
-      std::vector<Term> Kept;
-      for (Term A : Cand) {
-        std::optional<bool> V =
-            Model ? Model->evalBool(logic::substitute(M, A, Head->AtomSubst))
-                  : std::nullopt;
-        if (V.has_value() && !*V) {
-          SHARPIE_LOGF(TB, obs::LogLevel::Debug, "[houdini] %s drops %s",
-                       C.Name.c_str(), logic::toString(A).c_str());
-          continue; // Refuted at the head: drop.
-        }
-        Kept.push_back(A);
-      }
-      Solver->pop();
-      if (Kept.size() == Cand.size()) {
-        Why = "stuck on " + C.Name + " (no atom refuted by model)";
-        return false;
-      }
-      if (TB) {
-        int64_t Dropped = static_cast<int64_t>(Cand.size() - Kept.size());
-        TB->counter("houdini_atoms_dropped", Dropped);
-        TB->instant("houdini_drop", C.Name, Dropped);
-      }
-      Cand = std::move(Kept);
-      AllPassed = false;
-    }
-    if (AllPassed) {
-      if (TB && TB->logEnabled(obs::LogLevel::Debug)) {
-        TB->logf(obs::LogLevel::Debug, "[houdini] fixpoint with %zu atoms",
-                 Cand.size());
-        for (Term A : Cand)
-          TB->logf(obs::LogLevel::Debug, "  %s", logic::toString(A).c_str());
-      }
-      // Fixpoint reached; check the safety clause.
-      for (const ReducedClause &C : Clauses) {
-        if (!C.IsSafety)
-          continue;
-        Solver->push();
-        Solver->add(substitutedClause(C, Cand));
-        SatResult R =
-            smt::checkTraced(*Solver, TB, "smt_ms.safety", C.Name.c_str());
-        ++Stats.SmtChecks;
-        if (TB)
-          TB->sample("instantiations_per_check",
-                     static_cast<double>(C.NumInstances));
-        Solver->pop();
-        if (R == SatResult::Unsat)
-          return true;
-        Why = R == SatResult::Sat ? "fixpoint too weak for safety"
-                                  : "smt unknown on safety";
-        // The fixpoint discharged every inductiveness clause -- record it
-        // as the run's near-miss so an inconclusive outcome can report
-        // the best candidate and exactly which clause stopped it.
-        Out.HasPartial = true;
-        Out.PartialAtoms = Cand;
-        for (const ReducedClause &C2 : Clauses)
-          if (!C2.IsSafety)
-            Out.VerifiedClauses.push_back(C2.Name);
-        Out.FailedOn = C.Name;
-        // The failing safety clause is large; it renders only at the most
-        // verbose level (--log-level trace), replacing the old
-        // SHARPIE_DUMP_SAFETY environment hack.
-        SHARPIE_LOGF(TB, obs::LogLevel::Trace, "[safety clause] %s",
-                     logic::toString(substitutedClause(C, Cand)).c_str());
-        return false;
-      }
-      return true; // No safety clause (not expected).
-    }
-  }
-  Why = "houdini iteration budget exhausted";
-  return false;
-}
-
-/// Greedily drops atoms whose removal keeps every clause (including
-/// safety) discharged. Yields the concise invariants the paper reports and
-/// shrinks the final re-check's instantiation.
-void Synthesizer::minimizeAtoms(const std::vector<ReducedClause> &Clauses,
-                                std::vector<Term> &Cand) {
-  auto AllPass = [&](const std::vector<Term> &Trial) {
-    for (const ReducedClause &C : Clauses) {
-      Solver->push();
-      Solver->add(substitutedClause(C, Trial));
-      SatResult R =
-          smt::checkTraced(*Solver, TB, "smt_ms.minimize", C.Name.c_str());
-      ++Stats.SmtChecks;
-      Solver->pop();
-      if (R != SatResult::Unsat)
-        return false;
-    }
-    return true;
-  };
-  for (size_t I = Cand.size(); I-- > 0;) {
-    if (aborted())
-      return;
-    std::vector<Term> Trial = Cand;
-    Trial.erase(Trial.begin() + I);
-    if (AllPass(Trial))
-      Cand = std::move(Trial);
-  }
-}
-
-// -- Incremental assumption-based solving --------------------------------------------
-
 void Synthesizer::incSetup(const std::vector<ReducedClause> &Clauses,
-                           const std::vector<Term> &Cand,
-                           smt::SmtSolver *Oracle) {
+                           const std::vector<Term> &Cand) {
   Inc = IncCtx();
-  Inc.Oracle = Oracle;
   Inc.Atoms = Cand;
   Inc.Live.assign(Cand.size(), 1);
   Inc.Active = true;
@@ -959,13 +778,11 @@ void Synthesizer::incSetup(const std::vector<ReducedClause> &Clauses,
     Inc.IndIndex.emplace(IndK, K);
   }
   Inc.S = makeSolver("smt_check");
-  Inc.Lazy.assign(Clauses.size(), 0);
-  Inc.FullAsserted.assign(Clauses.size(), 0);
   for (size_t CI = 0; CI < Clauses.size(); ++CI) {
     const ReducedClause &C = Clauses[CI];
     Term Sel = M.mkVar("houdini$sel$" + std::to_string(CI), Sort::Bool);
     Inc.Sel.push_back(Sel);
-    Inc.Lazy[CI] = C.LazyWeakened;
+    Inc.FullAsserted.push_back(C.Deferred.empty());
     if (C.IsSafety)
       Inc.SafetyIdx = CI;
     Inc.S->add(M.mkImplies(Sel, C.Ground));
@@ -987,9 +804,9 @@ void Synthesizer::incSetup(const std::vector<ReducedClause> &Clauses,
     // never occurs negated only needs P -> def (and dually), which keeps
     // the per-check formula close to substitutedClause's size. Under
     // fixed indicator assumptions either direction set is equisatisfiable
-    // with the monolithic replacement. Placeholder names embed the clause
-    // name, so the definitions of different clauses never collide in the
-    // merged context.
+    // with substituting the live atoms for P. Placeholder names embed the
+    // clause name, so the definitions of different clauses never collide
+    // in the merged context.
     std::set<Term> NegOcc;
     for (Term N : logic::collectSubterms(C.Ground, [](Term S) {
            return S.kind() == Kind::Not;
@@ -1036,7 +853,7 @@ std::vector<Term> Synthesizer::incAssumptions() const {
 
 /// The recorded core still proves the merged context Unsat exactly when
 /// its indicator literals match the current live set (the asserted
-/// grounds never change, they only grow by escalation conjuncts).
+/// grounds never change, they only grow by manifest entries).
 bool Synthesizer::coreConsistent() const {
   for (const auto &[K, Pos] : Inc.Core)
     if (static_cast<bool>(Inc.Live[K]) != Pos)
@@ -1056,26 +873,6 @@ void Synthesizer::incRecordCore() {
   Inc.CoreKnown = true;
 }
 
-void Synthesizer::ensureFullAsserted(const ReducedClause &C, size_t CI) {
-  obs::Span Sp(TB, "refine_full", [&] { return C.Name; });
-  engine::ReduceResult R = engine::reduceToGroundCached(
-      RC, M, C.Raw, Opts.Reduce, Inc.Oracle, Sys.externalCounters(), C.Extra,
-      TB);
-  // Conjoining the full ground with the lazy one (both behind the same
-  // selector) is sound: both are reductions of the same obligation over
-  // disjoint fresh constants, so any model of the obligation extends to
-  // their conjunction.
-  Inc.S->add(M.mkImplies(Inc.Sel[CI], R.Ground));
-  Inc.FullAsserted[CI] = 1;
-  Inc.Instances += R.NumInstances;
-  if (TB)
-    TB->counter("refine_full_groundings", 1);
-  SHARPIE_LOGF(TB, obs::LogLevel::Debug,
-               "[lazy] %s: model survived the lazy ground, escalating to the "
-               "full reduction (size %zu)",
-               C.Name.c_str(), logic::termSize(R.Ground));
-}
-
 void Synthesizer::assertAllDeferred(const ReducedClause &C, size_t CI) {
   obs::Span Sp(TB, "refine_full", [&] { return C.Name; });
   std::vector<char> &Done = Inc.DefAsserted[CI];
@@ -1088,8 +885,7 @@ void Synthesizer::assertAllDeferred(const ReducedClause &C, size_t CI) {
     ++Added;
   }
   // Core plus the whole manifest is the unpartitioned full reduction by
-  // construction, so no re-reduction is needed (unlike the coarse
-  // --no-refine path, which must rebuild the clause without its filter).
+  // construction, so no re-reduction is needed.
   Inc.FullAsserted[CI] = 1;
   Inc.Instances += Added;
   if (TB)
@@ -1098,6 +894,20 @@ void Synthesizer::assertAllDeferred(const ReducedClause &C, size_t CI) {
                "[refine] %s: grounding the remaining manifest (%u of %zu "
                "entries)",
                C.Name.c_str(), Added, C.Deferred.size());
+}
+
+bool Synthesizer::groundPending(const std::vector<ReducedClause> &Clauses,
+                                smt::SmtModel *Model) {
+  // Read the selectors before the first add(): a model handle is valid
+  // only until its solver is mutated.
+  std::vector<size_t> Pending;
+  for (size_t CI = 0; CI < Clauses.size(); ++CI)
+    if (!Inc.FullAsserted[CI] &&
+        (!Model || Model->evalBool(Inc.Sel[CI]).value_or(false)))
+      Pending.push_back(CI);
+  for (size_t CI : Pending)
+    assertAllDeferred(Clauses[CI], CI);
+  return !Pending.empty();
 }
 
 bool Synthesizer::refineAgainstModel(const std::vector<ReducedClause> &Clauses,
@@ -1117,14 +927,8 @@ bool Synthesizer::refineAgainstModel(const std::vector<ReducedClause> &Clauses,
       else {
         // Timeout/Unknown: the model became unusable mid-refinement.
         // Degrade exactly like an evaluation failure -- fully ground
-        // every selected pending clause. Never an unsound "keep".
-        bool Any = false;
-        for (size_t CI = 0; CI < Clauses.size(); ++CI)
-          if (Inc.Lazy[CI] && !Inc.FullAsserted[CI]) {
-            assertAllDeferred(Clauses[CI], CI);
-            Any = true;
-          }
-        return Any;
+        // every pending clause. Never an unsound "keep".
+        return groundPending(Clauses, nullptr);
       }
     }
   }
@@ -1139,7 +943,7 @@ bool Synthesizer::refineAgainstModel(const std::vector<ReducedClause> &Clauses,
   std::vector<ClausePlan> Plans;
   std::vector<size_t> Failed; // Eval failure => full grounding (sound).
   for (size_t CI = 0; CI < Clauses.size(); ++CI) {
-    if (!Inc.Lazy[CI] || Inc.FullAsserted[CI])
+    if (Inc.FullAsserted[CI])
       continue;
     if (!Model.evalBool(Inc.Sel[CI]).value_or(false))
       continue; // Not selected: its ground (and manifest) are inert.
@@ -1221,16 +1025,8 @@ SatResult Synthesizer::incCheck(const std::vector<ReducedClause> &Clauses,
       // always sound, changes the formula the back end (or the
       // supervisor's fallback ladder) sees, and leaves nothing pending
       // -- so a second Unknown returns here instead of looping.
-      if (Opts.Incremental && Opts.Refine) {
-        bool Any = false;
-        for (size_t CI = 0; CI < Clauses.size(); ++CI)
-          if (Inc.Lazy[CI] && !Inc.FullAsserted[CI]) {
-            assertAllDeferred(Clauses[CI], CI);
-            Any = true;
-          }
-        if (Any)
-          continue;
-      }
+      if (groundPending(Clauses, nullptr))
+        continue;
       FlushRounds();
       return R;
     }
@@ -1239,46 +1035,26 @@ SatResult Synthesizer::incCheck(const std::vector<ReducedClause> &Clauses,
       FlushRounds();
       return R; // Callers treat a model-less Sat as a stuck iteration.
     }
-    bool Refined = false;
-    if (Opts.Incremental && Opts.Refine) {
-      // Model-guided refinement (CEGAR instantiation): assert only the
-      // manifest entries this model violates; the escalation budget
-      // bounds the rounds per check, falling back to full grounding.
-      if (RefineRounds >= Opts.RefineBudget) {
-        if (TB)
-          TB->counter("refine_budget_exhausted", 1);
-        for (size_t CI = 0; CI < Clauses.size(); ++CI)
-          if (Inc.Lazy[CI] && !Inc.FullAsserted[CI] &&
-              Model->evalBool(Inc.Sel[CI]).value_or(false)) {
-            assertAllDeferred(Clauses[CI], CI);
-            Refined = true;
-          }
-      } else {
-        Refined = refineAgainstModel(Clauses, *Model, RefineRounds);
-      }
-      if (Refined)
-        ++RefineRounds;
+    // Model-guided refinement (CEGAR instantiation): assert only the
+    // manifest entries this model violates; the budget bounds the rounds
+    // per check, falling back to full grounding.
+    bool Refined;
+    if (RefineRounds >= Opts.RefineBudget) {
+      if (TB)
+        TB->counter("refine_budget_exhausted", 1);
+      Refined = groundPending(Clauses, Model.get());
     } else {
-      // Coarse --no-refine path (and the eager mode's no-op): a surviving
-      // model escalates every selected weakened clause to its full
-      // reduction in one step.
-      for (size_t CI = 0; CI < Clauses.size(); ++CI) {
-        if (!Inc.Lazy[CI] || Inc.FullAsserted[CI])
-          continue;
-        if (Model->evalBool(Inc.Sel[CI]).value_or(false)) {
-          ensureFullAsserted(Clauses[CI], CI);
-          Refined = true;
-        }
-      }
+      Refined = refineAgainstModel(Clauses, *Model, RefineRounds);
     }
     if (!Refined) {
       FlushRounds();
       // Genuine: every selected clause's asserted ground satisfies its
-      // whole manifest (refine) or is the full reduction (coarse).
+      // whole manifest.
       return R;
     }
     // A model that only survived because instances were deferred is
     // counterexample-driven refinement's cue: add them and re-check.
+    ++RefineRounds;
   }
 }
 
@@ -1290,8 +1066,8 @@ std::vector<Term> Synthesizer::liveAtoms() const {
   return Out;
 }
 
-bool Synthesizer::houdiniInc(const std::vector<ReducedClause> &Clauses,
-                             std::vector<Term> &Cand, TupleOutcome &Out) {
+bool Synthesizer::houdini(const std::vector<ReducedClause> &Clauses,
+                          std::vector<Term> &Cand, TupleOutcome &Out) {
   std::string &Why = Out.Why;
   auto Bail = [&](std::string &W) {
     W = outOfTime() ? "time budget exhausted"
@@ -1385,15 +1161,14 @@ bool Synthesizer::houdiniInc(const std::vector<ReducedClause> &Clauses,
   return false;
 }
 
-/// The incremental greedy minimizer: same trial order and accept/reject
-/// semantics as minimizeAtoms (each trial asks whether every clause --
-/// safety included -- stays Unsat, exactly AllPass's question, so the two
-/// paths converge on the same atom set), but a trial whose dropped atom
-/// the recorded core ignores is accepted without any solver call: the
-/// core's literals all kept their polarity, so the merged context is
-/// provably still Unsat.
-void Synthesizer::minimizeAtomsInc(const std::vector<ReducedClause> &Clauses,
-                                   std::vector<Term> &Cand) {
+/// Greedily drops atoms, last to first, whose removal keeps every clause
+/// (safety included) discharged. Yields the concise invariants the paper
+/// reports and shrinks the final re-check's instantiation. A trial whose
+/// dropped atom the recorded core ignores is accepted without any solver
+/// call: the core's literals all kept their polarity, so the merged
+/// context is provably still Unsat.
+void Synthesizer::minimizeAtoms(const std::vector<ReducedClause> &Clauses,
+                                std::vector<Term> &Cand) {
   std::vector<size_t> LiveIdx; // Pool indices of Cand's atoms, in order.
   for (size_t K = 0; K < Inc.Live.size(); ++K)
     if (Inc.Live[K])
@@ -1440,44 +1215,18 @@ Term Synthesizer::closedInvariant(const std::vector<Term> &SetBodies,
   return M.mkAnd(M.mkAnd(GlobalAs), Quant);
 }
 
+/// Re-checks the closed invariant end to end: on the explicit reachable
+/// states, then every safety obligation through a fresh reduction of the
+/// concrete invariant. Two levers keep it cheap: (1) each obligation is
+/// first reduced with the CARD relevancy filter (lazyReduceOptions) --
+/// Unsat under that weaker ground already discharges it, and only a
+/// surviving answer pays the full reduction; (2) all checks share the
+/// member solver (push/pop scoped), whose back-end translation cache is
+/// already warm from the Houdini phase. The full reduction always has the
+/// final word.
 bool Synthesizer::recheck(Term Inv,
                           const std::vector<sys::ParamSystem::State> &States,
                           std::string &Why) {
-  if (!explct::holdsInAll(States, Inv)) {
-    Why = "recheck: invariant fails on an explicit reachable state";
-    return false;
-  }
-  std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce");
-  for (const sys::Obligation &O : sys::safetyObligations(Sys, Inv)) {
-    engine::ReduceResult R = engine::reduceToGroundCached(
-        RC, M, O.Psi, Opts.Reduce, Oracle.get(), Sys.externalCounters(), {},
-        TB);
-    std::unique_ptr<smt::SmtSolver> S = makeSolver("smt_check");
-    S->add(R.Ground);
-    ++Stats.SmtChecks;
-    if (smt::checkTraced(*S, TB, "smt_ms.recheck", O.Name.c_str()) !=
-        SatResult::Unsat) {
-      Why = "recheck: obligation " + O.Name + " not discharged";
-      SHARPIE_LOGF(TB, obs::LogLevel::Debug,
-                   "recheck failed on %s (ground size %zu)", O.Name.c_str(),
-                   logic::termSize(R.Ground));
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The incremental recheck. Two levers over the monolithic one, which paid
-/// a full reduction AND a cold solver per obligation: (1) every obligation
-/// is first reduced lazily -- Unsat under the weaker lazy ground already
-/// discharges it, and only a surviving answer pays the full reduction;
-/// (2) all checks share the member solver (push/pop scoped), whose
-/// back-end translation cache is already warm from the Houdini phase.
-/// Anything the monolithic recheck discharges is discharged here too, and
-/// vice versa: the full reduction always has the final word.
-bool Synthesizer::recheckInc(
-    Term Inv, const std::vector<sys::ParamSystem::State> &States,
-    std::string &Why) {
   if (!explct::holdsInAll(States, Inv)) {
     Why = "recheck: invariant fails on an explicit reachable state";
     return false;
@@ -1506,9 +1255,9 @@ bool Synthesizer::recheckInc(
         Discharged = true;
         break;
       }
-      // An undischarged lazy phase is conclusive only when nothing was
-      // deferred (the lazy ground IS the full one); otherwise escalate.
-      if (Phase == 0 && R.NumDeferred + R.NumFilteredInstances == 0)
+      // An undischarged filtered phase is conclusive only when the filter
+      // deferred nothing (the ground IS the full one); otherwise escalate.
+      if (Phase == 0 && R.NumDeferred == 0)
         break;
     }
     if (!Discharged) {
@@ -1640,12 +1389,8 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
   bool HoudiniOk;
   {
     obs::Span Sp(TB, "houdini");
-    if (Opts.Incremental) {
-      incSetup(Clauses, Cand, Oracle.get());
-      HoudiniOk = houdiniInc(Clauses, Cand, Out);
-    } else {
-      HoudiniOk = houdini(Clauses, Cand, Out);
-    }
+    incSetup(Clauses, Cand);
+    HoudiniOk = houdini(Clauses, Cand, Out);
   }
   SHARPIE_LOGF(TB, obs::LogLevel::Debug, "houdini %s in %.2fs",
                HoudiniOk ? "ok" : "failed", secondsSince(THou));
@@ -1660,10 +1405,7 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
     obs::Span Sp(TB, "minimize");
     auto TMin = std::chrono::steady_clock::now();
     size_t Before = Cand.size();
-    if (Opts.Incremental)
-      minimizeAtomsInc(Clauses, Cand);
-    else
-      minimizeAtoms(Clauses, Cand);
+    minimizeAtoms(Clauses, Cand);
     SHARPIE_LOGF(TB, obs::LogLevel::Debug, "minimized %zu -> %zu atoms in %.2fs",
                  Before, Cand.size(), secondsSince(TMin));
   }
@@ -1677,9 +1419,7 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
   bool RecheckOk;
   {
     obs::Span Sp(TB, "recheck");
-    RecheckOk = !Opts.FinalRecheck ||
-                (Opts.Incremental ? recheckInc(Inv, States, Out.Why)
-                                  : recheck(Inv, States, Out.Why));
+    RecheckOk = !Opts.FinalRecheck || recheck(Inv, States, Out.Why);
   }
   Stats.RecheckSeconds += secondsSince(TRe);
   SHARPIE_LOGF(TB, obs::LogLevel::Debug, "recheck %s in %.2fs",
@@ -1723,7 +1463,6 @@ void Synthesizer::runSerial(
           P.SetBodies.push_back(logic::toString(SB));
         for (Term A : O.PartialAtoms)
           P.Atoms.push_back(logic::toString(A));
-        P.VerifiedClauses = std::move(O.VerifiedClauses);
         P.FailedOn = std::move(O.FailedOn);
         Res.Best = std::move(P);
       }
@@ -1770,7 +1509,6 @@ void Synthesizer::runParallel(
     /// Near-miss data, already rendered (manager-independent).
     bool HasPartial = false;
     std::vector<std::string> PartialAtoms;
-    std::vector<std::string> VerifiedClauses;
     std::string FailedOn;
   };
   std::vector<RankSlot> Slots(TupleBodies.size());
@@ -1880,7 +1618,6 @@ void Synthesizer::runParallel(
           S.HasPartial = true;
           for (Term A : O.PartialAtoms)
             S.PartialAtoms.push_back(logic::toString(A));
-          S.VerifiedClauses = std::move(O.VerifiedClauses);
           S.FailedOn = std::move(O.FailedOn);
         }
         size_t BV = BestVerified.load();
@@ -1947,7 +1684,6 @@ void Synthesizer::runParallel(
         for (Term SB : TupleBodies[R])
           P.SetBodies.push_back(logic::toString(SB));
         P.Atoms = std::move(Slots[R].PartialAtoms);
-        P.VerifiedClauses = std::move(Slots[R].VerifiedClauses);
         P.FailedOn = std::move(Slots[R].FailedOn);
         Res.Best = std::move(P);
       }
@@ -2100,17 +1836,14 @@ SynthResult Synthesizer::run() {
     TB->counter("fallbacks", 0);
     TB->counter("faults_injected", 0);
     TB->counter("tuples_skipped", 0);
-    // Same for the incremental-Houdini counters, so an A/B pair of runs
-    // (--no-incremental vs default) emits the same JSON keys.
+    // Same for the Houdini and refinement-loop counters, so every run
+    // emits the same JSON keys whether or not they fired.
     TB->counter("core_drops", 0);
     TB->counter("solver_context_reuses", 0);
     TB->counter("axioms_lazy_deferred", 0);
-    // Refinement-loop counters: present in every mode so eager /
-    // --no-refine / CEGAR runs stay schema-comparable.
     TB->counter("refine_full_groundings", 0);
     TB->counter("refine_instances_asserted", 0);
     TB->counter("refine_budget_exhausted", 0);
-    TB->counter("quant_instances_filtered", 0);
     TB->counter("manifest_instances", 0);
   }
 

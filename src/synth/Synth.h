@@ -21,8 +21,9 @@
 //   3. SOLVE: a Houdini-style fixpoint over the candidate atom pool finds
 //      the strongest conjunction closed under all clauses, seeded by an
 //      explicit-state pre-filter (atoms violated in a reachable state of a
-//      small instance are discarded before any SMT call); then the safety
-//      clause is checked.
+//      small instance are discarded before any SMT call). The same
+//      incremental checks decide the safety clause (see
+//      SynthOptions::RefineBudget for the loop).
 //   4. The resulting invariant is independently re-checked end to end
 //      (fresh reduction of the concrete invariant, plus evaluation on the
 //      explicit reachable states).
@@ -72,42 +73,30 @@ struct SynthOptions {
   unsigned MaxCandidateSets = 24;        ///< Top-ranked set bodies considered.
   unsigned MaxBodyInstances = 12;        ///< INSTQ budget per clause.
   unsigned SmtTimeoutMs = 30000;
-  /// Incremental assumption-based Houdini (the default). Per tuple, every
-  /// reduced clause is asserted once behind a selector literal with the
-  /// placeholder atoms tied to per-atom indicator variables; each Houdini
-  /// iteration is then a checkAssuming() over the live indicators instead
-  /// of a push/assert/check/pop rebuild. Unsat cores over the indicators
-  /// let clauses whose core is still consistent with the live set skip
-  /// re-checks entirely, the greedy minimizer remove atoms no clause's
-  /// core depends on without a solver call, and the recheck phase reuse
-  /// the warmed solver context. Clauses are reduced lazily (relevancy-
-  /// filtered CARD axioms / quantifier instances, see
-  /// card::AxiomOptions::RelevancyFilter) with on-demand escalation to the
-  /// full reduction whenever a lazy model survives, so verdicts and
-  /// invariants match the monolithic path exactly. false restores the
-  /// monolithic per-check rebuild (--no-incremental in the drivers), the
-  /// A/B baseline for BENCH_PR5.
-  bool Incremental = true;
-  /// Model-guided instance refinement (CEGAR-style lazy instantiation, on
-  /// by default; only meaningful with Incremental). Clauses are reduced in
-  /// manifest mode (engine::ReduceOptions::DeferManifest): the live solver
-  /// context starts from each clause's core grounding, and when a
-  /// candidate model survives a check the deferred manifest is evaluated
-  /// *against that model* and only the violated instances are asserted
-  /// (behind a per-clause houdini$inst$ selector so they retract with the
-  /// clause), iterating until Unsat or until every manifest entry is
-  /// satisfied -- at which point the model is a genuine model of the full
-  /// reduction. Bounded by RefineBudget; exhaustion (or an unevaluable
-  /// model) asserts the whole remaining manifest, which IS the full
-  /// grounding, so verdicts and invariants match the eager path exactly.
-  /// false restores the PR5 coarse behavior: relevancy-filtered lazy
-  /// reduction with a single whole-clause escalation (--no-refine).
-  bool Refine = true;
-  /// Maximum refinement rounds per incremental check before the remaining
-  /// manifest is asserted wholesale (counted per incCheck call). Each
-  /// round asserts at least one new instance or fully grounds a clause,
-  /// so the loop terminates with or without the budget; the budget caps
-  /// solver round-trips on adversarial models.
+  /// Maximum model-guided refinement rounds per Houdini check before the
+  /// remaining manifest is asserted wholesale.
+  ///
+  /// SOLVE is one incremental, assumption-based Houdini loop per tuple.
+  /// Every clause is reduced once in manifest mode
+  /// (engine::ReduceOptions::DeferManifest) into a core ground plus a
+  /// deferred-instance manifest, and asserted once into a merged solver
+  /// context behind a selector literal, with the candidate atoms tied to
+  /// per-atom indicator variables. Each Houdini iteration is one
+  /// checkAssuming() over the live indicators; unsat cores let the greedy
+  /// minimizer remove atoms no clause depends on without a solver call,
+  /// and the recheck reuses the warmed solver. When a candidate model
+  /// survives a check, the manifest is evaluated *against that model* and
+  /// only the violated entries are asserted (behind a per-clause
+  /// houdini$inst$ selector, so they retract with the clause), until
+  /// Unsat or until every entry holds -- at which point the model is a
+  /// genuine model of the full reduction. Each round asserts at least one
+  /// new entry or fully grounds a clause, so the loop terminates without
+  /// the budget; the budget caps solver round-trips on adversarial
+  /// models. Exhaustion (like an unevaluable model) asserts the whole
+  /// remaining manifest, which IS the full grounding, so the budget never
+  /// changes a verdict or an invariant. RefineBudget = 0 grounds every
+  /// elected clause on its first model -- the eager reduction -- and is
+  /// the test oracle of the refinement loop. See DESIGN.md Sec. 10, 14.
   unsigned RefineBudget = 16;
   /// Parallel set-tuple search width: 0 = one worker per hardware thread,
   /// 1 = today's serial search, N = exactly N workers. Each worker owns a
@@ -225,16 +214,15 @@ struct SynthStats {
   obs::MetricsSummary Metrics;
 };
 
-/// The strongest candidate a failed run got to: a Houdini fixpoint that
-/// discharged every inductiveness clause but not safety. Rendered terms
-/// (not Terms) so it survives the owning worker's TermManager and can be
-/// reported verbatim by the drivers.
+/// The strongest candidate a failed run got to: the live atoms of a tuple
+/// whose Houdini check found a counterexample to the safety clause.
+/// Rendered terms (not Terms) so it survives the owning worker's
+/// TermManager and can be reported verbatim by the drivers.
 struct PartialCandidate {
-  unsigned Rank = 0;                        ///< 1-based tuple rank.
-  std::vector<std::string> SetBodies;       ///< Rendered set bodies.
-  std::vector<std::string> Atoms;           ///< Fixpoint atoms.
-  std::vector<std::string> VerifiedClauses; ///< Clauses that discharged.
-  std::string FailedOn;                     ///< The clause that did not.
+  unsigned Rank = 0;                  ///< 1-based tuple rank.
+  std::vector<std::string> SetBodies; ///< Rendered set bodies.
+  std::vector<std::string> Atoms;     ///< Live atoms at the rejection.
+  std::string FailedOn;               ///< The clause that failed.
 };
 
 struct SynthResult {
@@ -272,9 +260,9 @@ SynthResult synthesize(sys::ParamSystem &Sys, const SynthOptions &Opts);
 std::string renderStatsTable(const SynthStats &S, double WallSeconds);
 
 /// Renders the inconclusive-outcome report: per-failure-class tallies and
-/// -- when a run got as far as a Houdini fixpoint -- the best partial
-/// candidate with the clauses it did discharge. Multi-line, trailing
-/// newline; empty-failure lines are omitted. Drivers print this under the
+/// -- when a tuple failed only on safety -- the best partial candidate
+/// with the clause that stopped it. Multi-line, trailing newline;
+/// empty-failure lines are omitted. Drivers print this under the
 /// INCONCLUSIVE banner (exit code 4).
 std::string renderInconclusiveReport(const SynthResult &Res);
 

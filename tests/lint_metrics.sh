@@ -1,23 +1,27 @@
 #!/bin/sh
-# Part of sharpie. Lint: every counter/histogram name the library emits
-# must be documented in DESIGN.md's metric name reference (section 12).
-# An undocumented metric is invisible to operators reading the docs and
-# silently skews dashboards; this makes adding the doc row part of
-# adding the metric.
+# Part of sharpie. Lint, both directions: every counter/histogram name the
+# library emits must be documented in DESIGN.md's metric name reference
+# (section 12), and every name in that reference's counter and histogram
+# tables must still be emitted. An undocumented metric is invisible to
+# operators reading the docs and silently skews dashboards; a documented
+# one that nothing emits anymore sends them looking for data that never
+# comes. This makes the doc row part of adding -- and of removing -- a
+# metric.
 #
 #   usage: lint_metrics.sh <repo-root>
 #
 # Emission sites: TraceBuffer::counter()/sample() calls, the traced
 # solver-check helpers (checkTraced / checkAssumingTraced carry the
-# phase-histogram name), and resil's bump() counter forwarder. Names are
-# the quoted [a-z0-9_.] literals on those lines; comment-only lines are
-# ignored so prose mentioning a histogram does not count as an emission.
+# phase-histogram name, which the Houdini loop passes through incCheck),
+# and resil's bump() counter forwarder. Names are the quoted [a-z0-9_.]
+# literals on those lines; comment-only lines are ignored so prose
+# mentioning a histogram does not count as an emission.
 ROOT=${1:?usage: lint_metrics.sh repo-root}
 DESIGN="$ROOT/DESIGN.md"
 
 [ -r "$DESIGN" ] || { echo "missing $DESIGN"; exit 1; }
 
-NAMES=$(grep -rhE '(->counter\(|->sample\(|\bbump\(|checkTraced|checkAssumingTraced)' \
+NAMES=$(grep -rhE '(->counter\(|->sample\(|\bbump\(|checkTraced|checkAssumingTraced|\bincCheck\()' \
           "$ROOT/src" --include='*.cpp' --include='*.h' \
         | grep -vE '^[[:space:]]*//' \
         | grep -ohE '"[a-z][a-z0-9_.]*"' | tr -d '"' | sort -u)
@@ -33,6 +37,27 @@ if [ -n "$MISSING" ]; then
   echo "metric names emitted in src/ but undocumented in DESIGN.md"
   echo "section 12 (add a table row with unit and meaning):"
   for N in $MISSING; do echo "  $N"; done
+  exit 1
+fi
+
+# The reverse direction: the first cell of every table row under
+# "### Metric name reference", up to the next top-level section.
+DOCUMENTED=$(awk '/^### Metric name reference/ { on = 1; next }
+                  on && /^## / { exit }
+                  on && /^\| `[a-z]/ { print }' "$DESIGN" \
+             | sed -E 's/^\| `([^`]*)`.*/\1/' | sort -u)
+
+[ -n "$DOCUMENTED" ] || { echo "no metric table rows found -- lint is broken"; exit 1; }
+
+STALE=
+for D in $DOCUMENTED; do
+  echo "$NAMES" | grep -qxF "$D" || STALE="$STALE $D"
+done
+
+if [ -n "$STALE" ]; then
+  echo "metric names documented in DESIGN.md section 12 but no longer"
+  echo "emitted in src/ (delete the table row):"
+  for D in $STALE; do echo "  $D"; done
   exit 1
 fi
 

@@ -399,12 +399,12 @@ TEST(ObsGolden, SerialSkeletonIsReproducible) {
   EXPECT_EQ(Skeleton(), Skeleton());
 }
 
-// The incremental Houdini path's observability contract: the counters and
-// the assumption-check histogram it feeds must survive a full run. These
-// are the fields the bench tooling (tools/sweep.sh --bench-pr10) keys on,
-// so a rename or a dropped emission fails here instead of producing a
-// silently empty benchmark column.
-TEST(ObsGolden, IncrementalRunEmitsCoreDropAndAssumeMetrics) {
+// The Houdini loop's observability contract: the counters and the
+// per-phase check histograms it feeds must survive a full run. The
+// benchmark harness (sharpiebench) reads the phase histograms and the
+// manifest/refinement counters, so a rename or a dropped emission fails
+// here instead of producing a silently empty benchmark column.
+TEST(ObsGolden, HoudiniRunEmitsCoreDropAndPhaseMetrics) {
   obs::TracerConfig Cfg;
   Cfg.CollectEvents = true;
   obs::Tracer T(Cfg);
@@ -412,12 +412,11 @@ TEST(ObsGolden, IncrementalRunEmitsCoreDropAndAssumeMetrics) {
   obs::MetricsSummary S = T.metrics();
 
   // Emitted even when zero (run() flushes a zero delta) so consumers can
-  // tell "feature off" from "field renamed".
+  // tell "did not fire" from "field renamed".
   for (const char *C :
        {"core_drops", "solver_context_reuses", "axioms_lazy_deferred",
         "refine_full_groundings", "refine_instances_asserted",
-        "refine_budget_exhausted", "quant_instances_filtered",
-        "manifest_instances"}) {
+        "refine_budget_exhausted", "manifest_instances"}) {
     const int64_t *V = S.counter(C);
     ASSERT_NE(V, nullptr) << "missing counter " << C;
     EXPECT_GE(*V, 0) << C;
@@ -428,14 +427,11 @@ TEST(ObsGolden, IncrementalRunEmitsCoreDropAndAssumeMetrics) {
   EXPECT_GT(*S.counter("solver_context_reuses"), 0);
   EXPECT_GT(*S.counter("core_drops"), 0);
 
-  const obs::HistSummary *Assume = S.hist("smt_ms.assume");
-  ASSERT_NE(Assume, nullptr) << "missing smt_ms.assume histogram";
-  EXPECT_GT(Assume->Count, 0u);
-  const obs::HistSummary *Houdini = S.hist("smt_ms.houdini");
-  ASSERT_NE(Houdini, nullptr) << "missing smt_ms.houdini histogram";
-  // Every Houdini-phase check is assumption-based, so the phase histogram
-  // can never outgrow the assume histogram.
-  EXPECT_LE(Houdini->Count, Assume->Count);
+  for (const char *H : {"smt_ms.houdini", "smt_ms.minimize"}) {
+    const obs::HistSummary *Phase = S.hist(H);
+    ASSERT_NE(Phase, nullptr) << "missing " << H << " histogram";
+    EXPECT_GT(Phase->Count, 0u) << H;
+  }
 }
 
 // -- Exported artifact schemas ---------------------------------------------------------

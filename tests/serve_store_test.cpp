@@ -282,9 +282,11 @@ TEST_F(Tier2Test, WrongVersionHeaderLoadsAsEmpty) {
   std::stringstream SS;
   SS << In.rdbuf();
   std::string Full = SS.str();
-  size_t P = Full.find("t2 v1");
+  // A store written before the current format (the retired v1 header,
+  // whose meta lines carry one more field) must load as empty.
+  size_t P = Full.find("t2 v2");
   ASSERT_NE(std::string::npos, P);
-  Full.replace(P, 5, "t2 v2");
+  Full.replace(P, 5, "t2 v1");
   {
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
     Out << Full;

@@ -6,8 +6,7 @@
 //
 //   sharpie <file.sharpie> [--workers N] [--json] [--verbose]
 //           [--time-budget SECONDS] [--max-tuples N]
-//           [--faults PLAN] [--no-supervise] [--no-incremental]
-//           [--no-refine] [--refine-budget N]
+//           [--faults PLAN] [--no-supervise]
 //           [--smt-timeout MS] [--trace-out FILE] [--events-out FILE]
 //           [--log-level quiet|info|debug|trace] [--stats]
 //           [--server ADDR] [--store DIR]
@@ -29,17 +28,12 @@
 // --smt-timeout overrides the per-check deadline in milliseconds (the
 // base slice before backoff; default 30000).
 //
-// Performance: Houdini runs incrementally by default (assumption-based
-// checks over per-atom indicators, unsat-core clause skipping, and
-// model-guided instance refinement: the reduction defers the
-// witness-bearing instances into a per-clause manifest and each
-// surviving model asserts only the entries it violates;
-// SynthOptions::Incremental / SynthOptions::Refine). --no-refine keeps
-// the incremental context but falls back to the coarse whole-clause
-// escalation of BENCH_PR5; --refine-budget N caps the refinement rounds
-// per check before a full grounding (default 16). --no-incremental
-// restores the monolithic per-check rebuild -- the A/B baseline of
-// BENCH_PR5.json. All modes produce identical verdicts and invariants.
+// Performance: Houdini runs incrementally (assumption-based checks over
+// per-atom indicators in one solver context per tuple, unsat-core
+// minimization) with model-guided instance refinement: the reduction
+// defers the witness-bearing instances into a per-clause manifest and
+// each surviving model asserts only the entries it violates (see
+// SynthOptions::RefineBudget and DESIGN.md Sec. 10 and 14).
 //
 // Serving (see src/serve/): --server ADDR turns this binary into a thin
 // client of a running `sharpied` daemon -- the file is parsed locally
@@ -105,8 +99,7 @@ void usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s <file.sharpie> [--workers N] [--json] [--verbose]"
                " [--time-budget SECONDS] [--max-tuples N]\n"
-               "       [--faults PLAN] [--no-supervise] [--no-incremental]\n"
-               "       [--no-refine] [--refine-budget N]\n"
+               "       [--faults PLAN] [--no-supervise]\n"
                "       [--smt-timeout MS] [--server ADDR] [--store DIR]\n"
                "       [--retries N] [--retry-base-ms MS]\n"
                "       %s\n"
@@ -126,9 +119,6 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 int run(int argc, char **argv) {
   std::string File;
   bool Json = false, Verbose = false, NoSupervise = false;
-  bool NoIncremental = false;
-  bool NoRefine = false;
-  unsigned RefineBudget = 0; // 0 = keep the SynthOptions default.
   unsigned Workers = 1;
   double TimeBudget = 0;
   unsigned MaxTuples = 0;
@@ -165,13 +155,6 @@ int run(int argc, char **argv) {
       FaultSpec = argv[++I];
     else if (!std::strcmp(argv[I], "--no-supervise"))
       NoSupervise = true;
-    else if (!std::strcmp(argv[I], "--no-incremental"))
-      NoIncremental = true;
-    else if (!std::strcmp(argv[I], "--no-refine"))
-      NoRefine = true;
-    else if (!std::strcmp(argv[I], "--refine-budget") && I + 1 < argc)
-      RefineBudget =
-          static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
     else if (!std::strcmp(argv[I], "--smt-timeout") && I + 1 < argc)
       SmtTimeoutMs =
           static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
@@ -313,9 +296,6 @@ int run(int argc, char **argv) {
     Req.MaxTuples = MaxTuples;
     Req.SmtTimeoutMs = SmtTimeoutMs;
     Req.NoSupervise = NoSupervise;
-    Req.NoIncremental = NoIncremental;
-    Req.NoRefine = NoRefine;
-    Req.RefineBudget = RefineBudget;
     Req.Faults = FaultSpec;
     Req.JsonLine = Json;
     // Verify requests are idempotent by content hash, so connect
@@ -412,10 +392,6 @@ int run(int argc, char **argv) {
   if (MaxTuples)
     Opts.MaxTuples = MaxTuples;
   Opts.Supervise.Enabled = !NoSupervise;
-  Opts.Incremental = !NoIncremental;
-  Opts.Refine = !NoRefine;
-  if (RefineBudget)
-    Opts.RefineBudget = RefineBudget;
   if (SmtTimeoutMs)
     Opts.SmtTimeoutMs = SmtTimeoutMs;
   if (!Faults.empty())

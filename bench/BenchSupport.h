@@ -7,7 +7,8 @@
 // shape (which rows verify, which rows are buggy, relative effort) is the
 // reproduction target (see EXPERIMENTS.md).
 //
-// Two environment variables make the harness scriptable (tools/sweep.sh):
+// Two environment variables configure the harness (tools/sweep.sh sets
+// both):
 //   SHARPIE_WORKERS     worker count for the parallel search (default 1,
 //                       "max" = one per hardware thread);
 //   SHARPIE_BENCH_JSON  path to append one JSON line per row to, carrying
@@ -19,6 +20,7 @@
 #define SHARPIE_BENCH_BENCHSUPPORT_H
 
 #include "logic/TermOps.h"
+#include "obs/Export.h"
 #include "protocols/Protocols.h"
 
 #include <cstdio>
@@ -55,16 +57,6 @@ inline unsigned benchWorkers() {
   return V > 0 ? static_cast<unsigned>(V) : 1;
 }
 
-inline std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
-}
-
 /// Appends one machine-readable line for \p Row to $SHARPIE_BENCH_JSON, if
 /// set. One self-contained JSON object per line (JSONL), so concurrent
 /// tables can share a file and jq/python can stream it.
@@ -85,12 +77,12 @@ inline void emitJsonRow(const RowResult &Row) {
       "\"prefilter_seconds\":%.3f,\"reduce_seconds\":%.3f,"
       "\"houdini_seconds\":%.3f,\"recheck_seconds\":%.3f,"
       "\"cards\":\"%s\"}\n",
-      jsonEscape(Row.Name).c_str(), S.NumWorkers,
+      obs::jsonEscape(Row.Name).c_str(), S.NumWorkers,
       Row.Expected ? "true" : "false", Row.Verified ? "true" : "false",
       Row.FoundCex ? "true" : "false", Row.Seconds, S.TuplesTried,
       S.SmtChecks, S.CacheHits, S.CacheMisses, S.WorkerUtilization,
       S.PrefilterSeconds, S.ReduceSeconds, S.HoudiniSeconds,
-      S.RecheckSeconds, jsonEscape(Row.Cards).c_str());
+      S.RecheckSeconds, obs::jsonEscape(Row.Cards).c_str());
   std::fclose(Fp);
 }
 
@@ -99,11 +91,7 @@ inline RowResult runBundle(const std::string &Name,
                            double TimeBudgetSeconds = 180) {
   logic::TermManager M;
   protocols::ProtocolBundle B = Make(M);
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Reduce.Card.Venn = B.NeedsVenn;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.TimeBudgetSeconds = TimeBudgetSeconds;
   Opts.NumWorkers = benchWorkers();
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);

@@ -26,12 +26,9 @@ Cell runWith(const protocols::BundleFactory &Make, bool Venn, bool Prefilter,
              bool UpdateAxiom) {
   logic::TermManager M;
   ProtocolBundle B = Make(M);
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.Reduce.Card.Venn = Venn && B.NeedsVenn;
   Opts.Reduce.Card.Update = UpdateAxiom;
-  Opts.Explicit = B.Explicit;
   Opts.ExplicitPrefilter = Prefilter;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
   return {R.Verified, R.Stats.Seconds};

@@ -97,10 +97,7 @@ BENCHMARK(BM_EventsOnSite);
 void runIncrementOnce(obs::Tracer *T) {
   logic::TermManager M;
   protocols::ProtocolBundle B = protocols::makeIncrement(M);
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.NumWorkers = 1;
   Opts.Trace = T;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);

@@ -31,9 +31,8 @@ int main() {
   if (!ER.Safe)
     return 1;
 
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape; // One counting set, no quantifiers.
-  Opts.Explicit = B.Explicit;
+  // One counting set, no quantifiers.
+  synth::SynthOptions Opts = synth::optionsFor(B);
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
   if (!R.Verified) {
     std::printf("synthesis failed: %s\n", R.Note.c_str());

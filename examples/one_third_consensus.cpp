@@ -31,10 +31,8 @@ int main() {
   if (!ER.Safe)
     return 1;
 
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;          // one set, one Tid quantifier
-  Opts.Reduce.Card.Venn = true;
-  Opts.Explicit = B.Explicit;
+  // One set, one Tid quantifier, Venn regions (paper Sec. 5.2).
+  synth::SynthOptions Opts = synth::optionsFor(B);
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
   if (!R.Verified) {
     std::printf("synthesis failed: %s\n", R.Note.c_str());

@@ -1,19 +1,19 @@
 //===- examples/run_protocol_fixed.cpp - #Pi with a pinned template ---------------===//
 //
-// Part of sharpie. Like run_protocol, but hands #Pi the exact set bodies
-// the paper's tables report (the paper's shape templates made fully
-// concrete). Useful to separate the set-search cost from the solving cost
-// and for debugging individual benchmarks:
+// Part of sharpie. Like `sharpie --builtin`, but hands #Pi the exact set
+// bodies the paper's tables report (the paper's shape templates made
+// fully concrete). Useful to separate the set-search cost from the
+// solving cost and for debugging individual benchmarks:
 //
-//   example_run_protocol_fixed ticket [--verbose]
+//   example_run_protocol_fixed ticket [--log-level debug] [--stats]
 //
 //===----------------------------------------------------------------------===//
 
 #include "logic/TermOps.h"
+#include "obs/Cli.h"
 #include "protocols/Protocols.h"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 using namespace sharpie;
@@ -22,12 +22,16 @@ using logic::Sort;
 using logic::Term;
 
 int main(int argc, char **argv) {
-  bool Verbose = false;
+  obs::CliObs Obs;
   std::string Name;
   for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--verbose"))
-      Verbose = true;
-    else
+    std::string Err;
+    if (Obs.parseArg(argc, argv, I, Err)) {
+      if (!Err.empty()) {
+        std::fprintf(stderr, "error: %s\n", Err.c_str());
+        return 2;
+      }
+    } else
       Name = argv[I];
   }
 
@@ -56,19 +60,24 @@ int main(int argc, char **argv) {
     Term X = M.mkVar("x", Sort::Array);
     Fixed = {M.mkEq(M.mkRead(X, F.BoundVar), M.mkRead(X, F.Q[0]))};
   } else {
-    std::fprintf(stderr, "usage: %s ticket|filter|one-third [--verbose]\n",
-                 argv[0]);
+    std::fprintf(stderr, "usage: %s ticket|filter|one-third %s\n", argv[0],
+                 obs::CliObs::usageFragment());
     return 2;
   }
 
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Reduce.Card.Venn = B.NeedsVenn;
-  Opts.Explicit = B.Explicit;
-  Opts.Verbose = Verbose;
+  std::unique_ptr<obs::Tracer> Tracer = Obs.makeTracer();
+  synth::SynthOptions Opts = synth::optionsFor(B);
+  Opts.Trace = Tracer.get();
   Opts.FixedSetBodies = Fixed;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
+  if (Tracer) {
+    std::string Err;
+    if (!Obs.writeOutputs(*Tracer, Err))
+      std::fprintf(stderr, "warning: %s\n", Err.c_str());
+  }
+  if (Obs.Stats)
+    std::fprintf(stderr, "%s",
+                 synth::renderStatsTable(R.Stats, R.Stats.Seconds).c_str());
   if (R.Verified) {
     std::printf("VERIFIED in %.2fs with the paper template\n",
                 R.Stats.Seconds);

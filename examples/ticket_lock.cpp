@@ -35,11 +35,9 @@ int main() {
   }
 
   // The parameterized proof.
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;           // 3 sets, one Int quantifier (paper Fig. 6).
-  Opts.QGuard = B.QGuard;         // tickets are non-negative
-  Opts.Reduce.Card.Venn = true;   // paper Sec. 5.2
-  Opts.Explicit = B.Explicit;
+  // 3 sets, one Int quantifier (paper Fig. 6); tickets are non-negative;
+  // Venn regions (paper Sec. 5.2).
+  synth::SynthOptions Opts = synth::optionsFor(B);
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
   if (!R.Verified) {
     std::printf("synthesis failed: %s\n", R.Note.c_str());

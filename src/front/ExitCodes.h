@@ -2,15 +2,16 @@
 //
 // Part of sharpie. The one definition of the pipeline's scriptable exit
 // codes, shared by every surface that reports a verdict: the `sharpie`
-// CLI, `example_run_protocol`, the `sharpied` daemon and its thin-client
-// mode (`sharpie --server`). The values are a wire contract -- scripts,
-// the ctest entries and sweep.sh key on them -- so they are pinned by
+// CLI (on a file or a --builtin bundle), the `sharpied` daemon and its
+// thin-client mode (`sharpie --server`). The values are a wire contract
+// -- scripts and the ctest entries key on them -- so they are pinned by
 // tests/exit_codes_test.cpp and must never be renumbered.
 //
 //   0  verified safe (invariant printed)
 //   1  unsafe (explicit counterexample printed)
 //   2  unknown: the search space was exhausted without a verdict
-//   3  frontend error (parse/elaboration/I-O/protocol), message on stderr
+//   3  frontend or usage error (parse/elaboration/I-O/protocol, bad flag
+//      value, unknown built-in), message on stderr
 //   4  inconclusive: no verdict AND some recorded failure (timeout,
 //      skipped tuple, injected fault, exhausted budget) may have hidden
 //      one
@@ -18,9 +19,8 @@
 //      draining) and the client exhausted its retry budget; the request
 //      was never attempted, so resubmitting later is always safe
 //
-// `example_run_protocol` layers expected-outcome semantics on top (a
-// counterexample on a protocol declared `expect unsafe` exits 0, and its
-// code 2 doubles as "usage error"), but draws the raw values from here.
+// A counterexample always exits 1, also on a protocol declared `expect
+// unsafe`: the code reports the verdict, not whether it was expected.
 //
 //===----------------------------------------------------------------------===//
 

@@ -60,8 +60,13 @@ private:
   std::string Rendered;
 };
 
-/// The elaborated protocol: mirrors protocols::ProtocolBundle minus the
-/// paper-reported reference columns.
+/// A protocol ready for #Pi: the system, its shape template, a suggested
+/// explicit-check instance and the expected verdict. The frontend
+/// elaborates `.sharpie` files into one; the built-in C++ models
+/// (protocols/Protocols.h, where the struct is also called
+/// protocols::ProtocolBundle) fill the same fields plus the paper's
+/// reference columns. synth::optionsFor() turns a bundle into
+/// SynthOptions.
 struct FrontBundle {
   std::unique_ptr<sys::ParamSystem> Sys;
   synth::ShapeTemplate Shape;
@@ -70,6 +75,9 @@ struct FrontBundle {
   bool ExpectSafe = true;           ///< `expect unsafe;` flips this.
   bool NeedsVenn = false;           ///< `venn;` (paper Sec. 5.2 examples).
   std::string Property;             ///< `property "...";`, if any.
+  std::string PaperTime;      ///< #Pi column of the paper's table.
+  std::string ComparatorTime; ///< Competitor column, if any.
+  std::string PaperCards;     ///< "Inferred cardinalities" column.
 };
 
 /// Parses and elaborates \p Source into \p M. Throws FrontError.

@@ -7,21 +7,10 @@
 #include "obs/Cli.h"
 #include "obs/Export.h"
 
-#include <cstdlib>
 #include <cstring>
 
 using namespace sharpie;
 using namespace sharpie::obs;
-
-void CliObs::readEnv() {
-  if (const char *V = std::getenv("SHARPIE_TRACE"))
-    TraceOut = V;
-  if (const char *V = std::getenv("SHARPIE_EVENTS"))
-    EventsOut = V;
-  if (const char *V = std::getenv("SHARPIE_LOG_LEVEL"))
-    if (auto L = parseLogLevel(V))
-      Level = *L;
-}
 
 bool CliObs::parseArg(int argc, char **argv, int &I, std::string &Err) {
   auto Value = [&](const char *Flag) -> const char * {

@@ -1,17 +1,15 @@
 //===- obs/Cli.h - Shared observability wiring for CLI drivers --*- C++ -*-===//
 //
-// Part of sharpie. Every driver (tools/sharpie, examples/run_protocol)
-// exposes the same observability surface:
+// Part of sharpie. The `sharpie` driver's observability surface:
 //
-//   --trace-out FILE    Chrome trace-event / Perfetto JSON  (SHARPIE_TRACE)
-//   --events-out FILE   JSONL event stream                  (SHARPIE_EVENTS)
-//   --log-level LVL     quiet|info|debug|trace          (SHARPIE_LOG_LEVEL)
+//   --trace-out FILE    Chrome trace-event / Perfetto JSON
+//   --events-out FILE   JSONL event stream
+//   --log-level LVL     quiet|info|debug|trace
 //   --stats             per-phase stats table on stderr after the run
 //
-// This helper owns the flag/env parsing, tracer construction and sink
-// writing so the drivers stay thin and agree on behavior. Flags win over
-// the environment; the environment exists so sweep.sh can turn tracing on
-// without touching every command line.
+// This helper owns the flag parsing, tracer construction and sink writing
+// so a driver stays thin. Flags are the only spelling: no environment
+// variable turns tracing on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,11 +29,6 @@ struct CliObs {
   std::string EventsOut; ///< JSONL path; empty = off.
   LogLevel Level = LogLevel::Quiet;
   bool Stats = false;
-
-  /// Seeds the fields from SHARPIE_TRACE / SHARPIE_EVENTS /
-  /// SHARPIE_LOG_LEVEL (a bad env level is ignored). Call before the
-  /// argv loop so flags override.
-  void readEnv();
 
   /// Consumes argv[I] when it is one of the observability flags (advancing
   /// \p I past a flag's value). Returns false for a foreign argument; on a
@@ -58,7 +51,7 @@ struct CliObs {
   /// set on an I/O failure.
   bool writeOutputs(const Tracer &T, std::string &Err) const;
 
-  /// The usage-line fragment shared by the drivers' --help output.
+  /// The usage-line fragment for a driver's --help output.
   static const char *usageFragment() {
     return "[--trace-out FILE] [--events-out FILE]"
            " [--log-level quiet|info|debug|trace] [--stats]";

@@ -9,8 +9,8 @@
 //     atoms dropped per Houdini iteration), merged across workers;
 //   * histograms (SMT-check latency per phase, reduction latency),
 //     summarized into count/min/max/percentiles;
-//   * a leveled human log (quiet < info < debug < trace) replacing the old
-//     scattered `Opts.Verbose` fprintf calls.
+//   * a leveled human log (quiet < info < debug < trace); a driver's
+//     `--log-level debug` is the one way to see the pipeline's progress.
 //
 // Determinism rules (mirroring the parallel-search design, DESIGN.md):
 // every event carries the *rank* of the worker that produced it, buffers

@@ -13,30 +13,17 @@
 #ifndef SHARPIE_PROTOCOLS_PROTOCOLS_H
 #define SHARPIE_PROTOCOLS_PROTOCOLS_H
 
+#include "front/Front.h"
 #include "synth/Synth.h"
-#include "system/System.h"
 
 #include <functional>
-#include <memory>
-#include <string>
-#include <vector>
 
 namespace sharpie {
 namespace protocols {
 
-/// A benchmark: the system, its template, and paper-reported reference data.
-struct ProtocolBundle {
-  std::unique_ptr<sys::ParamSystem> Sys;
-  synth::ShapeTemplate Shape;
-  logic::Term QGuard;                  ///< Over synth::formalsFor(M, Shape).
-  explct::ExplicitOptions Explicit;    ///< Suggested validation instance.
-  bool ExpectSafe = true;              ///< Buggy variants set false.
-  bool NeedsVenn = false;              ///< Paper Sec. 5.2 examples.
-  std::string PaperTime;               ///< #Pi column of the paper's table.
-  std::string ComparatorTime;          ///< Competitor column, if any.
-  std::string PaperCards;              ///< "Inferred cardinalities" column.
-  std::string Property;                ///< Printable property description.
-};
+/// A benchmark: the system, its template, and paper-reported reference
+/// data. The same struct the frontend produces (front/Front.h).
+using ProtocolBundle = front::FrontBundle;
 
 using BundleFactory =
     std::function<ProtocolBundle(logic::TermManager &)>;

@@ -23,7 +23,7 @@
 // run to run, and the chaos tests only assert verdict-or-inconclusive for
 // such plans.
 //
-// Plan grammar (--faults / SHARPIE_FAULTS):
+// Plan grammar (--faults):
 //
 //   plan    := ["seed=" INT] (";" rule)*
 //   rule    := site ":" kind ["@" trigger ("," trigger)*]

@@ -214,10 +214,10 @@ SupervisedSolver::checkSupervised(const std::vector<logic::Term> *A) {
     return SatResult::Unknown;
   }
 
+  // Hard cap on any single check's timeout, backoff included.
+  constexpr double MaxCheckTimeoutMs = 120000;
   auto Effective = [&](double SliceMs, long long RemMs) -> unsigned {
-    double Eff = SliceMs > 0
-                     ? std::min(SliceMs, double(Opts.MaxCheckTimeoutMs))
-                     : 0;
+    double Eff = SliceMs > 0 ? std::min(SliceMs, MaxCheckTimeoutMs) : 0;
     if (RemMs != LLONG_MAX) {
       double R = std::max(1.0, double(RemMs));
       Eff = Eff > 0 ? std::min(Eff, R) : R;
@@ -225,6 +225,12 @@ SupervisedSolver::checkSupervised(const std::vector<logic::Term> *A) {
     return static_cast<unsigned>(Eff);
   };
 
+  // Extra attempts on the primary back end after a timeout-class Unknown,
+  // each with the slice grown by the backoff factor. Incompleteness is
+  // not retried (the fragment will not change); it escalates straight to
+  // the fallback.
+  constexpr unsigned MaxRetries = 1;
+  constexpr double BackoffFactor = 2.0;
   FailureClass Class = FailureClass::None;
   double Slice = BaseTimeoutMs;
   for (unsigned Attempt = 0;; ++Attempt) {
@@ -240,7 +246,7 @@ SupervisedSolver::checkSupervised(const std::vector<logic::Term> *A) {
       bump(&ResilCounters::UnknownIncomplete, nullptr);
     // Only timeout-class Unknowns are worth retrying on the same back
     // end: incompleteness is deterministic in the query.
-    if (Class != FailureClass::Timeout || Attempt >= Opts.MaxRetries)
+    if (Class != FailureClass::Timeout || Attempt >= MaxRetries)
       break;
     Rem = remainingBudgetMs();
     if (Rem <= 0) {
@@ -248,11 +254,10 @@ SupervisedSolver::checkSupervised(const std::vector<logic::Term> *A) {
       break;
     }
     bump(&ResilCounters::Retries, "retries");
-    Slice = Slice > 0 ? Slice * Opts.BackoffFactor : Slice;
+    Slice = Slice > 0 ? Slice * BackoffFactor : Slice;
   }
 
-  if (MakeFallback && Opts.CrossCheckFallback &&
-      Class != FailureClass::BudgetExhausted) {
+  if (MakeFallback && Class != FailureClass::BudgetExhausted) {
     Rem = remainingBudgetMs();
     if (Rem > 0) {
       bump(&ResilCounters::Fallbacks, "fallbacks");

@@ -10,12 +10,13 @@
 //     time budget so no single check outlives the search;
 //   * classifies every Unknown (timeout vs. incompleteness vs. injected
 //     fault vs. budget exhaustion vs. solver exception);
-//   * retries timeout-class Unknowns with exponential backoff -- the
-//     "backoff" grows the per-attempt time slice, since an in-process
-//     solver has nothing to recover from by merely waiting;
+//   * retries a timeout-class Unknown once with a doubled time slice --
+//     the "backoff" grows the per-attempt slice, since an in-process
+//     solver has nothing to recover from by merely waiting (no slice,
+//     backoff included, exceeds 120 s);
 //   * escalates to the other back end (Z3 <-> MiniSolver) after the
-//     bounded retries are spent, replaying the recorded assertion trail
-//     into a fresh solver;
+//     retry is spent, replaying the recorded assertion trail into a
+//     fresh solver (a null fallback factory disables this);
 //   * counts every retry / fallback / injected fault into the obs layer
 //     ("retries", "fallbacks", "faults_injected") and a ResilCounters
 //     sink the synthesizer folds into SynthStats.
@@ -69,19 +70,9 @@ struct ResilCounters {
 };
 
 struct SupervisionOptions {
-  /// Master switch: disabled reproduces the bare back end (for overhead
-  /// A/B runs; --no-supervise in the drivers).
+  /// Disabled reproduces the bare back end: the reference the chaos
+  /// tests compare supervised runs against. The drivers always supervise.
   bool Enabled = true;
-  /// Extra attempts on the primary back end after a timeout-class
-  /// Unknown. Incompleteness is not retried (the fragment will not
-  /// change); it escalates straight to the fallback.
-  unsigned MaxRetries = 1;
-  /// Per-retry multiplier on the per-check time slice.
-  double BackoffFactor = 2.0;
-  /// Hard cap on any single check's timeout, backoff included.
-  unsigned MaxCheckTimeoutMs = 120000;
-  /// Escalate to the cross-checking back end after retries are spent.
-  bool CrossCheckFallback = true;
 };
 
 /// Supervised wrapper over an smt::SmtSolver. Records the assertion

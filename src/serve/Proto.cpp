@@ -8,6 +8,7 @@
 
 #include "front/ExitCodes.h"
 #include "logic/TermOps.h"
+#include "obs/Export.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +25,6 @@ Json VerifyRequest::encode() const {
   J["time_budget"] = Json(TimeBudget);
   J["max_tuples"] = Json(MaxTuples);
   J["smt_timeout_ms"] = Json(SmtTimeoutMs);
-  J["no_supervise"] = Json(NoSupervise);
   J["faults"] = Json(Faults);
   J["json"] = Json(JsonLine);
   return J;
@@ -38,7 +38,6 @@ VerifyRequest VerifyRequest::decode(const serve::Json &J) {
   R.TimeBudget = J.get("time_budget").asDouble(0);
   R.MaxTuples = static_cast<unsigned>(J.get("max_tuples").asInt(0));
   R.SmtTimeoutMs = static_cast<unsigned>(J.get("smt_timeout_ms").asInt(0));
-  R.NoSupervise = J.get("no_supervise").asBool(false);
   R.Faults = J.get("faults").asString();
   R.JsonLine = J.get("json").asBool(false);
   return R;
@@ -94,7 +93,8 @@ std::string sharpie::serve::renderJsonLine(
     double CacheLookupSeconds, double SynthSeconds, double TotalSeconds,
     const std::string &StatsJson) {
   char Buf[256];
-  std::string Out = "{\"protocol\":\"" + Protocol + "\",\"file\":\"" + File +
+  std::string Out = "{\"protocol\":\"" + obs::jsonEscape(Protocol) +
+                    "\",\"file\":\"" + obs::jsonEscape(File) +
                     "\",\"verified\":" + (Verified ? "true" : "false") +
                     ",\"found_cex\":" + (FoundCex ? "true" : "false") +
                     ",\"inconclusive\":" + (Inconclusive ? "true" : "false");

@@ -6,8 +6,7 @@
 //
 //   verify       {"op":"verify","protocol_text":...,"file":...,
 //                 "workers":N,"time_budget":S,"max_tuples":N,
-//                 "smt_timeout_ms":N,"no_supervise":B,
-//                 "faults":"...","json":B}
+//                 "smt_timeout_ms":N,"faults":"...","json":B}
 //             -> {"ok":true,"exit":E,"verdict":"verified",
 //                 "output":"<full stdout text>","error":"",
 //                 "cache":"hit|miss|off","hash":"<32hex>",
@@ -71,7 +70,6 @@ struct VerifyRequest {
   double TimeBudget = 0;
   unsigned MaxTuples = 0;    ///< 0 = SynthOptions default.
   unsigned SmtTimeoutMs = 0; ///< 0 = SynthOptions default.
-  bool NoSupervise = false;
   std::string Faults;    ///< FaultPlan spec; empty = none.
   bool JsonLine = false; ///< Client passed --json: include the JSON line.
 
@@ -108,7 +106,8 @@ struct VerifyResponse {
 std::string renderHeader(const std::string &Name, const std::string &Property);
 
 /// The machine-readable --json result line (trailing newline included).
-/// \p StatsJson is synth::statsJsonFields() output.
+/// \p Protocol and \p File are JSON-escaped (a file name is outside
+/// input); \p StatsJson is synth::statsJsonFields() output.
 std::string renderJsonLine(const std::string &Protocol,
                            const std::string &File, bool Verified,
                            bool FoundCex, bool Inconclusive,

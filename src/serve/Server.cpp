@@ -36,8 +36,7 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 Server::Server(ServerOptions O)
     : Opts(std::move(O)), Store(Opts.StoreDir),
       Pool(Opts.RequestWorkers ? Opts.RequestWorkers : 1),
-      Flight(obs::FlightRecorder::Config{
-          Opts.Telemetry ? Opts.FlightCapacity : 0, 4096, 96}),
+      Flight(obs::FlightRecorder::Config{Opts.FlightCapacity, 4096, 96}),
       Start(std::chrono::steady_clock::now()) {
   Store.setTuning(Opts.StoreTuning);
   if (!Opts.Faults.empty()) {
@@ -140,18 +139,16 @@ Json Server::shedResponse(const char *Why) {
             (std::string(Why) == "draining" ? "is draining"
                                             : "overloaded (queue full)") +
             "; retry after " + std::to_string(R.RetryAfterMs) + "ms\n";
-  if (Opts.Telemetry) {
-    Registry.bump("requests_shed");
-    if (AccessLog) {
-      Json L;
-      L["event"] = Json("request");
-      L["id"] = Json(NextRequestId.fetch_add(1));
-      L["disposition"] = Json(std::string(Why));
-      L["retry_after_ms"] = Json(R.RetryAfterMs);
-      L["admitted"] = Json(Admitted.load());
-      L["capacity"] = Json(static_cast<uint64_t>(admissionCapacity()));
-      writeAccessLine(L.dump());
-    }
+  Registry.bump("requests_shed");
+  if (AccessLog) {
+    Json L;
+    L["event"] = Json("request");
+    L["id"] = Json(NextRequestId.fetch_add(1));
+    L["disposition"] = Json(std::string(Why));
+    L["retry_after_ms"] = Json(R.RetryAfterMs);
+    L["admitted"] = Json(Admitted.load());
+    L["capacity"] = Json(static_cast<uint64_t>(admissionCapacity()));
+    writeAccessLine(L.dump());
   }
   return R.encode();
 }
@@ -166,8 +163,7 @@ resil::FaultKind Server::serveFault(const char *Site) {
   }
   if (D.Kind == resil::FaultKind::None)
     return D.Kind;
-  if (Opts.Telemetry)
-    Registry.bump("serve_faults_injected");
+  Registry.bump("serve_faults_injected");
   if (D.Kind == resil::FaultKind::Latency) {
     std::this_thread::sleep_for(std::chrono::milliseconds(D.LatencyMs));
     return resil::FaultKind::None; // Slow, not broken.
@@ -188,8 +184,6 @@ void Server::unregisterToken(uint64_t Id) {
 }
 
 void Server::syncBreakerTrips() {
-  if (!Opts.Telemetry)
-    return;
   uint64_t Now = Store.breakerTrips();
   std::lock_guard<std::mutex> Lock(TripsMu);
   if (Now > BreakerTripsSeen) {
@@ -226,7 +220,7 @@ void Server::drain() {
           ++Cancelled;
         }
     }
-    if (Cancelled && Opts.Telemetry)
+    if (Cancelled)
       Registry.bump("drain_cancelled", static_cast<int64_t>(Cancelled));
     SettleWait(std::max(5.0, Opts.DrainTimeoutSeconds));
   }
@@ -237,7 +231,7 @@ void Server::drain() {
   // already happened or never will.
   if (Store.enabled())
     Store.saveReduceCache(RC);
-  if (Opts.Telemetry && AccessLog) {
+  if (AccessLog) {
     Json L;
     L["event"] = Json("drain");
     L["drain_seconds"] =
@@ -345,7 +339,7 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
   // pinned to the request arrival so flight-recorder dumps from
   // different requests are comparable (every request starts at t=0),
   // and the event cap bounds the recorder's memory per request.
-  bool CollectEvents = Opts.Telemetry && Opts.FlightCapacity > 0;
+  bool CollectEvents = Opts.FlightCapacity > 0;
   obs::TracerConfig TC;
   TC.Level = Opts.Level;
   TC.LogPrefix = "r" + std::to_string(Id);
@@ -407,48 +401,46 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
   }
   syncBreakerTrips();
 
-  if (Opts.Telemetry) {
-    obs::MetricsSummary MS = Tracer.metrics();
-    obs::Outcome O = outcomeForExit(Resp.Exit);
-    obs::CacheTier Tier = obs::CacheTier::Cold;
-    if (Resp.Cache == "hit") {
-      Tier = obs::CacheTier::T1Hit;
-    } else if (const int64_t *H = MS.counter("reduce_cache_hits");
-               H && *H > 0) {
-      Tier = obs::CacheTier::T2Warm;
-    }
-    Registry.record(O, Tier, MS, Resp.ServerSeconds);
+  obs::MetricsSummary MS = Tracer.metrics();
+  obs::Outcome O = outcomeForExit(Resp.Exit);
+  obs::CacheTier Tier = obs::CacheTier::Cold;
+  if (Resp.Cache == "hit") {
+    Tier = obs::CacheTier::T1Hit;
+  } else if (const int64_t *H = MS.counter("reduce_cache_hits");
+             H && *H > 0) {
+    Tier = obs::CacheTier::T2Warm;
+  }
+  Registry.record(O, Tier, MS, Resp.ServerSeconds);
 
-    if (CollectEvents) {
-      obs::FlightRecord FR;
-      FR.RequestId = Id;
-      FR.Hash = Resp.Hash;
-      FR.Outcome = obs::outcomeName(O);
-      FR.TotalSeconds = Resp.ServerSeconds;
-      FR.DroppedEvents = Tracer.droppedEvents();
-      FR.Events = Tracer.mergedEvents();
-      Flight.record(std::move(FR));
-    }
+  if (CollectEvents) {
+    obs::FlightRecord FR;
+    FR.RequestId = Id;
+    FR.Hash = Resp.Hash;
+    FR.Outcome = obs::outcomeName(O);
+    FR.TotalSeconds = Resp.ServerSeconds;
+    FR.DroppedEvents = Tracer.droppedEvents();
+    FR.Events = Tracer.mergedEvents();
+    Flight.record(std::move(FR));
+  }
 
-    if (AccessLog) {
-      Json L;
-      L["event"] = Json("request");
-      L["id"] = Json(Id);
-      L["hash"] = Json(Resp.Hash);
-      L["outcome"] = Json(obs::outcomeName(O));
-      L["cache_tier"] = Json(obs::cacheTierName(Tier));
-      L["parse_seconds"] = Json(ParseSeconds);
-      L["cache_lookup_seconds"] = Json(Resp.CacheLookupSeconds);
-      L["synth_seconds"] = Json(SynthSeconds);
-      L["server_seconds"] = Json(Resp.ServerSeconds);
-      L["workers"] = Json(Tracer.workerCount());
-      L["dropped_events"] = Json(Tracer.droppedEvents());
-      L["slow"] = Json(LR.Slow.load());
-      L["disposition"] = Json(Resp.Disposition);
-      L["queue_seconds"] =
-          Json(std::chrono::duration<double>(T0 - Arrival).count());
-      writeAccessLine(L.dump());
-    }
+  if (AccessLog) {
+    Json L;
+    L["event"] = Json("request");
+    L["id"] = Json(Id);
+    L["hash"] = Json(Resp.Hash);
+    L["outcome"] = Json(obs::outcomeName(O));
+    L["cache_tier"] = Json(obs::cacheTierName(Tier));
+    L["parse_seconds"] = Json(ParseSeconds);
+    L["cache_lookup_seconds"] = Json(Resp.CacheLookupSeconds);
+    L["synth_seconds"] = Json(SynthSeconds);
+    L["server_seconds"] = Json(Resp.ServerSeconds);
+    L["workers"] = Json(Tracer.workerCount());
+    L["dropped_events"] = Json(Tracer.droppedEvents());
+    L["slow"] = Json(LR.Slow.load());
+    L["disposition"] = Json(Resp.Disposition);
+    L["queue_seconds"] =
+        Json(std::chrono::duration<double>(T0 - Arrival).count());
+    writeAccessLine(L.dump());
   }
   return Resp;
 }
@@ -553,11 +545,7 @@ VerifyResponse Server::verifyImpl(uint64_t Id, const VerifyRequest &Req,
 
   // -- Solve -----------------------------------------------------------------
   Live.Phase.store("synth");
-  synth::SynthOptions SO;
-  SO.Shape = B.Shape;
-  SO.QGuard = B.QGuard;
-  SO.Reduce.Card.Venn = B.NeedsVenn;
-  SO.Explicit = B.Explicit;
+  synth::SynthOptions SO = synth::optionsFor(B);
   SO.Trace = &Tracer;
   SO.NumWorkers = Req.Workers;
   if (Opts.SynthWorkers &&
@@ -572,7 +560,6 @@ VerifyResponse Server::verifyImpl(uint64_t Id, const VerifyRequest &Req,
     SO.TimeBudgetSeconds = RemainingSeconds;
   if (Req.MaxTuples)
     SO.MaxTuples = Req.MaxTuples;
-  SO.Supervise.Enabled = !Req.NoSupervise;
   if (Req.SmtTimeoutMs)
     SO.SmtTimeoutMs = Req.SmtTimeoutMs;
   if (!Faults.empty())
@@ -723,7 +710,6 @@ Json Server::statusJson() const {
   J["request_workers"] = Json(Pool.size());
   J["store_enabled"] = Json(Store.enabled());
   J["store_dir"] = Json(Store.dir());
-  J["telemetry"] = Json(Opts.Telemetry);
   // Cumulative engine counters over all recorded requests, plus the
   // store-tier traffic -- enough to see daemon health at a glance
   // without a full metrics scrape.
@@ -834,7 +820,6 @@ Json Server::metricsJson() const {
   obs::MetricsRegistry::Snapshot S = Registry.snapshot();
   Json J;
   J["ok"] = Json(true);
-  J["telemetry"] = Json(Opts.Telemetry);
 
   Json Reqs, Secs;
   for (unsigned O = 0; O < obs::NumOutcomes; ++O) {

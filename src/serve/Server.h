@@ -21,7 +21,7 @@
 // shared state is the store, the cross-request reduce cache, and the
 // counters, each behind its own lock.
 //
-// Telemetry (on by default, Opts.Telemetry=false strips it all):
+// Telemetry (always on; FlightCapacity = 0 turns event capture off):
 //
 //   * every finished request folds its per-request MetricsSummary into
 //     the process-wide obs::MetricsRegistry, labeled by outcome and by
@@ -40,7 +40,7 @@
 // watchdog never touches TraceBuffers, only the request's atomics in
 // the live-request table.
 //
-// Overload discipline (PR 9): quantified-SMT check times are long-tailed
+// Overload discipline: quantified-SMT check times are long-tailed
 // -- a single request can legitimately run for minutes -- so the daemon
 // must bound what it promises:
 //
@@ -120,10 +120,6 @@ struct ServerOptions {
   /// Requests retained by the flight recorder; 0 disables event
   /// capture entirely (metrics still aggregate).
   size_t FlightCapacity = 32;
-  /// Master switch (--no-telemetry): false disables the registry, the
-  /// flight recorder and per-request event collection -- the A/B
-  /// baseline for the telemetry-overhead bench.
-  bool Telemetry = true;
 
   /// Admission queue depth: verify requests allowed to *wait* behind a
   /// fully busy pool. Total admitted capacity is RequestWorkers +

@@ -18,6 +18,7 @@
 #include "synth/Synth.h"
 
 #include "engine/Pool.h"
+#include "front/Front.h"
 #include "logic/TermOps.h"
 #include "quant/Quant.h"
 
@@ -25,7 +26,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -44,6 +44,15 @@ using smt::SatResult;
 Formals sharpie::synth::formalsFor(TermManager &M,
                                    const ShapeTemplate &Shape) {
   return makeFormals(M, Shape); // Deterministic names: same vars each call.
+}
+
+SynthOptions sharpie::synth::optionsFor(const front::FrontBundle &B) {
+  SynthOptions O;
+  O.Shape = B.Shape;
+  O.QGuard = B.QGuard;
+  O.Reduce.Card.Venn = B.NeedsVenn;
+  O.Explicit = B.Explicit;
+  return O;
 }
 
 namespace {
@@ -353,10 +362,6 @@ private:
   /// This synthesizer's trace buffer: rank 0 for the driver and the serial
   /// search, rank W+1 on parallel worker W. Null => zero-overhead path.
   obs::TraceBuffer *TB = nullptr;
-  /// The tracer the run reports into (driver only): Opts.Trace, or the
-  /// internal Verbose-mapped one.
-  obs::Tracer *TraceSink = nullptr;
-  std::unique_ptr<obs::Tracer> OwnTracer;
   /// Parallel search: set on worker synthesizers to abandon tuples that a
   /// lower-ranked verified tuple has made irrelevant.
   std::function<bool()> ExternAbort;
@@ -378,6 +383,7 @@ Synthesizer::rankTuples(const std::vector<SetCandidate> &Cands) const {
   // Select the candidate pool with per-origin diversity: a strict global
   // rank cut lets one prolific bucket (e.g. guard+pc conjunctions) crowd
   // out the quantifier-relative sets that quantified templates need.
+  constexpr size_t MaxCandidateSets = 24; // Top-ranked set bodies kept.
   std::vector<size_t> Selected;
   {
     std::map<std::string, std::vector<size_t>> ByOrigin;
@@ -390,13 +396,13 @@ Synthesizer::rankTuples(const std::vector<SetCandidate> &Cands) const {
       }
       It->second.push_back(I); // Cands is already rank-sorted.
     }
-    for (size_t Round = 0; Selected.size() < Opts.MaxCandidateSets;
+    for (size_t Round = 0; Selected.size() < MaxCandidateSets;
          ++Round) {
       bool Any = false;
       for (const std::string &O : OriginOrder) {
         const std::vector<size_t> &Bucket = ByOrigin[O];
         if (Round < Bucket.size() &&
-            Selected.size() < Opts.MaxCandidateSets) {
+            Selected.size() < MaxCandidateSets) {
           Selected.push_back(Bucket[Round]);
           Any = true;
         }
@@ -596,11 +602,12 @@ Synthesizer::bodyInstances(const std::vector<Term> &HeadSk, bool IsTrans,
         U.push_back(T);
     PerPos.push_back(U);
   }
-  // Bounded product.
+  // Bounded product: the INSTQ budget per clause.
+  constexpr size_t MaxBodyInstances = 12;
   std::vector<std::vector<Term>> Out;
   std::vector<Term> Cur(F.Q.size());
   std::function<void(size_t)> Rec = [&](size_t Pos) {
-    if (Out.size() >= Opts.MaxBodyInstances)
+    if (Out.size() >= MaxBodyInstances)
       return;
     if (Pos == F.Q.size()) {
       Out.push_back(Cur);
@@ -1275,19 +1282,15 @@ bool Synthesizer::recheck(Term Inv,
 
 std::unique_ptr<smt::SmtSolver> Synthesizer::makeSolver(const char *Site) {
   if (!Opts.Supervise.Enabled) {
-    // The bare back end, not a disabled wrapper: the overhead A/B
-    // comparison should measure supervision against exactly yesterday's
-    // code path.
+    // The bare back end, not a disabled wrapper: the chaos tests compare
+    // supervised runs against exactly the unwrapped code path.
     auto S = smt::makeZ3Solver(M);
     S->setTimeoutMs(Opts.SmtTimeoutMs);
     return S;
   }
-  resil::SupervisedSolver::Factory Fb;
-  if (Opts.Supervise.CrossCheckFallback)
-    Fb = [this] { return smt::makeMiniSolver(M); };
   auto S = std::make_unique<resil::SupervisedSolver>(
-      smt::makeZ3Solver(M), std::move(Fb), Opts.Supervise, &RCnt,
-      Faults ? &*Faults : nullptr, Site, TB, Deadline);
+      smt::makeZ3Solver(M), [this] { return smt::makeMiniSolver(M); },
+      Opts.Supervise, &RCnt, Faults ? &*Faults : nullptr, Site, TB, Deadline);
   S->setTimeoutMs(Opts.SmtTimeoutMs);
   return S;
 }
@@ -1401,7 +1404,7 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
                  Out.Why.c_str());
     return Out;
   }
-  if (Opts.MinimizeInvariant) {
+  {
     obs::Span Sp(TB, "minimize");
     auto TMin = std::chrono::steady_clock::now();
     size_t Before = Cand.size();
@@ -1419,7 +1422,7 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
   bool RecheckOk;
   {
     obs::Span Sp(TB, "recheck");
-    RecheckOk = !Opts.FinalRecheck || recheck(Inv, States, Out.Why);
+    RecheckOk = recheck(Inv, States, Out.Why);
   }
   Stats.RecheckSeconds += secondsSince(TRe);
   SHARPIE_LOGF(TB, obs::LogLevel::Debug, "recheck %s in %.2fs",
@@ -1545,7 +1548,7 @@ void Synthesizer::runParallel(
     C.Synth->Deadline = Deadline; // One budget for the whole search.
     // Worker W owns trace rank W+1 (rank 0 is the driver); registration is
     // the one mutex-guarded step, the buffer itself is thread-local.
-    C.Synth->TB = TraceSink ? TraceSink->worker(W + 1) : nullptr;
+    C.Synth->TB = Opts.Trace ? Opts.Trace->worker(W + 1) : nullptr;
     // Fault rules with a worker=N trigger key on the same rank numbering
     // as the traces (0 = driver/serial, W+1 = parallel worker W).
     if (C.Synth->Faults)
@@ -1731,48 +1734,38 @@ void Synthesizer::runParallel(
 SynthResult Synthesizer::run() {
   auto Start = std::chrono::steady_clock::now();
 
-  // Wire up observability: the caller's tracer, or -- Verbose back-compat
-  // -- an internal Debug-level tracer logging to stdout (where the old
-  // printf output went). Null TB keeps the whole pipeline on the
-  // zero-overhead path.
-  TraceSink = Opts.Trace;
-  if (!TraceSink && Opts.Verbose) {
-    obs::TracerConfig Cfg;
-    Cfg.Level = obs::LogLevel::Debug;
-    Cfg.LogStream = stdout;
-    OwnTracer = std::make_unique<obs::Tracer>(Cfg);
-    TraceSink = OwnTracer.get();
-  }
-  if (TraceSink)
-    TB = TraceSink->worker(0);
+  // Null TB keeps the whole pipeline on the zero-overhead path.
+  if (Opts.Trace)
+    TB = Opts.Trace->worker(0);
   // Shared caches carry hits/misses from earlier runs; report deltas.
   unsigned BaseHits = RC->hits(), BaseMisses = RC->misses();
   obs::Span RunSp(TB, "synthesize");
   SynthResult Res;
 
   // Explicit exploration: counterexample detection + pre-filter states.
+  // Scoped so the unsampled states are freed before the search.
   std::vector<sys::ParamSystem::State> States;
-  if (Opts.ExplicitPrefilter || Opts.StopOnExplicitCex) {
+  {
     auto T0 = std::chrono::steady_clock::now();
     explct::ExplicitResult ER = explct::explore(Sys, Opts.Explicit, TB);
     Stats.ExplicitStates = ER.NumStates;
     Stats.ExplicitSeconds = secondsSince(T0);
     SHARPIE_LOGF(TB, obs::LogLevel::Info, "[explicit] %u states in %.2fs",
                  ER.NumStates, secondsSince(T0));
-    if (!ER.Safe && Opts.StopOnExplicitCex) {
+    if (!ER.Safe) {
       Res.Cex = ER.Cex;
       Res.Note = "explicit counterexample with N=" +
                  std::to_string(Opts.Explicit.NumThreads);
       Res.Stats = Stats;
       Res.Stats.Seconds = secondsSince(Start);
-      if (TraceSink)
-        Res.Stats.Metrics = TraceSink->metrics();
+      if (Opts.Trace)
+        Res.Stats.Metrics = Opts.Trace->metrics();
       return Res;
     }
     // Sample evenly up to the cap. This reachable-state set is computed
     // once and shared read-only by every search worker.
-    size_t Step = std::max<size_t>(1, ER.States.size() /
-                                          std::max(1u, Opts.MaxPrefilterStates));
+    constexpr size_t MaxPrefilterStates = 400;
+    size_t Step = std::max<size_t>(1, ER.States.size() / MaxPrefilterStates);
     for (size_t I = 0; I < ER.States.size(); I += Step)
       States.push_back(std::move(ER.States[I]));
   }
@@ -1849,8 +1842,8 @@ SynthResult Synthesizer::run() {
 
   Res.Stats = Stats;
   Res.Stats.Seconds = secondsSince(Start);
-  if (TraceSink)
-    Res.Stats.Metrics = TraceSink->metrics();
+  if (Opts.Trace)
+    Res.Stats.Metrics = Opts.Trace->metrics();
   return Res;
 }
 

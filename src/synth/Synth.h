@@ -50,6 +50,10 @@
 #include <string>
 
 namespace sharpie {
+namespace front {
+struct FrontBundle;
+} // namespace front
+
 namespace synth {
 
 struct SynthOptions {
@@ -67,11 +71,7 @@ struct SynthOptions {
   engine::ReduceOptions Reduce;          ///< Axiom/expansion configuration.
   explct::ExplicitOptions Explicit;      ///< Pre-filter instance size.
   bool ExplicitPrefilter = true;
-  bool StopOnExplicitCex = true;         ///< Bail out if the instance is unsafe.
-  unsigned MaxPrefilterStates = 400;
   unsigned MaxTuples = 150;              ///< Set-tuple search budget.
-  unsigned MaxCandidateSets = 24;        ///< Top-ranked set bodies considered.
-  unsigned MaxBodyInstances = 12;        ///< INSTQ budget per clause.
   unsigned SmtTimeoutMs = 30000;
   /// Maximum model-guided refinement rounds per Houdini check before the
   /// remaining manifest is asserted wholesale.
@@ -110,13 +110,6 @@ struct SynthOptions {
   /// between tuples, between Houdini iterations, and between the SMT
   /// checks inside one Houdini iteration (coarse, not a hard kill).
   double TimeBudgetSeconds = 0;
-  bool FinalRecheck = true;
-  /// Greedily minimize the surviving atom set before output and re-check.
-  bool MinimizeInvariant = true;
-  /// Back-compat debug switch. When set without a Trace, the synthesis
-  /// creates an internal stdout tracer at Debug level, so the old verbose
-  /// output survives (now with level/worker prefixes).
-  bool Verbose = false;
   /// Observability sink (see obs/Obs.h). When non-null the synthesis emits
   /// spans (synthesize > tuple > houdini > smt_check), counters, latency
   /// histograms and leveled log lines into it: the driver and the serial
@@ -126,7 +119,7 @@ struct SynthOptions {
   obs::Tracer *Trace = nullptr;
   /// Solver supervision (retry, cross-back-end fallback, per-check
   /// deadline clamping; see resil/Resil.h). Supervise.Enabled = false
-  /// reproduces the bare back end exactly -- the overhead A/B switch.
+  /// reproduces the bare back end exactly -- the chaos tests' reference.
   resil::SupervisionOptions Supervise;
   /// Deterministic fault plan (resil/Fault.h); null or empty disables
   /// injection. Applied only when supervision is enabled. Not owned; must
@@ -248,6 +241,11 @@ struct SynthResult {
 
 /// The formal variables a caller needs to phrase SynthOptions::QGuard.
 Formals formalsFor(logic::TermManager &M, const ShapeTemplate &Shape);
+
+/// The options bundle \p B asks for: its shape, quantifier guard and
+/// explicit instance, and the Venn axioms iff it declares NeedsVenn. Run
+/// settings (workers, budgets, tracer, ...) keep their defaults.
+SynthOptions optionsFor(const front::FrontBundle &B);
 
 /// Runs #Pi on \p Sys.
 SynthResult synthesize(sys::ParamSystem &Sys, const SynthOptions &Opts);

@@ -34,43 +34,21 @@ std::string protoPath(const char *Stem) {
 
 struct Side {
   TermManager M;
-  std::unique_ptr<sys::ParamSystem> Sys;
-  synth::ShapeTemplate Shape;
-  Term QGuard;
-  explct::ExplicitOptions Explicit;
-  bool ExpectSafe = true;
-  bool NeedsVenn = false;
+  front::FrontBundle B; ///< Declared after M: destroyed before it.
 };
 
-void fromFactory(Side &S, BundleFactory Make) {
-  ProtocolBundle B = Make(S.M);
-  S.Sys = std::move(B.Sys);
-  S.Shape = B.Shape;
-  S.QGuard = B.QGuard;
-  S.Explicit = B.Explicit;
-  S.ExpectSafe = B.ExpectSafe;
-  S.NeedsVenn = B.NeedsVenn;
-}
+void fromFactory(Side &S, BundleFactory Make) { S.B = Make(S.M); }
 
 void fromFile(Side &S, const char *Stem) {
   front::LoadResult R = front::loadProtocolFile(S.M, protoPath(Stem));
   ASSERT_TRUE(R.ok()) << (R.Error ? R.Error->render() : "");
-  S.Sys = std::move(R.Bundle->Sys);
-  S.Shape = R.Bundle->Shape;
-  S.QGuard = R.Bundle->QGuard;
-  S.Explicit = R.Bundle->Explicit;
-  S.ExpectSafe = R.Bundle->ExpectSafe;
-  S.NeedsVenn = R.Bundle->NeedsVenn;
+  S.B = std::move(*R.Bundle);
 }
 
 synth::SynthResult run(Side &S, const std::vector<Term> &Fixed = {}) {
-  synth::SynthOptions Opts;
-  Opts.Shape = S.Shape;
-  Opts.QGuard = S.QGuard;
-  Opts.Reduce.Card.Venn = S.NeedsVenn;
-  Opts.Explicit = S.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(S.B);
   Opts.FixedSetBodies = Fixed;
-  return synth::synthesize(*S.Sys, Opts);
+  return synth::synthesize(*S.B.Sys, Opts);
 }
 
 std::vector<std::string> strs(const std::vector<Term> &Ts) {
@@ -80,7 +58,8 @@ std::vector<std::string> strs(const std::vector<Term> &Ts) {
   return Out;
 }
 
-void expectMetadataParity(const Side &File, const Side &Hand) {
+void expectMetadataParity(const Side &FileSide, const Side &HandSide) {
+  const front::FrontBundle &File = FileSide.B, &Hand = HandSide.B;
   EXPECT_EQ(File.Shape.NumSets, Hand.Shape.NumSets);
   EXPECT_EQ(File.Shape.Quantifiers, Hand.Shape.Quantifiers);
   EXPECT_EQ(File.ExpectSafe, Hand.ExpectSafe);
@@ -119,7 +98,7 @@ TEST(FrontParity, Cache) {
 // manager: s1 = m(t) <= serv /\ pc(t) = 2, s2 = pc(t) = 3, s3 = m(t) = q.
 std::vector<Term> ticketBodies(Side &S) {
   TermManager &M = S.M;
-  synth::Formals F = synth::formalsFor(M, S.Shape);
+  synth::Formals F = synth::formalsFor(M, S.B.Shape);
   Term PC = M.mkVar("pc", Sort::Array);
   Term Mv = M.mkVar("m", Sort::Array);
   Term Serv = M.mkVar("serv", Sort::Int);

@@ -224,10 +224,7 @@ template <typename Writer> std::string renderToString(Writer &&W) {
 void runIncrement(obs::Tracer &T) {
   logic::TermManager M;
   ProtocolBundle B = makeIncrement(M);
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.NumWorkers = 1;
   Opts.Trace = &T;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);

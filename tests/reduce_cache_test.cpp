@@ -124,10 +124,7 @@ TEST(ReduceCacheSharing, HitsComeFromCrossRunSharingOnly) {
   logic::TermManager M;
   protocols::ProtocolBundle B = protocols::makeIncrement(M);
   engine::ReduceCache Shared;
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.NumWorkers = 1; // The parallel twin lives in synth_parallel_test.
   Opts.ReuseReduceCache = &Shared;
 

@@ -296,7 +296,7 @@ TEST(SupervisedSolver, BackoffGrowsTheRetrySlice) {
       Sink);
   S.setTimeoutMs(100);
   EXPECT_EQ(S.check(), SatResult::Sat);
-  // Default BackoffFactor is 2.0: the rescue attempt ran with a 200ms slice.
+  // The backoff factor is 2.0: the rescue attempt ran with a 200ms slice.
   EXPECT_EQ(Log.LastTimeoutMs, 200u);
 }
 
@@ -458,11 +458,7 @@ ChaosOut runChaos(BundleFactory Make, unsigned Workers, const char *PlanSpec,
                   bool Supervised = true) {
   logic::TermManager M;
   ProtocolBundle B = Make(M);
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Reduce.Card.Venn = B.NeedsVenn;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.NumWorkers = Workers;
   // A hung run is the one unacceptable outcome; the budget turns it into
   // an inconclusive verdict long before the ctest TIMEOUT would fire.

@@ -198,10 +198,7 @@ TEST(UnknownPropagation, SynthesisUnderUnknownStormIsNeverVerified) {
   ProtocolBundle B = makeIncrement(M);
   auto Plan = resil::FaultPlan::parse("seed=9;smt_check:unknown;reduce:unknown");
   ASSERT_TRUE(Plan.has_value());
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.NumWorkers = 1;
   Opts.Faults = &*Plan;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);

@@ -101,6 +101,30 @@ TEST_F(ServerTest, ColdVerifySolvesAndPopulatesTheStore) {
   EXPECT_EQ(1u, St.T1Misses);
 }
 
+// The --json line names the request's file, which arrives over the wire
+// from outside: a name with a quote and a backslash must still yield a
+// line that parses, on the cold path and on the tier-1 replay.
+TEST_F(ServerTest, JsonLineEscapesTheFileName) {
+  Server Srv(options());
+  VerifyRequest R = request();
+  R.File = "odd\"dir\\increment.sharpie";
+  R.JsonLine = true;
+  for (const char *Cache : {"miss", "hit"}) {
+    VerifyResponse Resp = Srv.verify(R);
+    ASSERT_EQ(front::ExitVerified, Resp.Exit);
+    EXPECT_EQ(Cache, Resp.Cache);
+    size_t Begin = Resp.Output.find("\n{");
+    ASSERT_NE(std::string::npos, Begin) << Resp.Output;
+    std::string Line = Resp.Output.substr(
+        Begin + 1, Resp.Output.find('\n', Begin + 1) - Begin - 1);
+    std::string Err;
+    Json J = parseJson(Line, &Err);
+    ASSERT_TRUE(Err.empty()) << Err << " in " << Line;
+    EXPECT_EQ(R.File, J.get("file").asString());
+    EXPECT_EQ("increment", J.get("protocol").asString());
+  }
+}
+
 TEST_F(ServerTest, WarmVerifyReplaysTheIdenticalOutput) {
   Server Srv(options());
   VerifyResponse Cold = Srv.verify(request());
@@ -230,7 +254,6 @@ TEST_F(ServerTest, MetricsLabelColdThenWarmRequests) {
 
   Json M = Srv.metricsJson();
   EXPECT_TRUE(M.get("ok").asBool());
-  EXPECT_TRUE(M.get("telemetry").asBool());
   // The cold miss and the tier-1 replay land in distinct labeled cells.
   EXPECT_EQ(1, M.get("requests").get("verified").get("cold").asInt());
   EXPECT_EQ(1, M.get("requests").get("verified").get("t1_hit").asInt());
@@ -371,7 +394,6 @@ TEST_F(ServerTest, StatusCarriesCumulativeCountersAndTierTraffic) {
   ASSERT_EQ("miss", Srv.verify(request()).Cache);
   ASSERT_EQ("hit", Srv.verify(request()).Cache);
   Json S = Srv.statusJson();
-  EXPECT_TRUE(S.get("telemetry").asBool());
   EXPECT_EQ(1, S.get("t1_hits").asInt());
   EXPECT_EQ(1, S.get("t1_misses").asInt());
   EXPECT_EQ(0, S.get("slow_requests").asInt());
@@ -381,20 +403,6 @@ TEST_F(ServerTest, StatusCarriesCumulativeCountersAndTierTraffic) {
   EXPECT_EQ(Json::Type::Int, S.get("ctr_fallbacks").type());
   EXPECT_EQ(Json::Type::Int, S.get("ctr_tuples_skipped").type());
   EXPECT_GE(S.get("t2_misses").asInt() + S.get("t2_hits").asInt(), 0);
-}
-
-TEST_F(ServerTest, NoTelemetryDisablesRegistryAndFlightRecorder) {
-  ServerOptions O = options();
-  O.Telemetry = false;
-  Server Srv(O);
-  ASSERT_EQ(front::ExitVerified, Srv.verify(request()).Exit);
-  EXPECT_EQ(0u, Srv.registry().recorded());
-  EXPECT_EQ(0u, Srv.flight().retained());
-  Json M = Srv.metricsJson();
-  EXPECT_TRUE(M.get("ok").asBool());
-  EXPECT_FALSE(M.get("telemetry").asBool());
-  EXPECT_EQ(0, M.get("requests").get("verified").get("cold").asInt());
-  EXPECT_FALSE(Srv.statusJson().get("telemetry").asBool());
 }
 
 TEST_F(ServerTest, ConcurrentRequestsMetricsScrapesAndDumpsAreSafe) {

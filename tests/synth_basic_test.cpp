@@ -15,14 +15,8 @@ using namespace sharpie::protocols;
 
 namespace {
 
-synth::SynthResult runBundle(ProtocolBundle &B, bool Verbose = false) {
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Reduce.Card.Venn = B.NeedsVenn;
-  Opts.Explicit = B.Explicit;
-  Opts.Verbose = Verbose;
-  return synth::synthesize(*B.Sys, Opts);
+synth::SynthResult runBundle(ProtocolBundle &B) {
+  return synth::synthesize(*B.Sys, synth::optionsFor(B));
 }
 
 TEST(SynthBasic, ExplicitCheckerValidatesModels) {

@@ -16,12 +16,7 @@ using namespace sharpie::protocols;
 namespace {
 
 synth::SynthResult runBundle(ProtocolBundle &B) {
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Reduce.Card.Venn = B.NeedsVenn;
-  Opts.Explicit = B.Explicit;
-  return synth::synthesize(*B.Sys, Opts);
+  return synth::synthesize(*B.Sys, synth::optionsFor(B));
 }
 
 TEST(CaseStudies, ExplicitModelsAreSafe) {

@@ -38,11 +38,7 @@ struct RunOutput {
 RunOutput runWith(BundleFactory Make, unsigned NumWorkers) {
   logic::TermManager M;
   ProtocolBundle B = Make(M);
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Reduce.Card.Venn = B.NeedsVenn;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.NumWorkers = NumWorkers;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
   RunOutput Out;
@@ -99,10 +95,7 @@ TEST(SynthParallel, SerialStatsStayHonest) {
 TEST(SynthParallel, MoreWorkersThanTuples) {
   logic::TermManager M;
   ProtocolBundle B = makeIncrement(M);
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.NumWorkers = 64;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
   EXPECT_TRUE(R.Verified) << R.Note;
@@ -126,10 +119,7 @@ TEST(SynthParallel, TracerFourWorkers) {
   Cfg.LogStream = Sink;
   obs::Tracer T(Cfg);
 
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.NumWorkers = 4;
   Opts.Trace = &T;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
@@ -164,10 +154,7 @@ TEST(SynthParallel, SharedReduceCacheHitsAcrossRunsFourWorkers) {
   ProtocolBundle B = makeIncrement(M);
   engine::ReduceCache Shared;
   auto Run = [&] {
-    synth::SynthOptions Opts;
-    Opts.Shape = B.Shape;
-    Opts.QGuard = B.QGuard;
-    Opts.Explicit = B.Explicit;
+    synth::SynthOptions Opts = synth::optionsFor(B);
     Opts.NumWorkers = 4;
     Opts.ReuseReduceCache = &Shared;
     synth::SynthResult R = synth::synthesize(*B.Sys, Opts);

@@ -96,15 +96,9 @@ std::vector<Term> ticketBodies(TermManager &M,
 
 RunOutput run(const Input &In, unsigned RefineBudget, unsigned Workers) {
   TermManager M;
-  std::unique_ptr<sys::ParamSystem> Sys;
-  synth::SynthOptions Opts;
+  front::FrontBundle B;
   if (In.Make) {
-    protocols::ProtocolBundle B = In.Make(M);
-    Sys = std::move(B.Sys);
-    Opts.Shape = B.Shape;
-    Opts.QGuard = B.QGuard;
-    Opts.Reduce.Card.Venn = B.NeedsVenn;
-    Opts.Explicit = B.Explicit;
+    B = In.Make(M);
   } else {
     front::LoadResult L = front::loadProtocolFile(M, In.Path);
     if (!L.ok()) {
@@ -112,19 +106,16 @@ RunOutput run(const Input &In, unsigned RefineBudget, unsigned Workers) {
                     << (L.Error ? L.Error->render() : "load failed");
       return {};
     }
-    Sys = std::move(L.Bundle->Sys);
-    Opts.Shape = L.Bundle->Shape;
-    Opts.QGuard = L.Bundle->QGuard;
-    Opts.Reduce.Card.Venn = L.Bundle->NeedsVenn;
-    Opts.Explicit = L.Bundle->Explicit;
+    B = std::move(*L.Bundle);
   }
+  synth::SynthOptions Opts = synth::optionsFor(B);
   if (In.PinTicketTemplate)
     Opts.FixedSetBodies = ticketBodies(M, Opts.Shape);
   Opts.RefineBudget = RefineBudget;
   Opts.NumWorkers = Workers;
   obs::Tracer T; // Counters only: no events, no log.
   Opts.Trace = &T;
-  synth::SynthResult R = synth::synthesize(*Sys, Opts);
+  synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
   RunOutput Out;
   Out.Verified = R.Verified;
   Out.Inconclusive = R.Inconclusive;

@@ -1,28 +1,37 @@
 //===- tools/sharpie.cpp - The sharpie CLI --------------------------------===//
 //
-// Part of sharpie. Loads a `.sharpie` protocol file, runs the full #Pi
-// pipeline on it, and prints the synthesized invariant or the
-// explicit-state counterexample trace.
+// Part of sharpie. The one verify driver: loads a `.sharpie` protocol
+// file (or, with --builtin, one of the hand-built C++ bundles of
+// protocols/Protocols.h), runs the full #Pi pipeline on it, and prints
+// the synthesized invariant or the explicit-state counterexample trace.
 //
-//   sharpie <file.sharpie> [--workers N] [--json] [--verbose]
+//   sharpie <file.sharpie> [--workers N] [--json]
 //           [--time-budget SECONDS] [--max-tuples N]
-//           [--faults PLAN] [--no-supervise]
-//           [--smt-timeout MS] [--trace-out FILE] [--events-out FILE]
+//           [--faults PLAN] [--smt-timeout MS]
+//           [--trace-out FILE] [--events-out FILE]
 //           [--log-level quiet|info|debug|trace] [--stats]
 //           [--server ADDR] [--store DIR]
 //           [--retries N] [--retry-base-ms MS]
+//   sharpie --builtin NAME [same flags, except --server]
+//
+// Built-in bundles take the same local path as files: canonical hash,
+// --store, the same verdict text and --json line, the same exit codes.
+// An unknown NAME exits 3 and lists the valid names on stderr. (The
+// bundles leave with src/protocols/ once they exist as .sharpie files.)
+//
+// Every numeric flag value must be a non-negative number; anything else
+// (missing, non-numeric, trailing garbage, negative) exits 3 naming the
+// flag.
 //
 // Observability (see src/obs/): --trace-out writes a Chrome trace-event /
 // Perfetto JSON with one track per search worker; --events-out a JSONL
-// event stream; --log-level replaces --verbose (which maps to debug);
-// --stats prints a per-phase stats table to stderr after the run. The
-// SHARPIE_TRACE, SHARPIE_EVENTS and SHARPIE_LOG_LEVEL environment
-// variables are flag equivalents for scripted sweeps.
+// event stream; --log-level sets the human log (debug shows the
+// pipeline's progress); --stats prints a per-phase stats table to stderr
+// after the run.
 //
-// Resilience (see src/resil/): solver checks run supervised by default
-// (per-check deadlines, retry with backoff, Z3<->MiniSolver fallback);
-// --no-supervise restores the bare back end. --faults (or SHARPIE_FAULTS)
-// takes a deterministic fault plan, e.g.
+// Resilience (see src/resil/): solver checks always run supervised
+// (per-check deadlines, retry with backoff, Z3<->MiniSolver fallback).
+// --faults takes a deterministic fault plan, e.g.
 // "seed=7;smt_check:timeout@p=0.4;reduce:unknown@every=3", and is how the
 // chaos tests drive the pipeline (see resil/Fault.h for the grammar).
 // --smt-timeout overrides the per-check deadline in milliseconds (the
@@ -42,6 +51,8 @@
 // arriving from the daemon's persistent store. --store DIR gives a local
 // (daemonless) run the same persistent cache: warm re-verifications of
 // an already-solved protocol replay the stored verdict without solving.
+// Daemon operations (status, metrics, dump_trace, ...) go through
+// `sharpied --ctl ADDR --op ...`.
 //
 // Thin-client resilience: requests are idempotent by content hash, so
 // connect failures and overload sheds are retried --retries times
@@ -50,20 +61,12 @@
 // daemon's retry_after_ms hint. Retries exhausted while the daemon is
 // still shedding exits 5 ("overloaded").
 //
-// With --server, the positional words `metrics` and `dump-trace` are
-// telemetry ops instead of a file: `sharpie --server ADDR metrics
-// [--format json|prom]` prints the daemon's cumulative metrics (JSON
-// object, or Prometheus text exposition with --format prom);
-// `sharpie --server ADDR dump-trace [--format perfetto|jsonl]
-// [--request ID]` prints the flight recorder's retained request traces
-// (a Perfetto-loadable document by default; --request selects one
-// request id, 0/default dumps all).
-//
 // Exit codes (front/ExitCodes.h; deterministic, scriptable):
 //   0  verified safe (invariant printed)
 //   1  unsafe (explicit counterexample printed)
 //   2  unknown: the search space was exhausted without a verdict
-//   3  frontend error (parse/elaboration/I-O), message on stderr
+//   3  frontend or usage error (parse/elaboration/I-O, bad flag, unknown
+//      built-in), message on stderr
 //   4  inconclusive: no verdict AND some failure (timeout, skipped tuple,
 //      injected fault, exhausted budget) may have hidden one; the report
 //      lists failure classes and the best partial candidate
@@ -76,17 +79,20 @@
 #include "front/Front.h"
 #include "logic/TermOps.h"
 #include "obs/Cli.h"
+#include "protocols/Protocols.h"
 #include "resil/Fault.h"
 #include "serve/Client.h"
 #include "serve/Proto.h"
 #include "serve/Store.h"
 #include "synth/Synth.h"
 
+#include "Flags.h"
+
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -97,18 +103,16 @@ namespace {
 
 void usage(const char *Argv0) {
   std::fprintf(stderr,
-               "usage: %s <file.sharpie> [--workers N] [--json] [--verbose]"
+               "usage: %s <file.sharpie> [--workers N] [--json]"
                " [--time-budget SECONDS] [--max-tuples N]\n"
-               "       [--faults PLAN] [--no-supervise]\n"
-               "       [--smt-timeout MS] [--server ADDR] [--store DIR]\n"
+               "       [--faults PLAN] [--smt-timeout MS]"
+               " [--server ADDR] [--store DIR]\n"
                "       [--retries N] [--retry-base-ms MS]\n"
                "       %s\n"
-               "       %s --server ADDR metrics [--format json|prom]\n"
-               "       %s --server ADDR dump-trace [--format perfetto|jsonl]"
-               " [--request ID]\n"
+               "       %s --builtin NAME [same flags, except --server]\n"
                "exit codes: 0 safe, 1 unsafe, 2 unknown, 3 error,"
                " 4 inconclusive, 5 overloaded\n",
-               Argv0, obs::CliObs::usageFragment(), Argv0, Argv0);
+               Argv0, obs::CliObs::usageFragment(), Argv0);
 }
 
 double secondsSince(std::chrono::steady_clock::time_point T0) {
@@ -116,9 +120,64 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
+/// The hand-built bundles --builtin NAME selects.
+std::map<std::string, protocols::BundleFactory> builtins() {
+  using namespace protocols;
+  std::map<std::string, BundleFactory> R;
+  R["increment"] = makeIncrement;
+  R["intro"] = makeIntro;
+  R["bluetooth"] = makeBluetooth;
+  R["cache"] = makeCache;
+  R["ticket"] = makeTicketLock;
+  R["filter"] = makeFilterLock;
+  R["one-third"] = makeOneThird;
+  R["max"] = [](logic::TermManager &M) { return makeMax(M, true); };
+  R["max-nobar"] = [](logic::TermManager &M) { return makeMax(M, false); };
+  R["reader-writer"] = [](logic::TermManager &M) {
+    return makeReaderWriter(M, true);
+  };
+  R["reader-writer-bug"] = [](logic::TermManager &M) {
+    return makeReaderWriter(M, false);
+  };
+  R["parent-child"] = [](logic::TermManager &M) {
+    return makeParentChild(M, true);
+  };
+  R["parent-child-nobar"] = [](logic::TermManager &M) {
+    return makeParentChild(M, false);
+  };
+  R["simp-bar"] = [](logic::TermManager &M) { return makeSimpBar(M, true); };
+  R["simp-nobar"] = [](logic::TermManager &M) {
+    return makeSimpBar(M, false);
+  };
+  R["dyn-barrier"] = [](logic::TermManager &M) {
+    return makeDynBarrier(M, true);
+  };
+  R["dyn-barrier-nobar"] = [](logic::TermManager &M) {
+    return makeDynBarrier(M, false);
+  };
+  R["as-many"] = [](logic::TermManager &M) { return makeAsMany(M, true); };
+  R["as-many-bug"] = [](logic::TermManager &M) {
+    return makeAsMany(M, false);
+  };
+  R["tree-traverse"] = makeTreeTraverse;
+  R["garbage-collection"] = makeGarbageCollection;
+  R["simplified-bakery"] = makeSimplifiedBakery;
+  R["lamport-bakery"] = makeLamportBakery;
+  R["bogus-bakery"] = makeBogusBakery;
+  R["ticket-mutex"] = makeTicketMutex;
+  R["barrier"] = makeBarrier;
+  R["central-barrier"] = makeCentralBarrier;
+  R["work-stealing"] = makeWorkStealing;
+  R["dining-philosophers"] = makeDiningPhilosophers;
+  R["robot-2x2"] = [](logic::TermManager &M) { return makeRobot(M, 2, 2); };
+  R["robot-3x3"] = [](logic::TermManager &M) { return makeRobot(M, 3, 3); };
+  return R;
+}
+
 int run(int argc, char **argv) {
   std::string File;
-  bool Json = false, Verbose = false, NoSupervise = false;
+  std::string Builtin;
+  bool Json = false;
   unsigned Workers = 1;
   double TimeBudget = 0;
   unsigned MaxTuples = 0;
@@ -126,15 +185,11 @@ int run(int argc, char **argv) {
   std::string FaultSpec;
   std::string ServerAddr;
   std::string StoreDir;
-  std::string Format;       // --format, for the metrics/dump-trace ops.
-  uint64_t RequestId = 0;   // --request, for dump-trace.
   serve::RetryPolicy Retry; // --retries / --retry-base-ms (thin client).
-  if (const char *Env = std::getenv("SHARPIE_FAULTS"))
-    FaultSpec = Env; // --faults below overrides the environment.
   obs::CliObs Obs;
-  Obs.readEnv(); // Flags below override the environment.
   for (int I = 1; I < argc; ++I) {
     std::string ObsErr;
+    bool NumOk = true;
     if (Obs.parseArg(argc, argv, I, ObsErr)) {
       if (!ObsErr.empty()) {
         std::fprintf(stderr, "error: %s\n", ObsErr.c_str());
@@ -143,21 +198,16 @@ int run(int argc, char **argv) {
       }
     } else if (!std::strcmp(argv[I], "--json"))
       Json = true;
-    else if (!std::strcmp(argv[I], "--verbose"))
-      Verbose = true;
-    else if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
-      Workers = static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
-    else if (!std::strcmp(argv[I], "--time-budget") && I + 1 < argc)
-      TimeBudget = std::strtod(argv[++I], nullptr);
-    else if (!std::strcmp(argv[I], "--max-tuples") && I + 1 < argc)
-      MaxTuples = static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
+    else if (!std::strcmp(argv[I], "--workers"))
+      NumOk = tools::numericFlag(argc, argv, I, Workers);
+    else if (!std::strcmp(argv[I], "--time-budget"))
+      NumOk = tools::numericFlag(argc, argv, I, TimeBudget);
+    else if (!std::strcmp(argv[I], "--max-tuples"))
+      NumOk = tools::numericFlag(argc, argv, I, MaxTuples);
     else if (!std::strcmp(argv[I], "--faults") && I + 1 < argc)
       FaultSpec = argv[++I];
-    else if (!std::strcmp(argv[I], "--no-supervise"))
-      NoSupervise = true;
-    else if (!std::strcmp(argv[I], "--smt-timeout") && I + 1 < argc)
-      SmtTimeoutMs =
-          static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
+    else if (!std::strcmp(argv[I], "--smt-timeout"))
+      NumOk = tools::numericFlag(argc, argv, I, SmtTimeoutMs);
     else if (!std::strcmp(argv[I], "--server") && I + 1 < argc) {
       ServerAddr = argv[++I];
       // An empty ADDR (typically an unset shell variable) must not
@@ -171,16 +221,12 @@ int run(int argc, char **argv) {
     }
     else if (!std::strcmp(argv[I], "--store") && I + 1 < argc)
       StoreDir = argv[++I];
-    else if (!std::strcmp(argv[I], "--format") && I + 1 < argc)
-      Format = argv[++I];
-    else if (!std::strcmp(argv[I], "--request") && I + 1 < argc)
-      RequestId =
-          static_cast<uint64_t>(std::strtoull(argv[++I], nullptr, 10));
-    else if (!std::strcmp(argv[I], "--retries") && I + 1 < argc)
-      Retry.MaxRetries =
-          static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
-    else if (!std::strcmp(argv[I], "--retry-base-ms") && I + 1 < argc)
-      Retry.BaseMs = std::strtol(argv[++I], nullptr, 10);
+    else if (!std::strcmp(argv[I], "--builtin") && I + 1 < argc)
+      Builtin = argv[++I];
+    else if (!std::strcmp(argv[I], "--retries"))
+      NumOk = tools::numericFlag(argc, argv, I, Retry.MaxRetries);
+    else if (!std::strcmp(argv[I], "--retry-base-ms"))
+      NumOk = tools::numericFlag(argc, argv, I, Retry.BaseMs);
     else if (!std::strcmp(argv[I], "--help") || !std::strcmp(argv[I], "-h")) {
       usage(argv[0]);
       return 0;
@@ -195,15 +241,31 @@ int run(int argc, char **argv) {
       usage(argv[0]);
       return ExitError;
     }
+    if (!NumOk)
+      return ExitError;
   }
-  if (File.empty()) {
+  if (File.empty() == Builtin.empty()) {
+    if (!File.empty())
+      std::fprintf(stderr, "error: give a file or --builtin NAME, not both\n");
     usage(argv[0]);
     return ExitError;
   }
-  // --verbose is the back-compat spelling of --log-level debug.
-  if (Verbose &&
-      static_cast<int>(Obs.Level) < static_cast<int>(obs::LogLevel::Debug))
-    Obs.Level = obs::LogLevel::Debug;
+  std::map<std::string, protocols::BundleFactory> Builtins = builtins();
+  auto BuiltinIt = Builtins.find(Builtin);
+  if (!Builtin.empty()) {
+    if (BuiltinIt == Builtins.end()) {
+      std::fprintf(stderr, "error: unknown built-in '%s'; valid names:\n",
+                   Builtin.c_str());
+      for (const auto &[Name, Make] : Builtins)
+        std::fprintf(stderr, "  %s\n", Name.c_str());
+      return ExitError;
+    }
+    if (!ServerAddr.empty()) {
+      std::fprintf(stderr, "error: --builtin runs locally only: a built-in "
+                           "bundle has no protocol text to send to --server\n");
+      return ExitError;
+    }
+  }
   resil::FaultPlan Faults;
   if (!FaultSpec.empty()) {
     std::string FErr;
@@ -213,46 +275,6 @@ int run(int argc, char **argv) {
       std::fprintf(stderr, "error: bad fault plan: %s\n", FErr.c_str());
       return ExitError;
     }
-  }
-
-  // -- Telemetry ops (thin client) -------------------------------------------
-  // `metrics` and `dump-trace` are daemon queries, not files: print the
-  // scrape (Prometheus text with --format prom) or the flight-recorder
-  // trace document and exit 0.
-  if (!ServerAddr.empty() && (File == "metrics" || File == "dump-trace")) {
-    bool Metrics = File == "metrics";
-    std::string Err;
-    auto A = serve::parseAddr(ServerAddr, &Err);
-    if (!A) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return ExitError;
-    }
-    serve::Json Req;
-    Req["op"] = serve::Json(Metrics ? "metrics" : "dump_trace");
-    if (!Format.empty())
-      Req["format"] = serve::Json(Format);
-    if (RequestId)
-      Req["request"] = serve::Json(RequestId);
-    serve::Client C;
-    serve::Json RespJ;
-    if (!C.connect(*A, Err) || !C.roundTrip(Req, RespJ, Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return ExitError;
-    }
-    if (!RespJ.get("ok").asBool()) {
-      std::fprintf(stderr, "error: %s\n",
-                   RespJ.get("error").asString().c_str());
-      return ExitError;
-    }
-    std::string Out;
-    if (Metrics && RespJ.get("format").asString() == "prom")
-      Out = RespJ.get("text").asString(); // Raw exposition, scrapeable.
-    else if (!Metrics)
-      Out = RespJ.get("trace").asString(); // Perfetto/JSONL document.
-    else
-      Out = RespJ.dump() + "\n";
-    std::fwrite(Out.data(), 1, Out.size(), stdout);
-    return 0;
   }
 
   // -- Thin-client mode ------------------------------------------------------
@@ -295,7 +317,6 @@ int run(int argc, char **argv) {
     Req.TimeBudget = TimeBudget;
     Req.MaxTuples = MaxTuples;
     Req.SmtTimeoutMs = SmtTimeoutMs;
-    Req.NoSupervise = NoSupervise;
     Req.Faults = FaultSpec;
     Req.JsonLine = Json;
     // Verify requests are idempotent by content hash, so connect
@@ -333,19 +354,26 @@ int run(int argc, char **argv) {
 
   std::unique_ptr<obs::Tracer> Tracer = Obs.makeTracer();
 
-  // One clock for all reported times: total_seconds spans parse through
-  // synthesis on this clock, so parse_seconds + synth_seconds <=
-  // total_seconds always holds in the JSON.
+  // One clock for all reported times: total_seconds spans parse (or
+  // bundle construction) through synthesis on this clock, so
+  // parse_seconds + synth_seconds <= total_seconds always holds in the
+  // JSON.
   auto T0 = std::chrono::steady_clock::now();
   logic::TermManager M;
-  front::LoadResult L = front::loadProtocolFile(
-      M, File, Tracer ? Tracer->worker(0) : nullptr);
-  if (!L.ok()) {
-    std::fprintf(stderr, "%s\n", L.Error->render().c_str());
-    return ExitError;
+  front::FrontBundle B;
+  if (!Builtin.empty()) {
+    B = BuiltinIt->second(M);
+    File = "builtin:" + Builtin; // Display name for the --json line.
+  } else {
+    front::LoadResult L = front::loadProtocolFile(
+        M, File, Tracer ? Tracer->worker(0) : nullptr);
+    if (!L.ok()) {
+      std::fprintf(stderr, "%s\n", L.Error->render().c_str());
+      return ExitError;
+    }
+    B = std::move(*L.Bundle);
   }
   double ParseSeconds = secondsSince(T0);
-  front::FrontBundle &B = *L.Bundle;
 
   std::string Header = serve::renderHeader(B.Sys->name(), B.Property);
   std::fwrite(Header.data(), 1, Header.size(), stdout);
@@ -380,18 +408,12 @@ int run(int argc, char **argv) {
     Store.loadReduceCache(RC);
   }
 
-  synth::SynthOptions Opts;
-  Opts.Shape = B.Shape;
-  Opts.QGuard = B.QGuard;
-  Opts.Reduce.Card.Venn = B.NeedsVenn;
-  Opts.Explicit = B.Explicit;
+  synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.Trace = Tracer.get();
-  Opts.Verbose = Verbose;
   Opts.NumWorkers = Workers;
   Opts.TimeBudgetSeconds = TimeBudget;
   if (MaxTuples)
     Opts.MaxTuples = MaxTuples;
-  Opts.Supervise.Enabled = !NoSupervise;
   if (SmtTimeoutMs)
     Opts.SmtTimeoutMs = SmtTimeoutMs;
   if (!Faults.empty())

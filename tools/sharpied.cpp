@@ -11,7 +11,7 @@
 //            [--queue-depth N] [--drain-timeout S] [--faults PLAN]
 //            [--log-level quiet|info|debug|trace]
 //            [--access-log FILE] [--slow-request-seconds S]
-//            [--flight-recorder N] [--no-telemetry]
+//            [--flight-recorder N]
 //
 //   sharpied --ctl ADDR --op status|health|cache_stats|metrics|dump_trace|
 //            shutdown [--format FMT] [--request ID]
@@ -33,12 +33,14 @@
 // line per finished request ("-" = stderr); --slow-request-seconds S
 // arms a watchdog that flags still-running requests past S seconds;
 // --flight-recorder N sets how many requests the bounded trace ring
-// retains (default 32, 0 disables event capture); --no-telemetry turns
-// the metrics registry and flight recorder off entirely (the
-// overhead-bench baseline). The `metrics` ctl op takes --format
-// json|prom (prom prints the raw Prometheus exposition); `dump_trace`
-// takes --format perfetto|jsonl and --request ID (0 = all) and prints
-// the trace document itself.
+// retains (default 32, 0 disables event capture); the metrics registry
+// is always on. `--ctl` is the one client for daemon operations: the
+// `metrics` op takes --format json|prom (prom prints the raw Prometheus
+// exposition); `dump_trace` takes --format perfetto|jsonl and --request
+// ID (0 = all) and prints the trace document itself.
+//
+// Every numeric flag value must be a non-negative number; anything else
+// exits 3 naming the flag (tools/Flags.h).
 //
 // The verify client side lives in the main CLI: `sharpie FILE --server
 // ADDR` ships the protocol text to a daemon and replays its byte-exact
@@ -51,9 +53,10 @@
 #include "serve/Client.h"
 #include "serve/Server.h"
 
+#include "Flags.h"
+
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -69,7 +72,7 @@ void usage(const char *Argv0) {
       "       [--queue-depth N] [--drain-timeout S] [--faults PLAN]\n"
       "       [--log-level quiet|info|debug|trace]\n"
       "       [--access-log FILE] [--slow-request-seconds S]\n"
-      "       [--flight-recorder N] [--no-telemetry]\n"
+      "       [--flight-recorder N]\n"
       "   or: %s --ctl ADDR --op status|health|cache_stats|metrics|"
       "dump_trace|shutdown\n"
       "       [--format json|prom|perfetto|jsonl] [--request ID]\n"
@@ -125,6 +128,7 @@ int run(int argc, char **argv) {
   uint64_t RequestId = 0;
   serve::ServerOptions SO;
   for (int I = 1; I < argc; ++I) {
+    bool NumOk = true;
     if (!std::strcmp(argv[I], "--listen") && I + 1 < argc)
       Listen = argv[++I];
     else if (!std::strcmp(argv[I], "--ctl") && I + 1 < argc)
@@ -133,35 +137,28 @@ int run(int argc, char **argv) {
       Op = argv[++I];
     else if (!std::strcmp(argv[I], "--format") && I + 1 < argc)
       Format = argv[++I];
-    else if (!std::strcmp(argv[I], "--request") && I + 1 < argc)
-      RequestId =
-          static_cast<uint64_t>(std::strtoull(argv[++I], nullptr, 10));
+    else if (!std::strcmp(argv[I], "--request"))
+      NumOk = tools::numericFlag(argc, argv, I, RequestId);
     else if (!std::strcmp(argv[I], "--store") && I + 1 < argc)
       SO.StoreDir = argv[++I];
-    else if (!std::strcmp(argv[I], "--request-workers") && I + 1 < argc)
-      SO.RequestWorkers =
-          static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
-    else if (!std::strcmp(argv[I], "--synth-workers") && I + 1 < argc)
-      SO.SynthWorkers =
-          static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
-    else if (!std::strcmp(argv[I], "--max-request-seconds") && I + 1 < argc)
-      SO.MaxRequestSeconds = std::strtod(argv[++I], nullptr);
-    else if (!std::strcmp(argv[I], "--queue-depth") && I + 1 < argc)
-      SO.QueueDepth =
-          static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
-    else if (!std::strcmp(argv[I], "--drain-timeout") && I + 1 < argc)
-      SO.DrainTimeoutSeconds = std::strtod(argv[++I], nullptr);
+    else if (!std::strcmp(argv[I], "--request-workers"))
+      NumOk = tools::numericFlag(argc, argv, I, SO.RequestWorkers);
+    else if (!std::strcmp(argv[I], "--synth-workers"))
+      NumOk = tools::numericFlag(argc, argv, I, SO.SynthWorkers);
+    else if (!std::strcmp(argv[I], "--max-request-seconds"))
+      NumOk = tools::numericFlag(argc, argv, I, SO.MaxRequestSeconds);
+    else if (!std::strcmp(argv[I], "--queue-depth"))
+      NumOk = tools::numericFlag(argc, argv, I, SO.QueueDepth);
+    else if (!std::strcmp(argv[I], "--drain-timeout"))
+      NumOk = tools::numericFlag(argc, argv, I, SO.DrainTimeoutSeconds);
     else if (!std::strcmp(argv[I], "--faults") && I + 1 < argc)
       SO.Faults = argv[++I];
     else if (!std::strcmp(argv[I], "--access-log") && I + 1 < argc)
       SO.AccessLogPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--slow-request-seconds") && I + 1 < argc)
-      SO.SlowRequestSeconds = std::strtod(argv[++I], nullptr);
-    else if (!std::strcmp(argv[I], "--flight-recorder") && I + 1 < argc)
-      SO.FlightCapacity =
-          static_cast<size_t>(std::strtoull(argv[++I], nullptr, 10));
-    else if (!std::strcmp(argv[I], "--no-telemetry"))
-      SO.Telemetry = false;
+    else if (!std::strcmp(argv[I], "--slow-request-seconds"))
+      NumOk = tools::numericFlag(argc, argv, I, SO.SlowRequestSeconds);
+    else if (!std::strcmp(argv[I], "--flight-recorder"))
+      NumOk = tools::numericFlag(argc, argv, I, SO.FlightCapacity);
     else if (!std::strcmp(argv[I], "--log-level") && I + 1 < argc) {
       std::string L = argv[++I];
       if (auto P = obs::parseLogLevel(L)) {
@@ -178,6 +175,8 @@ int run(int argc, char **argv) {
       usage(argv[0]);
       return front::ExitError;
     }
+    if (!NumOk)
+      return front::ExitError;
   }
 
   if (!Ctl.empty()) {

@@ -18,6 +18,12 @@ using logic::Subst;
 using logic::Term;
 using logic::TermManager;
 
+namespace {
+/// Axioms are generated for the first MaxDefs definitions only; the rest
+/// make the reduction incomplete (fewer axioms only weaken it).
+constexpr size_t MaxDefs = 48;
+} // namespace
+
 logic::Term sharpie::card::indicator(TermManager &M, Term Phi, Term K) {
   return M.mkOr(M.mkAnd(Phi, M.mkEq(K, M.mkInt(1))),
                 M.mkAnd(M.mkNot(Phi), M.mkEq(K, M.mkInt(0))));
@@ -141,8 +147,8 @@ AxiomEngine::emitNew(const std::vector<Term> &UpdateEqs,
   PartitionAll = Deferred != nullptr;
   size_t D0 = Deferred ? Deferred->size() : 0;
   size_t N = Reg.defs().size();
-  if (N > Opts.MaxDefs) {
-    N = Opts.MaxDefs;
+  if (N > MaxDefs) {
+    N = MaxDefs;
     Stats.Complete = false;
   }
   for (size_t I = 0; I < N; ++I) {
@@ -169,8 +175,7 @@ AxiomEngine::emitNew(const std::vector<Term> &UpdateEqs,
         continue;
       const CardDef &B = Reg.defs()[J];
       bool RelPair = RelA && relevant(B);
-      if (Opts.Pairwise &&
-          EmittedPairs.insert({A.K.id(), B.K.id()}).second) {
+      if (EmittedPairs.insert({A.K.id(), B.K.id()}).second) {
         if (RelPair) {
           size_t B0 = Out.size();
           size_t DB = Deferred ? Deferred->size() : 0;
@@ -375,7 +380,7 @@ void AxiomEngine::emitUpdate(const CardDef &A, const CardDef &B,
 
 void AxiomEngine::emitCover(const CardDef &A, const CardDef &B,
                             std::vector<Term> &Out) {
-  size_t N = std::min<size_t>(Reg.defs().size(), Opts.MaxDefs);
+  size_t N = std::min<size_t>(Reg.defs().size(), MaxDefs);
   for (size_t I = 0; I < N; ++I) {
     const CardDef &C = Reg.defs()[I];
     if (C.K == A.K || C.K == B.K)
@@ -408,7 +413,7 @@ void AxiomEngine::emitVenn(std::vector<Term> &Out) {
     if (PIndex.emplace(Conjunct, P.size()).second)
       P.push_back(Conjunct);
   };
-  size_t NDefs = std::min<size_t>(Reg.defs().size(), Opts.MaxDefs);
+  size_t NDefs = std::min<size_t>(Reg.defs().size(), MaxDefs);
   std::vector<std::vector<size_t>> DefConjuncts(NDefs);
   for (size_t I = 0; I < NDefs; ++I) {
     if (!relevant(Reg.defs()[I]))
@@ -424,7 +429,11 @@ void AxiomEngine::emitVenn(std::vector<Term> &Out) {
   }
   if (P.empty())
     return;
-  if (P.size() > Opts.MaxVennPreds) {
+  // Region enumeration is exponential in the predicate pool; past these
+  // caps the Venn axioms are skipped (incomplete, still sound).
+  constexpr size_t MaxVennPreds = 24;
+  constexpr size_t MaxVennRegions = 192;
+  if (P.size() > MaxVennPreds) {
     Stats.Complete = false;
     return;
   }
@@ -436,7 +445,7 @@ void AxiomEngine::emitVenn(std::vector<Term> &Out) {
   if (!Context.isNull())
     VennOracle->add(Context);
   bool Exhaustive = false;
-  while (Regions.size() <= Opts.MaxVennRegions) {
+  while (Regions.size() <= MaxVennRegions) {
     smt::SatResult R = VennOracle->check();
     if (R == smt::SatResult::Unsat) {
       Exhaustive = true;

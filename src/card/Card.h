@@ -93,8 +93,10 @@ private:
   std::map<logic::Term, logic::Term> Replacements;
 };
 
+/// Which axiom families to emit. CARD<= / CARD< between all def pairs are
+/// always on; the caps on definitions (48), Venn predicates (24) and Venn
+/// regions (192) are constants in Card.cpp.
 struct AxiomOptions {
-  bool Pairwise = true;     ///< CARD<= / CARD< between all def pairs.
   bool Update = true;       ///< CARD-UPD against store equations.
   bool Venn = false;        ///< Venn decomposition (paper Sec. 5.2).
   /// Lazy instantiation: emit axioms only for definitions whose counter
@@ -106,9 +108,6 @@ struct AxiomOptions {
   /// proof; a filtered Sat may be spurious and must be confirmed against
   /// the full axiom set (the synthesizer's recheck does so).
   bool RelevancyFilter = false;
-  unsigned MaxVennRegions = 192;
-  unsigned MaxVennPreds = 24;
-  unsigned MaxDefs = 48;    ///< Stop generating axioms beyond this many defs.
 };
 
 struct AxiomStats {

@@ -123,12 +123,18 @@ ReduceResult sharpie::engine::reduceToGround(
 
     std::vector<Term> TidAll = Primary;
     {
+      // Cap on axiom-witness constants added to the index set of the
+      // obligation's own universals. Each witness instance of a quantified
+      // invariant mints fresh cardinality definitions, so an uncapped set
+      // makes the reduction quadratic-by-round; truncation only weakens
+      // the reduction (sound).
+      constexpr unsigned MaxWitnessInstances = 32;
       std::set<Term> WitSet = quant::tidIndexTerms(AxiomConj);
       unsigned Added = 0;
       for (Term W : WitSet) {
         if (PrimarySet.count(W))
           continue;
-        if (Added++ >= Opts.MaxWitnessInstances) {
+        if (Added++ >= MaxWitnessInstances) {
           Res.Complete = false;
           break;
         }
@@ -279,17 +285,11 @@ inline uint64_t hashMix(uint64_t H, uint64_t V) {
 
 uint64_t sharpie::engine::reduceOptionsFingerprint(const ReduceOptions &O) {
   uint64_t H = 0;
-  H = hashMix(H, O.Card.Pairwise);
   H = hashMix(H, O.Card.Update);
   H = hashMix(H, O.Card.Venn);
   H = hashMix(H, O.Card.RelevancyFilter);
-  H = hashMix(H, O.Card.MaxVennRegions);
-  H = hashMix(H, O.Card.MaxVennPreds);
-  H = hashMix(H, O.Card.MaxDefs);
   H = hashMix(H, O.Expand.MaxInstantiations);
-  H = hashMix(H, O.Expand.MaxIntTerms);
   H = hashMix(H, O.MaxRounds);
-  H = hashMix(H, O.MaxWitnessInstances);
   H = hashMix(H, O.DeferManifest);
   return H;
 }
@@ -323,12 +323,7 @@ uint64_t sharpie::engine::ReduceCache::keyFor(
 
 const ReduceResult *sharpie::engine::ReduceCache::lookup(uint64_t Key) {
   auto It = Entries.find(Key);
-  if (It == Entries.end()) {
-    ++Misses;
-    return nullptr;
-  }
-  ++Hits;
-  return &It->second;
+  return It == Entries.end() ? nullptr : &It->second;
 }
 
 void sharpie::engine::ReduceCache::insert(uint64_t Key, ReduceResult R) {
@@ -376,11 +371,8 @@ std::optional<ReduceResult> sharpie::engine::ReduceCache::lookupShared(
   logic::TermTranslator In(*HostM);
   uint64_t Key = sharedKey(In, Psi, Opts, ExternalCounters, ExtraIndexTerms);
   auto It = Entries.find(Key);
-  if (It == Entries.end()) {
-    ++Misses;
+  if (It == Entries.end())
     return std::nullopt;
-  }
-  ++Hits;
   // Materialize in the consumer's manager. Every "!" variable in the
   // entry is a per-reduction freshVar mint (witness, skolem, card_k,
   // venn_r, ...); re-skolemizing it keeps this use disjoint from every
@@ -446,22 +438,6 @@ size_t sharpie::engine::ReduceCache::size() const {
     return Entries.size();
   }
   return Entries.size();
-}
-
-unsigned sharpie::engine::ReduceCache::hits() const {
-  if (Mu) {
-    std::lock_guard<std::mutex> Lock(*Mu);
-    return Hits;
-  }
-  return Hits;
-}
-
-unsigned sharpie::engine::ReduceCache::misses() const {
-  if (Mu) {
-    std::lock_guard<std::mutex> Lock(*Mu);
-    return Misses;
-  }
-  return Misses;
 }
 
 size_t sharpie::engine::ReduceCache::serializeShared(std::string &Out) const {

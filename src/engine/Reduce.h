@@ -39,12 +39,6 @@ struct ReduceOptions {
   card::AxiomOptions Card;
   quant::ExpandOptions Expand;
   unsigned MaxRounds = 3;
-  /// Cap on axiom-witness constants added to the index set of the
-  /// obligation's own universals. Each witness instance of a quantified
-  /// invariant mints fresh cardinality definitions, so an uncapped set
-  /// makes the reduction quadratic-by-round; truncation only weakens the
-  /// reduction (sound).
-  unsigned MaxWitnessInstances = 32;
   /// Model-guided refinement mode (the CEGAR instantiation loop in
   /// synth/Synth.cpp): run the *full* reduction pipeline -- every axiom
   /// family materialized, the full witness cascade, full instantiation
@@ -98,6 +92,11 @@ uint64_t reduceOptionsFingerprint(const ReduceOptions &Opts);
 /// is needed. Entries pin their ReduceResult terms alive through the
 /// manager, making hits a pure lookup.
 ///
+/// The cache keeps no hit/miss tally of its own: reduceToGroundCached
+/// counts "reduce_cache_hits"/"reduce_cache_misses" on the caller's trace
+/// buffer, so a run's SynthStats::CacheHits/CacheMisses are that run's
+/// lookups even when one cache serves concurrent daemon requests.
+///
 /// When do hits occur? NOT within one synthesis run: the ranked tuple
 /// enumeration is duplicate-free and every clause formula embeds its
 /// tuple's measurement terms, so each of a run's reduction inputs is
@@ -111,8 +110,7 @@ uint64_t reduceOptionsFingerprint(const ReduceOptions &Opts);
 /// zero-hit single-run expectation and the cross-run hit path.
 class ReduceCache {
 public:
-  /// Returns the cached result for the key, or nullptr. Counts a hit or a
-  /// miss accordingly.
+  /// Returns the cached result for the key, or nullptr.
   const ReduceResult *lookup(uint64_t Key);
   void insert(uint64_t Key, ReduceResult R);
 
@@ -122,11 +120,6 @@ public:
          const std::vector<std::pair<logic::Term, logic::Term>>
              &ExternalCounters,
          const std::vector<logic::Term> &ExtraIndexTerms);
-
-  /// Hit/miss tallies. In shared mode these take the cache mutex, so a
-  /// cache_stats probe may race live workers safely.
-  unsigned hits() const;
-  unsigned misses() const;
 
   /// Flips the cache into shared (cross-manager) mode for the parallel
   /// search. Entries move into a private TermManager owned by the cache,
@@ -143,7 +136,7 @@ public:
   /// variable ("!" names: witnesses, skolems, k/venn counters)
   /// re-skolemized through M.freshVar, so two entries -- or one entry hit
   /// twice -- can never alias skolems inside one solver context.
-  /// Thread-safe; counts a hit or a miss.
+  /// Thread-safe.
   std::optional<ReduceResult>
   lookupShared(logic::TermManager &M, logic::Term Psi,
                const ReduceOptions &Opts,
@@ -201,10 +194,8 @@ private:
   std::map<uint64_t, ReduceResult> Entries;
   /// Shared mode only: key material per entry, same keys as Entries.
   std::map<uint64_t, SharedKey> KeyParts;
-  unsigned Hits = 0;
-  unsigned Misses = 0;
-  /// Non-null exactly in shared mode. The mutex guards Entries, KeyParts,
-  /// the counters, and every translation touching HostM.
+  /// Non-null exactly in shared mode. The mutex guards Entries, KeyParts
+  /// and every translation touching HostM.
   std::unique_ptr<logic::TermManager> HostM;
   std::unique_ptr<std::mutex> Mu;
 };
@@ -231,7 +222,8 @@ reduceToGround(logic::TermManager &M, logic::Term Psi,
 /// Memoizing front end to reduceToGround. \p Cache may be null (plain
 /// call). On a hit the cached ReduceResult is returned without touching
 /// the oracle; on a miss the reduction runs and the result is stored.
-/// \p Trace additionally counts "reduce_cache_hits"/"reduce_cache_misses".
+/// \p Trace additionally counts "reduce_cache_hits"/"reduce_cache_misses"
+/// -- the only tally of the cache's traffic.
 ReduceResult
 reduceToGroundCached(ReduceCache *Cache, logic::TermManager &M,
                      logic::Term Psi, const ReduceOptions &Opts,

@@ -15,7 +15,7 @@ using namespace sharpie::obs;
 bool CliObs::parseArg(int argc, char **argv, int &I, std::string &Err) {
   auto Value = [&](const char *Flag) -> const char * {
     if (I + 1 >= argc) {
-      Err = std::string("missing value for ") + Flag;
+      Err = std::string(Flag) + " needs a value";
       return nullptr;
     }
     return argv[++I];

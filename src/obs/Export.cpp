@@ -44,81 +44,125 @@ std::string sharpie::obs::jsonEscape(const std::string &S) {
   return Out;
 }
 
-void sharpie::obs::writeChromeTrace(const Tracer &T, FILE *Out) {
+namespace {
+
+/// A timestamp as every row prints it: microseconds, three decimals.
+std::string micros(double Us) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.3f", Us);
+  return Buf;
+}
+
+const char *kindName(EventKind K) {
+  switch (K) {
+  case EventKind::SpanBegin:
+    return "begin";
+  case EventKind::SpanEnd:
+    return "end";
+  case EventKind::Counter:
+    return "counter";
+  case EventKind::Instant:
+    return "instant";
+  }
+  return "?";
+}
+
+/// One Chrome trace-event object for \p E on process \p Pid.
+std::string chromeEvent(const Event &E, uint64_t Pid) {
+  static const char Phase[] = {'B', 'E', 'C', 'i'}; // By EventKind.
+  std::string Out = std::string("{\"ph\":\"") +
+                    Phase[static_cast<int>(E.Kind)] +
+                    "\",\"pid\":" + std::to_string(Pid) +
+                    ",\"tid\":" + std::to_string(E.Worker) +
+                    ",\"ts\":" + micros(E.TimeUs) + ",";
+  std::string Name = jsonEscape(E.Name);
+  switch (E.Kind) {
+  case EventKind::SpanBegin:
+    Out += "\"cat\":\"sharpie\",\"name\":\"" + Name + "\"";
+    if (!E.Detail.empty())
+      Out += ",\"args\":{\"detail\":\"" + jsonEscape(E.Detail) + "\"}";
+    return Out + "}";
+  case EventKind::SpanEnd:
+    return Out + "\"cat\":\"sharpie\",\"name\":\"" + Name + "\"}";
+  case EventKind::Counter:
+    // Per-worker counter tracks: suffix the name with the rank so the
+    // running totals do not overwrite each other in the viewer.
+    return Out + "\"name\":\"" + Name + " (w" + std::to_string(E.Worker) +
+           ")\",\"args\":{\"value\":" + std::to_string(E.Value) + "}}";
+  case EventKind::Instant:
+    return Out + "\"s\":\"t\",\"name\":\"" + Name +
+           "\",\"args\":{\"detail\":\"" + jsonEscape(E.Detail) +
+           "\",\"value\":" + std::to_string(E.Value) + "}}";
+  }
+  return Out;
+}
+
+/// One JSON Lines record for \p E, led by "request": Pid when \p Request.
+std::string jsonlEvent(const Event &E, bool Request, uint64_t Pid) {
+  return std::string("{") +
+         (Request ? "\"request\":" + std::to_string(Pid) + "," : "") +
+         "\"kind\":\"" + kindName(E.Kind) +
+         "\",\"worker\":" + std::to_string(E.Worker) + ",\"name\":\"" +
+         jsonEscape(E.Name) + "\",\"detail\":\"" + jsonEscape(E.Detail) +
+         "\",\"value\":" + std::to_string(E.Value) +
+         ",\"ts_us\":" + micros(E.TimeUs) + "}\n";
+}
+
+void writeRun(const Tracer &T, TraceFormat Format, FILE *Out) {
   std::vector<Event> Events = T.mergedEvents();
-  std::fprintf(Out, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-  bool First = true;
-  auto Sep = [&] {
-    std::fprintf(Out, First ? "\n" : ",\n");
-    First = false;
+  TraceProcess P;
+  P.Events = &Events;
+  writeTraceDocument({P}, Format, [Out](const std::string &S) {
+    std::fwrite(S.data(), 1, S.size(), Out);
+  });
+}
+
+} // namespace
+
+void sharpie::obs::writeTraceDocument(
+    const std::vector<TraceProcess> &Procs, TraceFormat Format,
+    const std::function<void(const std::string &)> &Emit) {
+  if (Format == TraceFormat::Jsonl) {
+    for (const TraceProcess &P : Procs)
+      for (const Event &E : *P.Events)
+        Emit(jsonlEvent(E, !P.Label.empty(), P.Pid));
+    return;
+  }
+  Emit("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+  const char *Sep = "\n";
+  auto Row = [&](const std::string &Obj) {
+    Emit(Sep + Obj);
+    Sep = ",\n";
   };
-  // Name each worker's track; ranks appear in ascending order so Perfetto
-  // lists the driver (rank 0) first.
-  std::set<uint32_t> Ranks;
-  for (const Event &E : Events)
-    Ranks.insert(E.Worker);
-  for (uint32_t R : Ranks) {
-    Sep();
-    std::fprintf(Out,
-                 "{\"ph\":\"M\",\"pid\":1,\"tid\":%u,\"name\":"
-                 "\"thread_name\",\"args\":{\"name\":\"worker %u\"}}",
-                 R, R);
-  }
-  for (const Event &E : Events) {
-    Sep();
-    switch (E.Kind) {
-    case EventKind::SpanBegin:
-      std::fprintf(Out,
-                   "{\"ph\":\"B\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
-                   "\"cat\":\"sharpie\",\"name\":\"%s\"",
-                   E.Worker, E.TimeUs, jsonEscape(E.Name).c_str());
-      if (!E.Detail.empty())
-        std::fprintf(Out, ",\"args\":{\"detail\":\"%s\"}",
-                     jsonEscape(E.Detail).c_str());
-      std::fprintf(Out, "}");
-      break;
-    case EventKind::SpanEnd:
-      std::fprintf(Out,
-                   "{\"ph\":\"E\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
-                   "\"cat\":\"sharpie\",\"name\":\"%s\"}",
-                   E.Worker, E.TimeUs, jsonEscape(E.Name).c_str());
-      break;
-    case EventKind::Counter:
-      // Per-worker counter tracks: suffix the name with the rank so the
-      // running totals do not overwrite each other in the viewer.
-      std::fprintf(Out,
-                   "{\"ph\":\"C\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
-                   "\"name\":\"%s (w%u)\",\"args\":{\"value\":%lld}}",
-                   E.Worker, E.TimeUs, jsonEscape(E.Name).c_str(), E.Worker,
-                   static_cast<long long>(E.Value));
-      break;
-    case EventKind::Instant:
-      std::fprintf(Out,
-                   "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
-                   "\"s\":\"t\",\"name\":\"%s\",\"args\":{\"detail\":\"%s\","
-                   "\"value\":%lld}}",
-                   E.Worker, E.TimeUs, jsonEscape(E.Name).c_str(),
-                   jsonEscape(E.Detail).c_str(),
-                   static_cast<long long>(E.Value));
-      break;
+  for (const TraceProcess &P : Procs) {
+    std::string Pid = std::to_string(P.Pid);
+    if (!P.Label.empty()) {
+      Row("{\"ph\":\"M\",\"pid\":" + Pid +
+          ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"" +
+          jsonEscape(P.Label) + "\"}}");
+    } else {
+      // Name each worker's track; ranks appear in ascending order so
+      // Perfetto lists the driver (rank 0) first.
+      std::set<uint32_t> Ranks;
+      for (const Event &E : *P.Events)
+        Ranks.insert(E.Worker);
+      for (uint32_t R : Ranks)
+        Row("{\"ph\":\"M\",\"pid\":" + Pid + ",\"tid\":" + std::to_string(R) +
+            ",\"name\":\"thread_name\",\"args\":{\"name\":\"worker " +
+            std::to_string(R) + "\"}}");
     }
+    for (const Event &E : *P.Events)
+      Row(chromeEvent(E, P.Pid));
   }
-  std::fprintf(Out, "\n]}\n");
+  Emit("\n]}\n");
+}
+
+void sharpie::obs::writeChromeTrace(const Tracer &T, FILE *Out) {
+  writeRun(T, TraceFormat::Chrome, Out);
 }
 
 void sharpie::obs::writeJsonl(const Tracer &T, FILE *Out) {
-  for (const Event &E : T.mergedEvents()) {
-    const char *Kind = E.Kind == EventKind::SpanBegin  ? "begin"
-                       : E.Kind == EventKind::SpanEnd  ? "end"
-                       : E.Kind == EventKind::Counter  ? "counter"
-                                                       : "instant";
-    std::fprintf(Out,
-                 "{\"kind\":\"%s\",\"worker\":%u,\"name\":\"%s\","
-                 "\"detail\":\"%s\",\"value\":%lld,\"ts_us\":%.3f}\n",
-                 Kind, E.Worker, jsonEscape(E.Name).c_str(),
-                 jsonEscape(E.Detail).c_str(),
-                 static_cast<long long>(E.Value), E.TimeUs);
-  }
+  writeRun(T, TraceFormat::Jsonl, Out);
 }
 
 std::vector<std::string> sharpie::obs::eventSkeleton(const Tracer &T) {

@@ -8,8 +8,6 @@
 
 #include "obs/Export.h"
 
-#include <cstdio>
-
 using namespace sharpie;
 using namespace sharpie::obs;
 
@@ -73,123 +71,35 @@ size_t FlightRecorder::memoryCeilingBytes() const {
 
 namespace {
 
-void appendEscaped(std::string &Out, const char *S) {
-  Out += jsonEscape(S);
-}
-
-const char *kindName(EventKind K) {
-  switch (K) {
-  case EventKind::SpanBegin:
-    return "begin";
-  case EventKind::SpanEnd:
-    return "end";
-  case EventKind::Counter:
-    return "counter";
-  case EventKind::Instant:
-    return "instant";
+std::string renderFlight(const std::vector<FlightRecord> &Records,
+                         TraceFormat Format) {
+  std::vector<TraceProcess> Procs;
+  for (const FlightRecord &R : Records) {
+    // Name the process after the request so the Perfetto track list reads
+    // "r17 verified (a1b2c3...)".
+    TraceProcess P;
+    P.Pid = R.RequestId;
+    P.Label = "r" + std::to_string(R.RequestId);
+    if (!R.Outcome.empty())
+      P.Label += " " + R.Outcome;
+    if (!R.Hash.empty())
+      P.Label += " (" + R.Hash.substr(0, 12) + ")";
+    P.Events = &R.Events;
+    Procs.push_back(std::move(P));
   }
-  return "?";
+  std::string Out;
+  writeTraceDocument(Procs, Format, [&Out](const std::string &S) { Out += S; });
+  return Out;
 }
 
 } // namespace
 
 std::string
 sharpie::obs::renderFlightTrace(const std::vector<FlightRecord> &Records) {
-  std::string Out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  char Buf[256];
-  bool First = true;
-  auto Sep = [&] {
-    Out += First ? "\n" : ",\n";
-    First = false;
-  };
-  for (const FlightRecord &R : Records) {
-    unsigned long long Pid = R.RequestId;
-    // Name the process after the request so the Perfetto track list reads
-    // "r17 verified (a1b2c3...)".
-    Sep();
-    std::string PName = "r" + std::to_string(R.RequestId);
-    if (!R.Outcome.empty())
-      PName += " " + R.Outcome;
-    if (!R.Hash.empty())
-      PName += " (" + R.Hash.substr(0, 12) + ")";
-    std::snprintf(Buf, sizeof(Buf),
-                  "{\"ph\":\"M\",\"pid\":%llu,\"tid\":0,\"name\":"
-                  "\"process_name\",\"args\":{\"name\":\"",
-                  Pid);
-    Out += Buf;
-    Out += jsonEscape(PName) + "\"}}";
-    for (const Event &E : R.Events) {
-      Sep();
-      switch (E.Kind) {
-      case EventKind::SpanBegin:
-        std::snprintf(Buf, sizeof(Buf),
-                      "{\"ph\":\"B\",\"pid\":%llu,\"tid\":%u,\"ts\":%.3f,"
-                      "\"cat\":\"sharpie\",\"name\":\"",
-                      Pid, E.Worker, E.TimeUs);
-        Out += Buf;
-        appendEscaped(Out, E.Name);
-        Out += "\"";
-        if (!E.Detail.empty())
-          Out += ",\"args\":{\"detail\":\"" + jsonEscape(E.Detail) + "\"}";
-        Out += "}";
-        break;
-      case EventKind::SpanEnd:
-        std::snprintf(Buf, sizeof(Buf),
-                      "{\"ph\":\"E\",\"pid\":%llu,\"tid\":%u,\"ts\":%.3f,"
-                      "\"cat\":\"sharpie\",\"name\":\"",
-                      Pid, E.Worker, E.TimeUs);
-        Out += Buf;
-        appendEscaped(Out, E.Name);
-        Out += "\"}";
-        break;
-      case EventKind::Counter:
-        std::snprintf(Buf, sizeof(Buf),
-                      "{\"ph\":\"C\",\"pid\":%llu,\"tid\":%u,\"ts\":%.3f,"
-                      "\"name\":\"",
-                      Pid, E.Worker, E.TimeUs);
-        Out += Buf;
-        appendEscaped(Out, E.Name);
-        std::snprintf(Buf, sizeof(Buf),
-                      " (w%u)\",\"args\":{\"value\":%lld}}", E.Worker,
-                      static_cast<long long>(E.Value));
-        Out += Buf;
-        break;
-      case EventKind::Instant:
-        std::snprintf(Buf, sizeof(Buf),
-                      "{\"ph\":\"i\",\"pid\":%llu,\"tid\":%u,\"ts\":%.3f,"
-                      "\"s\":\"t\",\"name\":\"",
-                      Pid, E.Worker, E.TimeUs);
-        Out += Buf;
-        appendEscaped(Out, E.Name);
-        Out += "\",\"args\":{\"detail\":\"" + jsonEscape(E.Detail) + "\"";
-        std::snprintf(Buf, sizeof(Buf), ",\"value\":%lld}}",
-                      static_cast<long long>(E.Value));
-        Out += Buf;
-        break;
-      }
-    }
-  }
-  Out += "\n]}\n";
-  return Out;
+  return renderFlight(Records, TraceFormat::Chrome);
 }
 
 std::string
 sharpie::obs::renderFlightJsonl(const std::vector<FlightRecord> &Records) {
-  std::string Out;
-  char Buf[256];
-  for (const FlightRecord &R : Records)
-    for (const Event &E : R.Events) {
-      std::snprintf(Buf, sizeof(Buf),
-                    "{\"request\":%llu,\"kind\":\"%s\",\"worker\":%u,"
-                    "\"name\":\"",
-                    static_cast<unsigned long long>(R.RequestId),
-                    kindName(E.Kind), E.Worker);
-      Out += Buf;
-      appendEscaped(Out, E.Name);
-      Out += "\",\"detail\":\"" + jsonEscape(E.Detail) + "\"";
-      std::snprintf(Buf, sizeof(Buf), ",\"value\":%lld,\"ts_us\":%.3f}\n",
-                    static_cast<long long>(E.Value), E.TimeUs);
-      Out += Buf;
-    }
-  return Out;
+  return renderFlight(Records, TraceFormat::Jsonl);
 }

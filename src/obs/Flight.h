@@ -89,7 +89,8 @@ private:
 /// Renders \p Records as one Chrome trace-event / Perfetto JSON document:
 /// pid = request id (with process_name metadata naming the request and
 /// its outcome), tid = worker rank, ts relative to each request's
-/// arrival. Loadable in ui.perfetto.dev.
+/// arrival. Loadable in ui.perfetto.dev. Both renderers here are callers
+/// of obs::writeTraceDocument (obs/Export.h), the one event formatter.
 std::string renderFlightTrace(const std::vector<FlightRecord> &Records);
 
 /// Renders \p Records as JSON Lines, one event per line, each carrying

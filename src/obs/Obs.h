@@ -19,10 +19,14 @@
 // Timestamps are recorded for the trace exporters but are excluded from
 // the deterministic skeleton the golden tests pin (obs/Export.h).
 //
-// Zero-overhead path: all emission goes through a nullable TraceBuffer
-// pointer. With no tracer configured the pointer is null and every span,
-// counter, histogram and log macro reduces to one branch -- no allocation,
-// no lock, no clock read (verified by bench/bench_obs.cpp).
+// Costs: synth::synthesize always records metrics -- without a caller's
+// tracer it runs on a private quiet one, because the counters are the only
+// tally of the counts it reports (synth/Synth.h). Events and log lines stay
+// opt-in: with events off a span is one flag test and its lazy detail is
+// never rendered. Outside a synthesis emission goes through a nullable
+// TraceBuffer pointer, and a null pointer makes every span, counter,
+// histogram and log macro one branch -- no allocation, no lock, no clock
+// read (verified by bench/bench_obs.cpp).
 //
 //===----------------------------------------------------------------------===//
 

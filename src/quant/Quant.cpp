@@ -210,9 +210,10 @@ ExpandResult sharpie::quant::expandForalls(TermManager &M, Term T,
                                            const std::vector<Term> &IntTerms,
                                            const ExpandOptions &Opts) {
   ExpandResult R;
+  constexpr size_t MaxIntTerms = 24; // Cap on Int-sorted index terms.
   std::vector<Term> BoundedInt = IntTerms;
-  if (BoundedInt.size() > Opts.MaxIntTerms) {
-    BoundedInt.resize(Opts.MaxIntTerms);
+  if (BoundedInt.size() > MaxIntTerms) {
+    BoundedInt.resize(MaxIntTerms);
     R.Complete = false;
   }
   R.Formula = Expander(M, TidTerms, BoundedInt, Opts, R)

@@ -48,7 +48,6 @@ SkolemResult skolemize(logic::TermManager &M, logic::Term T);
 
 struct ExpandOptions {
   unsigned MaxInstantiations = 20000; ///< Total budget of binder instances.
-  unsigned MaxIntTerms = 24;          ///< Cap on Int-sorted index terms.
   /// Partitioned expansion (model-guided refinement mode): every universal
   /// at a conjunctive position is expanded over the full domain, and each
   /// instance is routed either into the returned formula (the core) or

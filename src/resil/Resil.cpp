@@ -44,17 +44,13 @@ FailureClass sharpie::resil::classifyUnknownReason(std::string_view Reason) {
 
 SupervisedSolver::SupervisedSolver(
     std::unique_ptr<smt::SmtSolver> Primary, Factory Fallback,
-    SupervisionOptions Opts, ResilCounters *Sink, FaultInjector *Faults,
-    const char *Site, obs::TraceBuffer *TB,
-    std::chrono::steady_clock::time_point Deadline)
+    SupervisionOptions Opts, FaultInjector *Faults, const char *Site,
+    obs::TraceBuffer *TB, std::chrono::steady_clock::time_point Deadline)
     : Primary(std::move(Primary)), MakeFallback(std::move(Fallback)),
-      Opts(Opts), Sink(Sink), Faults(Faults), Site(Site), TB(TB),
-      Deadline(Deadline) {}
+      Opts(Opts), Faults(Faults), Site(Site), TB(TB), Deadline(Deadline) {}
 
-void SupervisedSolver::bump(uint64_t ResilCounters::*Field, const char *Ctr) {
-  if (Sink)
-    ++(Sink->*Field);
-  if (TB && Ctr)
+void SupervisedSolver::bump(const char *Ctr) {
+  if (TB)
     TB->counter(Ctr, 1);
 }
 
@@ -130,20 +126,20 @@ SatResult SupervisedSolver::checkOnce(smt::SmtSolver &S, unsigned EffTimeoutMs,
     case FaultKind::None:
       break;
     case FaultKind::Latency:
-      bump(&ResilCounters::FaultsInjected, "faults_injected");
+      bump("faults_injected");
       std::this_thread::sleep_for(std::chrono::milliseconds(D.LatencyMs));
       break;
     case FaultKind::Throw:
-      bump(&ResilCounters::FaultsInjected, "faults_injected");
+      bump("faults_injected");
       throw InjectedFault(EffSite);
     case FaultKind::Timeout:
       // An injected timeout is indistinguishable from a real one to the
       // retry loop: it is retried with backoff and may be rescued.
-      bump(&ResilCounters::FaultsInjected, "faults_injected");
+      bump("faults_injected");
       Class = FailureClass::Timeout;
       return SatResult::Unknown;
     case FaultKind::Unknown:
-      bump(&ResilCounters::FaultsInjected, "faults_injected");
+      bump("faults_injected");
       Class = FailureClass::InjectedFault;
       return SatResult::Unknown;
     }
@@ -158,7 +154,7 @@ SatResult SupervisedSolver::checkOnce(smt::SmtSolver &S, unsigned EffTimeoutMs,
   } catch (const std::exception &) {
     // Both back ends contain their own exceptions; this catches a truly
     // misbehaving solver so one check cannot abort the search.
-    bump(&ResilCounters::SolverExceptions, nullptr);
+    bump("solver_exceptions");
     Class = FailureClass::SolverException;
     return SatResult::Unknown;
   }
@@ -240,10 +236,10 @@ SupervisedSolver::checkSupervised(const std::vector<logic::Term> *A) {
       return R;
     }
     if (Class == FailureClass::Timeout)
-      bump(&ResilCounters::UnknownTimeout, nullptr);
+      bump("unknown_timeouts");
     else if (Class == FailureClass::Incomplete ||
              Class == FailureClass::InjectedFault)
-      bump(&ResilCounters::UnknownIncomplete, nullptr);
+      bump("unknown_incomplete");
     // Only timeout-class Unknowns are worth retrying on the same back
     // end: incompleteness is deterministic in the query.
     if (Class != FailureClass::Timeout || Attempt >= MaxRetries)
@@ -253,14 +249,14 @@ SupervisedSolver::checkSupervised(const std::vector<logic::Term> *A) {
       Class = FailureClass::BudgetExhausted;
       break;
     }
-    bump(&ResilCounters::Retries, "retries");
+    bump("retries");
     Slice = Slice > 0 ? Slice * BackoffFactor : Slice;
   }
 
   if (MakeFallback && Class != FailureClass::BudgetExhausted) {
     Rem = remainingBudgetMs();
     if (Rem > 0) {
-      bump(&ResilCounters::Fallbacks, "fallbacks");
+      bump("fallbacks");
       Fallback = MakeFallback();
       replayInto(*Fallback);
       FailureClass FbClass = FailureClass::None;
@@ -271,10 +267,10 @@ SupervisedSolver::checkSupervised(const std::vector<logic::Term> *A) {
         return R;
       }
       if (FbClass == FailureClass::Timeout)
-        bump(&ResilCounters::UnknownTimeout, nullptr);
+        bump("unknown_timeouts");
       else if (FbClass == FailureClass::Incomplete ||
                FbClass == FailureClass::InjectedFault)
-        bump(&ResilCounters::UnknownIncomplete, nullptr);
+        bump("unknown_incomplete");
     } else {
       Class = FailureClass::BudgetExhausted;
     }

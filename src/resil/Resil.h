@@ -17,9 +17,10 @@
 //   * escalates to the other back end (Z3 <-> MiniSolver) after the
 //     retry is spent, replaying the recorded assertion trail into a
 //     fresh solver (a null fallback factory disables this);
-//   * counts every retry / fallback / injected fault into the obs layer
-//     ("retries", "fallbacks", "faults_injected") and a ResilCounters
-//     sink the synthesizer folds into SynthStats.
+//   * counts every retry, fallback, injected fault and Unknown class on
+//     its trace buffer ("retries", "fallbacks", "faults_injected",
+//     "unknown_timeouts", "unknown_incomplete", "solver_exceptions"),
+//     the one tally the synthesizer derives its SynthStats counts from.
 //
 // Soundness is untouched: the wrapper only ever converts an Unknown into
 // a Sat/Unsat obtained from a real solver run over the same assertions,
@@ -57,18 +58,6 @@ enum class FailureClass : uint8_t {
 
 const char *failureClassName(FailureClass C);
 
-/// Retry / fallback / failure-class tallies, merged into SynthStats at
-/// the end of a run. One sink per worker (single-writer, like the trace
-/// buffers); the driver folds them.
-struct ResilCounters {
-  uint64_t Retries = 0;
-  uint64_t Fallbacks = 0;
-  uint64_t FaultsInjected = 0;
-  uint64_t UnknownTimeout = 0;
-  uint64_t UnknownIncomplete = 0;
-  uint64_t SolverExceptions = 0;
-};
-
 struct SupervisionOptions {
   /// Disabled reproduces the bare back end: the reference the chaos
   /// tests compare supervised runs against. The drivers always supervise.
@@ -83,14 +72,13 @@ class SupervisedSolver final : public smt::SmtSolver {
 public:
   using Factory = std::function<std::unique_ptr<smt::SmtSolver>()>;
 
-  /// \p Fallback may be null (no escalation). \p Sink, \p Faults and
-  /// \p TB may be null. \p Deadline is the global search deadline
-  /// (time_point::max() when unbudgeted); per-check timeouts are clamped
-  /// to the time remaining before it.
+  /// \p Fallback may be null (no escalation). \p Faults and \p TB may be
+  /// null; without \p TB nothing is counted. \p Deadline is the global
+  /// search deadline (time_point::max() when unbudgeted); per-check
+  /// timeouts are clamped to the time remaining before it.
   SupervisedSolver(std::unique_ptr<smt::SmtSolver> Primary, Factory Fallback,
-                   SupervisionOptions Opts, ResilCounters *Sink,
-                   FaultInjector *Faults, const char *Site,
-                   obs::TraceBuffer *TB,
+                   SupervisionOptions Opts, FaultInjector *Faults,
+                   const char *Site, obs::TraceBuffer *TB,
                    std::chrono::steady_clock::time_point Deadline);
 
   void push() override;
@@ -127,7 +115,8 @@ private:
   void applyTimeout(smt::SmtSolver &S, unsigned Ms, unsigned &Applied);
   void replayInto(smt::SmtSolver &S);
   long long remainingBudgetMs() const;
-  void bump(uint64_t ResilCounters::*Field, const char *Ctr);
+  /// Adds 1 to counter \p Ctr on the trace buffer.
+  void bump(const char *Ctr);
 
   std::unique_ptr<smt::SmtSolver> Primary;
   Factory MakeFallback;
@@ -139,7 +128,6 @@ private:
   /// The solver that produced the last Sat answer; model() reads it.
   smt::SmtSolver *Answered = nullptr;
   SupervisionOptions Opts;
-  ResilCounters *Sink;
   FaultInjector *Faults;
   const char *Site;
   obs::TraceBuffer *TB;

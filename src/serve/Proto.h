@@ -13,7 +13,9 @@
 //                 "cache_lookup_seconds":F,"server_seconds":F}
 //   status       -> uptime, requests in flight / served, workers,
 //                   cumulative ctr_* sums, store-tier hit/miss traffic
-//   cache_stats  -> StoreStats + tier-2 entry count
+//                   (t2_hits/t2_misses: the finished requests'
+//                   reduce_cache_* counters, summed)
+//   cache_stats  -> StoreStats + tier-2 entry count and t2_hits/t2_misses
 //   metrics      {"op":"metrics","format":"json|prom"} -> cumulative
 //                   outcome x cache-tier request counts/seconds, counter
 //                   sums, merged histograms and server gauges; "prom"

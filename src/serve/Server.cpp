@@ -718,8 +718,8 @@ Json Server::statusJson() const {
   J["ctr_tuples_skipped"] = Json(Registry.counterSum("tuples_skipped"));
   J["t1_hits"] = Json(SS.T1Hits);
   J["t1_misses"] = Json(SS.T1Misses);
-  J["t2_hits"] = Json(RC.hits());
-  J["t2_misses"] = Json(RC.misses());
+  J["t2_hits"] = Json(Registry.counterSum("reduce_cache_hits"));
+  J["t2_misses"] = Json(Registry.counterSum("reduce_cache_misses"));
   J["slow_requests"] = Json(SlowRequests.load());
   J["draining"] = Json(DrainingFlag.load());
   J["admitted"] = Json(Admitted.load());
@@ -764,8 +764,9 @@ Json Server::cacheStatsJson() const {
   J["t2_loaded"] = Json(S.T2Entries);
   J["t2_corrupt"] = Json(S.T2Corrupt);
   J["t2_live_entries"] = Json(static_cast<uint64_t>(RC.size()));
-  J["t2_hits"] = Json(RC.hits());
-  J["t2_misses"] = Json(RC.misses());
+  // Summed over the recorded requests, like the status op's ctr_* fields.
+  J["t2_hits"] = Json(Registry.counterSum("reduce_cache_hits"));
+  J["t2_misses"] = Json(Registry.counterSum("reduce_cache_misses"));
   return J;
 }
 

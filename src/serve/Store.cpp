@@ -33,7 +33,7 @@ using namespace sharpie::serve;
 namespace {
 
 constexpr const char *T1Magic = "sharpie-store-t1 v1";
-constexpr const char *T2Magic = "sharpie-store-t2 v2";
+constexpr const char *T2Magic = "sharpie-store-t2 v3";
 
 bool makeDir(const std::string &Path) {
   return ::mkdir(Path.c_str(), 0755) == 0 || errno == EEXIST;

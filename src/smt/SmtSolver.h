@@ -105,14 +105,13 @@ std::unique_ptr<SmtSolver> makeMiniSolver(logic::TermManager &M);
 Validity checkValid(SmtSolver &S, logic::TermManager &M, logic::Term T);
 
 /// Instrumented check(): wraps the call in an "smt_check" span on \p Trace
-/// (no-op when null), samples the latency into the global "smt_ms"
-/// histogram and, when \p PhaseHist is non-null, into that per-phase
-/// histogram too (e.g. "smt_ms.houdini"). \p Detail annotates the span.
+/// (which must not be null), counts it in "smt_checks", samples the
+/// latency into the global "smt_ms" histogram and, when \p PhaseHist is
+/// non-null, into that per-phase histogram too (e.g. "smt_ms.houdini").
+/// \p Detail annotates the span.
 inline SatResult checkTraced(SmtSolver &S, obs::TraceBuffer *Trace,
                              const char *PhaseHist = nullptr,
                              const char *Detail = "") {
-  if (!Trace)
-    return S.check();
   obs::Span Sp(Trace, "smt_check", [&] { return std::string(Detail); });
   auto T0 = std::chrono::steady_clock::now();
   SatResult R = S.check();
@@ -133,8 +132,6 @@ inline SatResult checkAssumingTraced(SmtSolver &S,
                                      obs::TraceBuffer *Trace,
                                      const char *PhaseHist = nullptr,
                                      const char *Detail = "") {
-  if (!Trace)
-    return S.checkAssuming(A);
   obs::Span Sp(Trace, "smt_check", [&] { return std::string(Detail); });
   auto T0 = std::chrono::steady_clock::now();
   SatResult R = S.checkAssuming(A);

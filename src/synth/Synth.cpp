@@ -62,6 +62,34 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
+/// Sets the count fields of \p S, each from its counter: the total in
+/// \p After minus the total in \p Before. A tracer shared across runs
+/// keeps counting, so the difference is one run's share; an absent
+/// counter reads as 0. The only writer of these fields.
+void deriveCounts(SynthStats &S, const obs::MetricsSummary &Before,
+                  const obs::MetricsSummary &After) {
+  auto Count = [&](const char *Name) -> uint64_t {
+    auto Total = [Name](const obs::MetricsSummary &MS) -> int64_t {
+      const int64_t *V = MS.counter(Name);
+      return V ? *V : 0;
+    };
+    return static_cast<uint64_t>(Total(After) - Total(Before));
+  };
+  S.TuplesTried = Count("tuples_tried");
+  S.SmtChecks = Count("smt_checks");
+  S.ExplicitStates = Count("explicit_states");
+  S.CacheHits = Count("reduce_cache_hits");
+  S.CacheMisses = Count("reduce_cache_misses");
+  S.Retries = Count("retries");
+  S.Fallbacks = Count("fallbacks");
+  S.FaultsInjected = Count("faults_injected");
+  S.UnknownTimeouts = Count("unknown_timeouts");
+  S.UnknownIncomplete = Count("unknown_incomplete");
+  S.SolverExceptions = Count("solver_exceptions");
+  S.TuplesSkipped = Count("tuples_skipped");
+  S.WorkerExceptions = Count("worker_exceptions");
+}
+
 /// One instantiated occurrence of the unknown inv_0 in a reduced clause.
 ///
 /// The invariant is split as  InvGlobal AND forall q: QGuard -> (meas AND
@@ -130,6 +158,12 @@ public:
   SynthResult run();
 
 private:
+  /// Fills \p Res.Stats at the end of the run: the phase stats, the wall
+  /// time since \p Start, the tracer's metrics, and the counts derived
+  /// from them against \p Before (the metrics when the run began).
+  void finish(SynthResult &Res, const obs::MetricsSummary &Before,
+              std::chrono::steady_clock::time_point Start);
+
   /// Everything a finished tuple attempt produces, in this synthesizer's
   /// own TermManager.
   struct TupleOutcome {
@@ -327,7 +361,7 @@ private:
 
   /// Builds this synthesizer's standard solver stack for injection site
   /// \p Site: supervised Z3 with a MiniSolver fallback factory, wired to
-  /// this synthesizer's counters, injector, trace buffer and deadline.
+  /// this synthesizer's injector, trace buffer and deadline.
   /// With supervision disabled, the bare Z3 back end (the A/B baseline).
   std::unique_ptr<smt::SmtSolver> makeSolver(const char *Site);
   /// Replaces the member Solver after an exception may have left it with
@@ -347,9 +381,6 @@ private:
   /// The merged per-tuple Houdini context.
   IncCtx Inc;
   std::chrono::steady_clock::time_point Deadline;
-  /// Retry/fallback/fault tallies from every supervised solver this
-  /// synthesizer creates; folded into Stats at the end of the run.
-  resil::ResilCounters RCnt;
   /// Engaged when a non-empty fault plan is configured (and supervision
   /// is on). One injector per synthesizer: deterministic per worker.
   std::optional<resil::FaultInjector> Faults;
@@ -360,7 +391,8 @@ private:
   /// shares a cache across runs (serial path; bound to the same manager).
   engine::ReduceCache *RC = &OwnRCache;
   /// This synthesizer's trace buffer: rank 0 for the driver and the serial
-  /// search, rank W+1 on parallel worker W. Null => zero-overhead path.
+  /// search, rank W+1 on parallel worker W. Never null once the search
+  /// runs: its counters are the only tally of the run's counts.
   obs::TraceBuffer *TB = nullptr;
   /// Parallel search: set on worker synthesizers to abandon tuples that a
   /// lower-ranked verified tuple has made irrelevant.
@@ -895,8 +927,7 @@ void Synthesizer::assertAllDeferred(const ReducedClause &C, size_t CI) {
   // construction, so no re-reduction is needed.
   Inc.FullAsserted[CI] = 1;
   Inc.Instances += Added;
-  if (TB)
-    TB->counter("refine_full_groundings", 1);
+  TB->counter("refine_full_groundings", 1);
   SHARPIE_LOGF(TB, obs::LogLevel::Debug,
                "[refine] %s: grounding the remaining manifest (%u of %zu "
                "entries)",
@@ -924,9 +955,7 @@ bool Synthesizer::refineAgainstModel(const std::vector<ReducedClause> &Clauses,
   if (Faults) {
     resil::FaultDecision D = Faults->next("refine");
     if (D.Kind != resil::FaultKind::None) {
-      ++RCnt.FaultsInjected;
-      if (TB)
-        TB->counter("faults_injected", 1);
+      TB->counter("faults_injected", 1);
       if (D.Kind == resil::FaultKind::Latency)
         std::this_thread::sleep_for(std::chrono::milliseconds(D.LatencyMs));
       else if (D.Kind == resil::FaultKind::Throw)
@@ -992,7 +1021,7 @@ bool Synthesizer::refineAgainstModel(const std::vector<ReducedClause> &Clauses,
                  C.Name.c_str(), P.V.Violated.size(), C.Deferred.size());
   }
   Inc.Instances += Asserted;
-  if (TB && Asserted > 0)
+  if (Asserted > 0)
     TB->counter("refine_instances_asserted", Asserted);
   return Progress;
 }
@@ -1002,12 +1031,12 @@ SatResult Synthesizer::incCheck(const std::vector<ReducedClause> &Clauses,
                                 std::unique_ptr<smt::SmtModel> &Model) {
   unsigned RefineRounds = 0;
   auto FlushRounds = [&] {
-    if (TB && RefineRounds > 0)
+    if (RefineRounds > 0)
       TB->sample("refine_rounds", static_cast<double>(RefineRounds));
   };
   for (;;) {
     std::vector<Term> A = incAssumptions();
-    if (TB && Inc.Checks > 0)
+    if (Inc.Checks > 0)
       TB->counter("solver_context_reuses", 1);
     ++Inc.Checks;
     // Span detail = the phase part of the histogram name ("houdini",
@@ -1015,12 +1044,9 @@ SatResult Synthesizer::incCheck(const std::vector<ReducedClause> &Clauses,
     // trace viewer now that one span covers all clauses at once.
     const char *Detail = std::strncmp(Hist, "smt_ms.", 7) == 0 ? Hist + 7 : Hist;
     SatResult R = smt::checkAssumingTraced(*Inc.S, A, TB, Hist, Detail);
-    ++Stats.SmtChecks;
     // The merged context carries every clause's expansions at once; the
     // running total is this check's instantiation load.
-    if (TB)
-      TB->sample("instantiations_per_check",
-                 static_cast<double>(Inc.Instances));
+    TB->sample("instantiations_per_check", static_cast<double>(Inc.Instances));
     if (R == SatResult::Unsat) {
       incRecordCore();
       FlushRounds();
@@ -1047,8 +1073,7 @@ SatResult Synthesizer::incCheck(const std::vector<ReducedClause> &Clauses,
     // per check, falling back to full grounding.
     bool Refined;
     if (RefineRounds >= Opts.RefineBudget) {
-      if (TB)
-        TB->counter("refine_budget_exhausted", 1);
+      TB->counter("refine_budget_exhausted", 1);
       Refined = groundPending(Clauses, Model.get());
     } else {
       Refined = refineAgainstModel(Clauses, *Model, RefineRounds);
@@ -1096,7 +1121,7 @@ bool Synthesizer::houdini(const std::vector<ReducedClause> &Clauses,
       // under the live set: the fixpoint and the safety verdict in one
       // answer.
       Cand = liveAtoms();
-      if (TB && TB->logEnabled(obs::LogLevel::Debug)) {
+      if (TB->logEnabled(obs::LogLevel::Debug)) {
         TB->logf(obs::LogLevel::Debug, "[houdini] fixpoint with %zu atoms",
                  Cand.size());
         for (Term A : Cand)
@@ -1150,7 +1175,7 @@ bool Synthesizer::houdini(const std::vector<ReducedClause> &Clauses,
           ++Dropped;
         }
       }
-      if (TB && Dropped) {
+      if (Dropped) {
         TB->counter("houdini_atoms_dropped", Dropped);
         TB->instant("houdini_drop", C.Name, Dropped);
       }
@@ -1188,8 +1213,7 @@ void Synthesizer::minimizeAtoms(const std::vector<ReducedClause> &Clauses,
     Inc.Live[K] = 0; // Trial: drop atom K.
     bool Pass;
     if (Inc.CoreKnown && coreConsistent()) {
-      if (TB)
-        TB->counter("core_drops", 1);
+      TB->counter("core_drops", 1);
       Pass = true;
     } else {
       std::unique_ptr<smt::SmtModel> Model;
@@ -1251,10 +1275,9 @@ bool Synthesizer::recheck(Term Inv,
       LastGroundSize = logic::termSize(R.Ground);
       Solver->push();
       Solver->add(R.Ground);
-      if (TB && !FirstCheck)
+      if (!FirstCheck)
         TB->counter("solver_context_reuses", 1);
       FirstCheck = false;
-      ++Stats.SmtChecks;
       SatResult SR =
           smt::checkTraced(*Solver, TB, "smt_ms.recheck", O.Name.c_str());
       Solver->pop();
@@ -1290,7 +1313,7 @@ std::unique_ptr<smt::SmtSolver> Synthesizer::makeSolver(const char *Site) {
   }
   auto S = std::make_unique<resil::SupervisedSolver>(
       smt::makeZ3Solver(M), [this] { return smt::makeMiniSolver(M); },
-      Opts.Supervise, &RCnt, Faults ? &*Faults : nullptr, Site, TB, Deadline);
+      Opts.Supervise, Faults ? &*Faults : nullptr, Site, TB, Deadline);
   S->setTimeoutMs(Opts.SmtTimeoutMs);
   return S;
 }
@@ -1307,9 +1330,7 @@ Synthesizer::TupleOutcome Synthesizer::attemptTuple(
     Faults->beginScope(static_cast<uint64_t>(Rank) + 1);
     resil::FaultDecision D = Faults->next("worker_task");
     if (D.Kind != resil::FaultKind::None) {
-      ++RCnt.FaultsInjected;
-      if (TB)
-        TB->counter("faults_injected", 1);
+      TB->counter("faults_injected", 1);
       if (D.Kind == resil::FaultKind::Latency)
         std::this_thread::sleep_for(std::chrono::milliseconds(D.LatencyMs));
       else if (D.Kind == resil::FaultKind::Throw)
@@ -1317,9 +1338,7 @@ Synthesizer::TupleOutcome Synthesizer::attemptTuple(
       else {
         TupleOutcome Out;
         Out.Why = "injected fault at worker_task";
-        ++Stats.TuplesSkipped;
-        if (TB)
-          TB->counter("tuples_skipped", 1);
+        TB->counter("tuples_skipped", 1);
         return Out;
       }
     }
@@ -1331,13 +1350,10 @@ Synthesizer::TupleOutcome Synthesizer::attemptTuple(
   } catch (const std::exception &E) {
     TupleOutcome Out;
     Out.Why = std::string("exception: ") + E.what();
-    ++Stats.TuplesSkipped;
-    ++Stats.WorkerExceptions;
-    if (TB) {
-      TB->counter("tuples_skipped", 1);
-      TB->logf(obs::LogLevel::Info, "[resil] tuple %zu skipped: %s",
-               Rank + 1, Out.Why.c_str());
-    }
+    TB->counter("tuples_skipped", 1);
+    TB->counter("worker_exceptions", 1);
+    TB->logf(obs::LogLevel::Info, "[resil] tuple %zu skipped: %s", Rank + 1,
+             Out.Why.c_str());
     // The escape may have unwound through a push()ed solver scope;
     // reusing those stale frames could discharge later clauses
     // vacuously, so the solver is rebuilt from scratch.
@@ -1357,9 +1373,7 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
     return D;
   });
   TupleOutcome Out;
-  ++Stats.TuplesTried;
-  if (TB)
-    TB->counter("tuples_tried", 1);
+  TB->counter("tuples_tried", 1);
 
   std::vector<Term> Cand = Pool;
   auto TPre = std::chrono::steady_clock::now();
@@ -1449,11 +1463,11 @@ void Synthesizer::runSerial(
       LastWhy = "time budget exhausted";
       break;
     }
-    if (TB && TB->logEnabled(obs::LogLevel::Debug)) {
+    if (TB->logEnabled(obs::LogLevel::Debug)) {
       std::string Bodies;
       for (Term SB : SetBodies)
         Bodies += " #{t | " + logic::toString(SB) + "}";
-      TB->logf(obs::LogLevel::Debug, "[tuple %u]%s", Stats.TuplesTried + 1,
+      TB->logf(obs::LogLevel::Debug, "[tuple %zu]%s", Rank + 1,
                Bodies.c_str());
     }
     TupleOutcome O = attemptTuple(Rank, SetBodies, Pool, States);
@@ -1548,7 +1562,7 @@ void Synthesizer::runParallel(
     C.Synth->Deadline = Deadline; // One budget for the whole search.
     // Worker W owns trace rank W+1 (rank 0 is the driver); registration is
     // the one mutex-guarded step, the buffer itself is thread-local.
-    C.Synth->TB = Opts.Trace ? Opts.Trace->worker(W + 1) : nullptr;
+    C.Synth->TB = Opts.Trace->worker(W + 1);
     // Fault rules with a worker=N trigger key on the same rank numbering
     // as the traces (0 = driver/serial, W+1 = parallel worker W).
     if (C.Synth->Faults)
@@ -1591,7 +1605,7 @@ void Synthesizer::runParallel(
       for (Term B : TupleBodies[Rank])
         WBodies.push_back(Tr(B));
       if (obs::TraceBuffer *WTB = C.Synth->TB;
-          WTB && WTB->logEnabled(obs::LogLevel::Debug)) {
+          WTB->logEnabled(obs::LogLevel::Debug)) {
         std::string Bodies;
         for (Term SB : WBodies)
           Bodies += " #{t | " + logic::toString(SB) + "}";
@@ -1692,33 +1706,17 @@ void Synthesizer::runParallel(
       }
   }
 
-  // Fold worker stats into the driver's.
+  // Fold the workers' phase times into the driver's (their counts are
+  // already on the tracer, in the workers' buffers).
   double Busy = 0;
   for (WorkerCtx &C : Ctxs) {
     if (!C.Synth)
       continue;
     const SynthStats &WS = C.Synth->Stats;
-    Stats.TuplesTried += WS.TuplesTried;
-    Stats.SmtChecks += WS.SmtChecks;
     Stats.PrefilterSeconds += WS.PrefilterSeconds;
     Stats.ReduceSeconds += WS.ReduceSeconds;
     Stats.HoudiniSeconds += WS.HoudiniSeconds;
     Stats.RecheckSeconds += WS.RecheckSeconds;
-    // A shared cache's totals are folded once by the driver's delta
-    // accounting in run(); only private per-worker caches are summed here.
-    if (C.Synth->RC == &C.Synth->OwnRCache) {
-      Stats.CacheHits += C.Synth->RC->hits();
-      Stats.CacheMisses += C.Synth->RC->misses();
-    }
-    Stats.TuplesSkipped += WS.TuplesSkipped;
-    Stats.WorkerExceptions += WS.WorkerExceptions;
-    const resil::ResilCounters &WR = C.Synth->RCnt;
-    Stats.Retries += WR.Retries;
-    Stats.Fallbacks += WR.Fallbacks;
-    Stats.FaultsInjected += WR.FaultsInjected;
-    Stats.UnknownTimeouts += WR.UnknownTimeout;
-    Stats.UnknownIncomplete += WR.UnknownIncomplete;
-    Stats.SolverExceptions += WR.SolverExceptions;
     if (Winner != SIZE_MAX && Slots[Winner].Worker ==
                                   static_cast<unsigned>(&C - Ctxs.data()))
       Stats.AtomsAfterPrefilter = WS.AtomsAfterPrefilter;
@@ -1731,14 +1729,18 @@ void Synthesizer::runParallel(
 
 // -- Driver ---------------------------------------------------------------------------------
 
+void Synthesizer::finish(SynthResult &Res, const obs::MetricsSummary &Before,
+                         std::chrono::steady_clock::time_point Start) {
+  Res.Stats = Stats;
+  Res.Stats.Seconds = secondsSince(Start);
+  Res.Stats.Metrics = Opts.Trace->metrics();
+  deriveCounts(Res.Stats, Before, Res.Stats.Metrics);
+}
+
 SynthResult Synthesizer::run() {
   auto Start = std::chrono::steady_clock::now();
-
-  // Null TB keeps the whole pipeline on the zero-overhead path.
-  if (Opts.Trace)
-    TB = Opts.Trace->worker(0);
-  // Shared caches carry hits/misses from earlier runs; report deltas.
-  unsigned BaseHits = RC->hits(), BaseMisses = RC->misses();
+  TB = Opts.Trace->worker(0);
+  const obs::MetricsSummary Before = Opts.Trace->metrics();
   obs::Span RunSp(TB, "synthesize");
   SynthResult Res;
 
@@ -1748,7 +1750,6 @@ SynthResult Synthesizer::run() {
   {
     auto T0 = std::chrono::steady_clock::now();
     explct::ExplicitResult ER = explct::explore(Sys, Opts.Explicit, TB);
-    Stats.ExplicitStates = ER.NumStates;
     Stats.ExplicitSeconds = secondsSince(T0);
     SHARPIE_LOGF(TB, obs::LogLevel::Info, "[explicit] %u states in %.2fs",
                  ER.NumStates, secondsSince(T0));
@@ -1756,10 +1757,7 @@ SynthResult Synthesizer::run() {
       Res.Cex = ER.Cex;
       Res.Note = "explicit counterexample with N=" +
                  std::to_string(Opts.Explicit.NumThreads);
-      Res.Stats = Stats;
-      Res.Stats.Seconds = secondsSince(Start);
-      if (Opts.Trace)
-        Res.Stats.Metrics = Opts.Trace->metrics();
+      finish(Res, Before, Start);
       return Res;
     }
     // Sample evenly up to the cap. This reachable-state set is computed
@@ -1800,50 +1798,33 @@ SynthResult Synthesizer::run() {
   else
     runSerial(TupleBodies, Pool, States, Res);
 
-  Stats.CacheHits += RC->hits() - BaseHits;
-  Stats.CacheMisses += RC->misses() - BaseMisses;
+  // Zero-delta touches so these counters always exist in the exported
+  // metrics (ctr_retries etc. in every --json run, faulted or not), which
+  // keeps benchmark schemas stable.
+  TB->counter("retries", 0);
+  TB->counter("fallbacks", 0);
+  TB->counter("faults_injected", 0);
+  TB->counter("tuples_skipped", 0);
+  // Same for the Houdini and refinement-loop counters, so every run
+  // emits the same JSON keys whether or not they fired.
+  TB->counter("core_drops", 0);
+  TB->counter("solver_context_reuses", 0);
+  TB->counter("axioms_lazy_deferred", 0);
+  TB->counter("refine_full_groundings", 0);
+  TB->counter("refine_instances_asserted", 0);
+  TB->counter("refine_budget_exhausted", 0);
+  TB->counter("manifest_instances", 0);
 
-  // Fold the driver-side supervision tallies (serial search, driver
-  // solver); worker tallies were folded by runParallel.
-  Stats.Retries += RCnt.Retries;
-  Stats.Fallbacks += RCnt.Fallbacks;
-  Stats.FaultsInjected += RCnt.FaultsInjected;
-  Stats.UnknownTimeouts += RCnt.UnknownTimeout;
-  Stats.UnknownIncomplete += RCnt.UnknownIncomplete;
-  Stats.SolverExceptions += RCnt.SolverExceptions;
-
+  finish(Res, Before, Start);
   // An unverified, unrefuted run is "inconclusive" (not merely UNKNOWN)
   // exactly when some failure could have hidden a proof: the verdict
   // "no invariant in this search space" would be unsound to report.
+  const SynthStats &S = Res.Stats;
   Res.Inconclusive =
       !Res.Verified && !Res.Cex &&
-      (outOfTime() || Stats.TuplesSkipped > 0 || Stats.UnknownTimeouts > 0 ||
-       Stats.UnknownIncomplete > 0 || Stats.WorkerExceptions > 0 ||
-       Stats.SolverExceptions > 0 || Stats.FaultsInjected > 0);
-
-  if (TB) {
-    // Zero-delta touches so the resilience counters always exist in the
-    // exported metrics (ctr_retries etc. in every --json run, faulted or
-    // not), which keeps benchmark schemas stable.
-    TB->counter("retries", 0);
-    TB->counter("fallbacks", 0);
-    TB->counter("faults_injected", 0);
-    TB->counter("tuples_skipped", 0);
-    // Same for the Houdini and refinement-loop counters, so every run
-    // emits the same JSON keys whether or not they fired.
-    TB->counter("core_drops", 0);
-    TB->counter("solver_context_reuses", 0);
-    TB->counter("axioms_lazy_deferred", 0);
-    TB->counter("refine_full_groundings", 0);
-    TB->counter("refine_instances_asserted", 0);
-    TB->counter("refine_budget_exhausted", 0);
-    TB->counter("manifest_instances", 0);
-  }
-
-  Res.Stats = Stats;
-  Res.Stats.Seconds = secondsSince(Start);
-  if (Opts.Trace)
-    Res.Stats.Metrics = Opts.Trace->metrics();
+      (outOfTime() || S.TuplesSkipped > 0 || S.UnknownTimeouts > 0 ||
+       S.UnknownIncomplete > 0 || S.WorkerExceptions > 0 ||
+       S.SolverExceptions > 0 || S.FaultsInjected > 0);
   return Res;
 }
 
@@ -1851,5 +1832,13 @@ SynthResult Synthesizer::run() {
 
 SynthResult sharpie::synth::synthesize(sys::ParamSystem &Sys,
                                        const SynthOptions &Opts) {
-  return Synthesizer(Sys, Opts).run();
+  if (Opts.Trace)
+    return Synthesizer(Sys, Opts).run();
+  // The counts are read off the tracer's counters, so a run without a
+  // caller's tracer records into a private quiet one: counters and
+  // samples only, no events, no log.
+  obs::Tracer Quiet;
+  SynthOptions O = Opts;
+  O.Trace = &Quiet;
+  return Synthesizer(Sys, O).run();
 }

@@ -110,12 +110,15 @@ struct SynthOptions {
   /// between tuples, between Houdini iterations, and between the SMT
   /// checks inside one Houdini iteration (coarse, not a hard kill).
   double TimeBudgetSeconds = 0;
-  /// Observability sink (see obs/Obs.h). When non-null the synthesis emits
-  /// spans (synthesize > tuple > houdini > smt_check), counters, latency
+  /// Observability sink (see obs/Obs.h). The synthesis emits spans
+  /// (synthesize > tuple > houdini > smt_check), counters, latency
   /// histograms and leveled log lines into it: the driver and the serial
   /// search use worker rank 0, parallel search worker W uses rank W+1.
-  /// SynthStats::Metrics is filled from it at the end of the run. Not
-  /// owned; must outlive the call.
+  /// Its counters are the only tally of the SynthStats counts, so when
+  /// null the run records into a private quiet tracer instead (counters
+  /// and samples, no events, no log). A tracer may be shared across runs;
+  /// each run's counts are its own share. Not owned; must outlive the
+  /// call.
   obs::Tracer *Trace = nullptr;
   /// Solver supervision (retry, cross-back-end fallback, per-check
   /// deadline clamping; see resil/Resil.h). Supervise.Enabled = false
@@ -149,6 +152,12 @@ struct SynthOptions {
   const engine::CancellationToken *Cancel = nullptr;
 };
 
+/// What a run reports about itself. The count fields -- TuplesTried,
+/// SmtChecks, ExplicitStates, CacheHits, CacheMisses, and the resilience
+/// counts from Retries to WorkerExceptions -- are not tallied anywhere:
+/// synthesize() reads each off its tracer counter once, at the end of the
+/// run (the counter names are DESIGN.md Sec. 12's). The rest are set by
+/// the search itself.
 struct SynthStats {
   unsigned TuplesTried = 0;
   unsigned SmtChecks = 0;
@@ -161,7 +170,7 @@ struct SynthStats {
   // -- Parallel-search observability ----------------------------------------
   /// Effective worker count of the search (1 for the serial path).
   unsigned NumWorkers = 1;
-  /// Reduction-cache hits/misses, summed over all workers.
+  /// Reduction-cache hits/misses of this run, summed over all workers.
   unsigned CacheHits = 0;
   unsigned CacheMisses = 0;
   /// Per-phase busy time, summed over all workers (so in a parallel run
@@ -203,7 +212,8 @@ struct SynthStats {
 
   /// Merged counters and histogram summaries (SMT latency per phase,
   /// reduction latency, per-CARD-rule axiom counts, ...) from the tracer
-  /// that observed the run. Empty when no tracer was configured.
+  /// that observed the run: the run's own, or the caller's (then its
+  /// totals include whatever else that tracer observed).
   obs::MetricsSummary Metrics;
 };
 
@@ -266,8 +276,9 @@ std::string renderInconclusiveReport(const SynthResult &Res);
 
 /// The stats as comma-separated `"key": value` JSON fields (no braces), a
 /// shared fragment so every driver emits the same schema: the scalar
-/// counters and phase seconds, plus `"hist_<name>": {count,min,max,mean,
-/// p50,p90,p99}` per histogram and `"ctr_<name>": total` per counter.
+/// counts and phase seconds, plus `"hist_<name>": {count,min,max,mean,
+/// p50,p90,p99}` per histogram and `"ctr_<name>": total` per counter of
+/// S.Metrics (always present: every run has a tracer).
 std::string statsJsonFields(const SynthStats &S);
 
 } // namespace synth

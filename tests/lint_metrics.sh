@@ -13,9 +13,17 @@
 # Emission sites: TraceBuffer::counter()/sample() calls, the traced
 # solver-check helpers (checkTraced / checkAssumingTraced carry the
 # phase-histogram name, which the Houdini loop passes through incCheck),
-# and resil's bump() counter forwarder. Names are the quoted [a-z0-9_.]
-# literals on those lines; comment-only lines are ignored so prose
-# mentioning a histogram does not count as an emission.
+# and resil's bump(), which emits its counter and keeps no tally of its
+# own. Names are the quoted [a-z0-9_.] literals on those lines;
+# comment-only lines are ignored so prose mentioning a histogram does not
+# count as an emission.
+#
+# Last, one tally per count: src/synth and src/resil must not keep a
+# second tally beside the counters -- no ++/+=/= on a SynthStats count
+# field outside deriveCounts() in src/synth/Synth.cpp (which reads each
+# one off its counter), and no resilience tally sink (the retired sink's
+# type and member names are matched below, bracketed so that grepping
+# the tree for them finds only real uses).
 ROOT=${1:?usage: lint_metrics.sh repo-root}
 DESIGN="$ROOT/DESIGN.md"
 
@@ -71,4 +79,25 @@ for R in requests_shed drain_cancelled breaker_trips serve_faults_injected; do
     exit 1
   }
 done
+
+FIELDS='TuplesTried|SmtChecks|ExplicitStates|CacheHits|CacheMisses|Retries|Fallbacks|FaultsInjected|UnknownTimeouts|UnknownIncomplete|SolverExceptions|TuplesSkipped|WorkerExceptions'
+TALLIES=$(find "$ROOT/src/synth" "$ROOT/src/resil" -name '*.cpp' -o -name '*.h' \
+          | sort | while read -r F; do
+  awk -v F="$F" -v FIELDS="$FIELDS" '
+    /^[^[:space:]].*deriveCounts\(/ && !/;$/ { skip = 1 }
+    skip { if (/^}/) skip = 0; next }
+    /^[[:space:]]*\/\// { next }
+    /R[C]nt|Resil[C]ounters/ ||
+    $0 ~ ("\\.(" FIELDS ")[[:space:]]*([-+*/]?=[^=]|\\+\\+|--)") ||
+    $0 ~ ("(\\+\\+|--)[^;=]*\\.(" FIELDS ")([^A-Za-z0-9_]|$)") {
+      print F ":" FNR ": " $0
+    }' "$F"
+done)
+
+if [ -n "$TALLIES" ]; then
+  echo "a SynthStats count is tallied outside its derivation from the"
+  echo "counters (deriveCounts in src/synth/Synth.cpp); emit a counter:"
+  echo "$TALLIES"
+  exit 1
+fi
 exit 0

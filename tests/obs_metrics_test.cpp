@@ -39,7 +39,8 @@ HistSummary summarizeOf(std::initializer_list<double> Samples) {
   TraceBuffer *TB = T.worker(0);
   for (double V : Samples)
     TB->sample("h", V);
-  const HistSummary *H = T.metrics().hist("h");
+  MetricsSummary MS = T.metrics();
+  const HistSummary *H = MS.hist("h");
   return H ? *H : HistSummary{};
 }
 

@@ -259,7 +259,8 @@ TEST(ObsTracer, CounterEventsCarryRunningTotal) {
   std::vector<std::string> Lines = obs::eventSkeleton(T);
   std::vector<std::string> Want = {"C w0 n = 2", "C w0 n = 5"};
   EXPECT_EQ(Lines, Want);
-  const int64_t *Total = T.metrics().counter("n");
+  obs::MetricsSummary MS = T.metrics();
+  const int64_t *Total = MS.counter("n");
   ASSERT_NE(Total, nullptr);
   EXPECT_EQ(*Total, 5);
 }
@@ -303,7 +304,8 @@ TEST(ObsTracer, EventsOffBuffersNothingButMetricsRemain) {
     B->counter("n", 1);
   }
   EXPECT_TRUE(T.mergedEvents().empty());
-  const int64_t *N = T.metrics().counter("n");
+  obs::MetricsSummary MS = T.metrics();
+  const int64_t *N = MS.counter("n");
   ASSERT_NE(N, nullptr);
   EXPECT_EQ(*N, 1);
 }
@@ -317,6 +319,31 @@ TEST(ObsTracer, NullBufferSpanAndLogAreNoOps) {
     });
   }
   SHARPIE_LOGF(B, obs::LogLevel::Info, "unreachable %d", 1);
+}
+
+// A tracer shared across runs keeps counting, and each run's SynthStats
+// counts are that run's share: the second of two runs on one tracer
+// reports exactly what a run on a fresh tracer reports.
+TEST(ObsTracer, SharedTracerCountsArePerRun) {
+  auto Counts = [](obs::Tracer &T) {
+    logic::TermManager M;
+    ProtocolBundle B = makeIncrement(M);
+    synth::SynthOptions Opts = synth::optionsFor(B);
+    Opts.NumWorkers = 1;
+    Opts.Trace = &T;
+    synth::SynthStats S = synth::synthesize(*B.Sys, Opts).Stats;
+    return std::vector<uint64_t>{
+        S.TuplesTried,     S.SmtChecks,        S.ExplicitStates,
+        S.CacheHits,       S.CacheMisses,      S.Retries,
+        S.Fallbacks,       S.FaultsInjected,   S.UnknownTimeouts,
+        S.UnknownIncomplete, S.SolverExceptions, S.TuplesSkipped,
+        S.WorkerExceptions};
+  };
+  obs::Tracer Shared, Fresh;
+  Counts(Shared);
+  std::vector<uint64_t> Second = Counts(Shared);
+  EXPECT_EQ(Second, Counts(Fresh));
+  EXPECT_GT(Second[1], 0u) << "no SMT checks counted";
 }
 
 TEST(ObsTracer, ParseLogLevel) {

@@ -39,7 +39,6 @@ using resil::FaultDecision;
 using resil::FaultInjector;
 using resil::FaultKind;
 using resil::FaultPlan;
-using resil::ResilCounters;
 using resil::SupervisedSolver;
 using resil::SupervisionOptions;
 using smt::SatResult;
@@ -229,9 +228,20 @@ private:
 
 using Steps = std::vector<ScriptedSolver::Step>;
 
+/// The supervisor's counters, read off the trace buffer it counts on (a
+/// counter that never fired reads as 0).
+struct Counts {
+  obs::Tracer T;
+  obs::TraceBuffer *TB = T.worker(0);
+  int64_t operator()(const char *Name) const {
+    obs::MetricsSummary MS = T.metrics();
+    const int64_t *V = MS.counter(Name);
+    return V ? *V : 0;
+  }
+};
+
 SupervisedSolver makeSupervised(Steps Primary, ScriptLog *PrimLog,
-                                Steps Fallback, ScriptLog *FbLog,
-                                ResilCounters &Sink,
+                                Steps Fallback, ScriptLog *FbLog, Counts &Ctr,
                                 FaultInjector *Faults = nullptr,
                                 std::chrono::steady_clock::time_point Deadline =
                                     std::chrono::steady_clock::time_point::max()) {
@@ -242,8 +252,8 @@ SupervisedSolver makeSupervised(Steps Primary, ScriptLog *PrimLog,
     };
   SupervisionOptions Opts;
   return SupervisedSolver(std::make_unique<ScriptedSolver>(Primary, PrimLog),
-                          std::move(Fb), Opts, &Sink, Faults, "smt_check",
-                          /*TB=*/nullptr, Deadline);
+                          std::move(Fb), Opts, Faults, "smt_check", Ctr.TB,
+                          Deadline);
 }
 
 TEST(SupervisedSolver, FaultedCoreQueryDegradesToTheFullAssumptionCore) {
@@ -257,15 +267,15 @@ TEST(SupervisedSolver, FaultedCoreQueryDegradesToTheFullAssumptionCore) {
   FaultInjector Inj(*P);
   Inj.beginScope(1);
   ScriptLog Log;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S =
-      makeSupervised({ScriptedSolver::Unsat}, &Log, {}, nullptr, Sink, &Inj);
+      makeSupervised({ScriptedSolver::Unsat}, &Log, {}, nullptr, Ctr, &Inj);
   logic::TermManager M;
   std::vector<logic::Term> A = {M.mkVar("ind0", logic::Sort::Bool),
                                 M.mkVar("ind1", logic::Sort::Bool),
                                 M.mkVar("ind2", logic::Sort::Bool)};
   EXPECT_EQ(S.checkAssuming(A), SatResult::Unknown);
-  EXPECT_EQ(Sink.FaultsInjected, 1u);
+  EXPECT_EQ(Ctr("faults_injected"), 1);
   EXPECT_EQ(Log.Checks, 0u) << "the injected fault must preempt the backend";
   EXPECT_EQ(S.unsatCore(), A);
   // The rule is site-scoped: a plain check on the same solver still
@@ -276,24 +286,24 @@ TEST(SupervisedSolver, FaultedCoreQueryDegradesToTheFullAssumptionCore) {
 
 TEST(SupervisedSolver, RetryRescuesATimeoutClassUnknown) {
   ScriptLog Log;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S = makeSupervised(
       {ScriptedSolver::UnknownTimeout, ScriptedSolver::Sat}, &Log, {}, nullptr,
-      Sink);
+      Ctr);
   EXPECT_EQ(S.check(), SatResult::Sat);
   EXPECT_EQ(S.lastFailure(), FailureClass::None);
   EXPECT_EQ(Log.Checks, 2u);
-  EXPECT_EQ(Sink.Retries, 1u);
-  EXPECT_EQ(Sink.UnknownTimeout, 1u);
-  EXPECT_EQ(Sink.Fallbacks, 0u);
+  EXPECT_EQ(Ctr("retries"), 1);
+  EXPECT_EQ(Ctr("unknown_timeouts"), 1);
+  EXPECT_EQ(Ctr("fallbacks"), 0);
 }
 
 TEST(SupervisedSolver, BackoffGrowsTheRetrySlice) {
   ScriptLog Log;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S = makeSupervised(
       {ScriptedSolver::UnknownTimeout, ScriptedSolver::Sat}, &Log, {}, nullptr,
-      Sink);
+      Ctr);
   S.setTimeoutMs(100);
   EXPECT_EQ(S.check(), SatResult::Sat);
   // The backoff factor is 2.0: the rescue attempt ran with a 200ms slice.
@@ -302,27 +312,27 @@ TEST(SupervisedSolver, BackoffGrowsTheRetrySlice) {
 
 TEST(SupervisedSolver, IncompleteEscalatesToFallbackWithoutRetry) {
   ScriptLog PrimLog, FbLog;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S =
       makeSupervised({ScriptedSolver::UnknownIncomplete}, &PrimLog,
-                     {ScriptedSolver::Unsat}, &FbLog, Sink);
+                     {ScriptedSolver::Unsat}, &FbLog, Ctr);
   EXPECT_EQ(S.check(), SatResult::Unsat);
   EXPECT_EQ(S.lastFailure(), FailureClass::None);
   EXPECT_EQ(PrimLog.Checks, 1u) << "incompleteness must not be retried";
   EXPECT_EQ(FbLog.Checks, 1u);
-  EXPECT_EQ(Sink.Retries, 0u);
-  EXPECT_EQ(Sink.Fallbacks, 1u);
-  EXPECT_EQ(Sink.UnknownIncomplete, 1u);
+  EXPECT_EQ(Ctr("retries"), 0);
+  EXPECT_EQ(Ctr("fallbacks"), 1);
+  EXPECT_EQ(Ctr("unknown_incomplete"), 1);
 }
 
 TEST(SupervisedSolver, FallbackSeesTheReplayedAssertionTrail) {
   logic::TermManager M;
   logic::Term X = M.mkVar("x", logic::Sort::Int);
   ScriptLog FbLog;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S =
       makeSupervised({ScriptedSolver::UnknownIncomplete}, nullptr,
-                     {ScriptedSolver::Unsat}, &FbLog, Sink);
+                     {ScriptedSolver::Unsat}, &FbLog, Ctr);
   S.add(M.mkGe(X, M.mkInt(0)));
   S.push();
   S.add(M.mkLe(X, M.mkInt(3)));
@@ -340,39 +350,39 @@ TEST(SupervisedSolver, FallbackSeesTheReplayedAssertionTrail) {
 
 TEST(SupervisedSolver, UnknownOnBothBackEndsStaysUnknown) {
   ScriptLog PrimLog, FbLog;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S =
       makeSupervised({ScriptedSolver::UnknownIncomplete}, &PrimLog,
-                     {ScriptedSolver::UnknownIncomplete}, &FbLog, Sink);
+                     {ScriptedSolver::UnknownIncomplete}, &FbLog, Ctr);
   // The soundness pin: no real solver answered, so the wrapper must pass
   // Unknown through -- never fabricate Sat/Unsat.
   EXPECT_EQ(S.check(), SatResult::Unknown);
   EXPECT_EQ(S.lastFailure(), FailureClass::Incomplete);
-  EXPECT_EQ(Sink.Fallbacks, 1u);
-  EXPECT_EQ(Sink.UnknownIncomplete, 2u);
+  EXPECT_EQ(Ctr("fallbacks"), 1);
+  EXPECT_EQ(Ctr("unknown_incomplete"), 2);
 }
 
 TEST(SupervisedSolver, SolverExceptionIsContainedAndEscalated) {
   ScriptLog PrimLog, FbLog;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S = makeSupervised({ScriptedSolver::Throws}, &PrimLog,
-                                      {ScriptedSolver::Sat}, &FbLog, Sink);
+                                      {ScriptedSolver::Sat}, &FbLog, Ctr);
   EXPECT_EQ(S.check(), SatResult::Sat);
-  EXPECT_EQ(Sink.SolverExceptions, 1u);
-  EXPECT_EQ(Sink.Fallbacks, 1u);
+  EXPECT_EQ(Ctr("solver_exceptions"), 1);
+  EXPECT_EQ(Ctr("fallbacks"), 1);
 
-  ResilCounters Sink2;
+  Counts Ctr2;
   SupervisedSolver S2 =
-      makeSupervised({ScriptedSolver::Throws}, nullptr, {}, nullptr, Sink2);
+      makeSupervised({ScriptedSolver::Throws}, nullptr, {}, nullptr, Ctr2);
   EXPECT_EQ(S2.check(), SatResult::Unknown);
   EXPECT_EQ(S2.lastFailure(), FailureClass::SolverException);
 }
 
 TEST(SupervisedSolver, ExhaustedBudgetShortCircuitsTheCheck) {
   ScriptLog Log;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S =
-      makeSupervised({ScriptedSolver::Sat}, &Log, {}, nullptr, Sink,
+      makeSupervised({ScriptedSolver::Sat}, &Log, {}, nullptr, Ctr,
                      /*Faults=*/nullptr,
                      std::chrono::steady_clock::now() -
                          std::chrono::seconds(1));
@@ -387,12 +397,12 @@ TEST(SupervisedSolver, InjectedUnknownIsClassifiedAsInjectedFault) {
   FaultInjector Inj(*P);
   Inj.beginScope(1);
   ScriptLog Log;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S =
-      makeSupervised({ScriptedSolver::Sat}, &Log, {}, nullptr, Sink, &Inj);
+      makeSupervised({ScriptedSolver::Sat}, &Log, {}, nullptr, Ctr, &Inj);
   EXPECT_EQ(S.check(), SatResult::Unknown);
   EXPECT_EQ(S.lastFailure(), FailureClass::InjectedFault);
-  EXPECT_EQ(Sink.FaultsInjected, 1u);
+  EXPECT_EQ(Ctr("faults_injected"), 1);
   EXPECT_EQ(Log.Checks, 0u) << "the fault pre-empts the real back end";
 }
 
@@ -405,30 +415,30 @@ TEST(SupervisedSolver, InjectedTimeoutIsRetriedAndRescuedByTheFallback) {
   FaultInjector Inj(*P);
   Inj.beginScope(1);
   ScriptLog PrimLog, FbLog;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisedSolver S =
       makeSupervised({ScriptedSolver::UnknownTimeout}, &PrimLog,
-                     {ScriptedSolver::Sat}, &FbLog, Sink, &Inj);
+                     {ScriptedSolver::Sat}, &FbLog, Ctr, &Inj);
   EXPECT_EQ(S.check(), SatResult::Sat);
-  EXPECT_EQ(Sink.Retries, 1u);
-  EXPECT_EQ(Sink.Fallbacks, 1u);
-  EXPECT_EQ(Sink.FaultsInjected, 1u);
+  EXPECT_EQ(Ctr("retries"), 1);
+  EXPECT_EQ(Ctr("fallbacks"), 1);
+  EXPECT_EQ(Ctr("faults_injected"), 1);
   EXPECT_EQ(PrimLog.Checks, 1u) << "the injected retry never reached check()";
   EXPECT_EQ(FbLog.Checks, 1u);
 }
 
 TEST(SupervisedSolver, DisabledSupervisionIsABarePassThrough) {
   ScriptLog Log;
-  ResilCounters Sink;
+  Counts Ctr;
   SupervisionOptions Opts;
   Opts.Enabled = false;
   SupervisedSolver S(std::make_unique<ScriptedSolver>(
                          Steps{ScriptedSolver::UnknownIncomplete}, &Log),
-                     /*Fallback=*/nullptr, Opts, &Sink, /*Faults=*/nullptr,
-                     "smt_check", /*TB=*/nullptr,
+                     /*Fallback=*/nullptr, Opts, /*Faults=*/nullptr,
+                     "smt_check", Ctr.TB,
                      std::chrono::steady_clock::time_point::max());
   EXPECT_EQ(S.check(), SatResult::Unknown);
-  EXPECT_EQ(Sink.Retries + Sink.Fallbacks + Sink.UnknownIncomplete, 0u);
+  EXPECT_EQ(Ctr("retries") + Ctr("fallbacks") + Ctr("unknown_incomplete"), 0);
 }
 
 TEST(ClassifyUnknownReason, TimeoutWordsVsEverythingElse) {

@@ -170,11 +170,11 @@ TEST(TimeoutParity, Z3TimeoutZeroMeansDisabledNotInstant) {
 
 TEST(TimeoutParity, SupervisedHardQueryFailsOverAndStaysWithinBudget) {
   TermManager M;
-  resil::ResilCounters Sink;
+  obs::Tracer T;
   resil::SupervisionOptions Opts;
   resil::SupervisedSolver S(
       smt::makeZ3Solver(M), [&M] { return smt::makeMiniSolver(M); }, Opts,
-      &Sink, /*Faults=*/nullptr, "smt_check", /*TB=*/nullptr,
+      /*Faults=*/nullptr, "smt_check", T.worker(0),
       std::chrono::steady_clock::time_point::max());
   S.setTimeoutMs(300);
   S.add(hardQuantifiedQuery(M));
@@ -185,7 +185,10 @@ TEST(TimeoutParity, SupervisedHardQueryFailsOverAndStaysWithinBudget) {
   // fabricate an answer.
   EXPECT_EQ(R, SatResult::Unknown);
   EXPECT_NE(S.lastFailure(), resil::FailureClass::None);
-  EXPECT_EQ(Sink.Fallbacks, 1u);
+  obs::MetricsSummary MS = T.metrics();
+  const int64_t *Fallbacks = MS.counter("fallbacks");
+  ASSERT_NE(Fallbacks, nullptr);
+  EXPECT_EQ(*Fallbacks, 1);
   EXPECT_LT(Ms, 300 + 2 * 300 + 300 + 1000)
       << "supervision overran retry + backoff + fallback";
 }

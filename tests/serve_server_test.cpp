@@ -439,24 +439,47 @@ TEST_F(ServerTest, ConcurrentRequestsShareOneStoreSafely) {
   // pins the locking of ResultStore, ReduceCache and the counters.
   Server Srv(options());
   std::vector<std::thread> Ts;
-  std::atomic<int> Verified{0};
+  std::vector<VerifyResponse> Resps(4);
   for (int I = 0; I < 4; ++I)
     Ts.emplace_back([&, I] {
       VerifyRequest R = request();
       R.File = "req" + std::to_string(I) + ".sharpie";
-      VerifyResponse Resp = Srv.verify(R);
-      if (Resp.Exit == front::ExitVerified)
-        Verified.fetch_add(1);
+      R.JsonLine = true;
+      Resps[I] = Srv.verify(R);
       (void)Srv.statusJson().dump();
       (void)Srv.cacheStatsJson().dump();
     });
   for (std::thread &T : Ts)
     T.join();
-  EXPECT_EQ(4, Verified.load());
+  for (const VerifyResponse &Resp : Resps)
+    EXPECT_EQ(front::ExitVerified, Resp.Exit);
   StoreStats St = Srv.store().stats();
   // Every request either hit or missed tier 1; post-race totals add up.
   EXPECT_EQ(4u, St.T1Hits + St.T1Misses);
   EXPECT_GE(St.T1Writes, 1u);
+
+  // Cold requests that overlapped on the shared reduce cache still each
+  // report their own counts: every scalar equals its request's counter
+  // (an absent counter reads as 0).
+  for (const VerifyResponse &Resp : Resps) {
+    if (Resp.Cache != "miss")
+      continue;
+    size_t Begin = Resp.Output.find("\n{");
+    ASSERT_NE(std::string::npos, Begin) << Resp.Output;
+    std::string Err;
+    Json J = parseJson(Resp.Output.substr(Begin + 1,
+                                          Resp.Output.find('\n', Begin + 1) -
+                                              Begin - 1),
+                       &Err);
+    ASSERT_TRUE(Err.empty()) << Err;
+    const std::pair<const char *, const char *> Pairs[] = {
+        {"cache_misses", "ctr_reduce_cache_misses"},
+        {"cache_hits", "ctr_reduce_cache_hits"},
+        {"smt_checks", "ctr_smt_checks"},
+        {"tuples_tried", "ctr_tuples_tried"}};
+    for (const auto &[Scalar, Counter] : Pairs)
+      EXPECT_EQ(J.get(Scalar).asInt(), J.get(Counter).asInt()) << Scalar;
+  }
 }
 
 } // namespace

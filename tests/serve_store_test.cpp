@@ -282,11 +282,12 @@ TEST_F(Tier2Test, WrongVersionHeaderLoadsAsEmpty) {
   std::stringstream SS;
   SS << In.rdbuf();
   std::string Full = SS.str();
-  // A store written before the current format (the retired v1 header,
-  // whose meta lines carry one more field) must load as empty.
-  size_t P = Full.find("t2 v2");
+  // A store written before the current format (the retired v2 header,
+  // whose keys fingerprint option fields that are constants now) must
+  // load as empty.
+  size_t P = Full.find("t2 v3");
   ASSERT_NE(std::string::npos, P);
-  Full.replace(P, 5, "t2 v1");
+  Full.replace(P, 5, "t2 v2");
   {
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
     Out << Full;

@@ -137,6 +137,17 @@ TEST(SynthParallel, TracerFourWorkers) {
   ASSERT_NE(Checks, nullptr);
   EXPECT_GT(*Checks, 0);
   EXPECT_NE(R.Stats.Metrics.hist("smt_ms"), nullptr);
+
+  // The tracer saw this run only, so each scalar count is its counter's
+  // total over all ranks (an absent counter reads as 0).
+  auto Ctr = [&](const char *Name) -> int64_t {
+    const int64_t *V = R.Stats.Metrics.counter(Name);
+    return V ? *V : 0;
+  };
+  EXPECT_EQ(int64_t(R.Stats.CacheMisses), Ctr("reduce_cache_misses"));
+  EXPECT_EQ(int64_t(R.Stats.CacheHits), Ctr("reduce_cache_hits"));
+  EXPECT_EQ(int64_t(R.Stats.SmtChecks), Ctr("smt_checks"));
+  EXPECT_EQ(int64_t(R.Stats.TuplesTried), Ctr("tuples_tried"));
   std::fclose(Sink);
 }
 

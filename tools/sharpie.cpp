@@ -189,7 +189,7 @@ int run(int argc, char **argv) {
   obs::CliObs Obs;
   for (int I = 1; I < argc; ++I) {
     std::string ObsErr;
-    bool NumOk = true;
+    bool ValueOk = true;
     if (Obs.parseArg(argc, argv, I, ObsErr)) {
       if (!ObsErr.empty()) {
         std::fprintf(stderr, "error: %s\n", ObsErr.c_str());
@@ -199,34 +199,34 @@ int run(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--json"))
       Json = true;
     else if (!std::strcmp(argv[I], "--workers"))
-      NumOk = tools::numericFlag(argc, argv, I, Workers);
+      ValueOk = tools::numericFlag(argc, argv, I, Workers);
     else if (!std::strcmp(argv[I], "--time-budget"))
-      NumOk = tools::numericFlag(argc, argv, I, TimeBudget);
+      ValueOk = tools::numericFlag(argc, argv, I, TimeBudget);
     else if (!std::strcmp(argv[I], "--max-tuples"))
-      NumOk = tools::numericFlag(argc, argv, I, MaxTuples);
-    else if (!std::strcmp(argv[I], "--faults") && I + 1 < argc)
-      FaultSpec = argv[++I];
+      ValueOk = tools::numericFlag(argc, argv, I, MaxTuples);
+    else if (!std::strcmp(argv[I], "--faults"))
+      ValueOk = tools::stringFlag(argc, argv, I, FaultSpec);
     else if (!std::strcmp(argv[I], "--smt-timeout"))
-      NumOk = tools::numericFlag(argc, argv, I, SmtTimeoutMs);
-    else if (!std::strcmp(argv[I], "--server") && I + 1 < argc) {
-      ServerAddr = argv[++I];
+      ValueOk = tools::numericFlag(argc, argv, I, SmtTimeoutMs);
+    else if (!std::strcmp(argv[I], "--server")) {
+      ValueOk = tools::stringFlag(argc, argv, I, ServerAddr);
       // An empty ADDR (typically an unset shell variable) must not
       // silently degrade to a local run -- the modes are intentionally
       // indistinguishable by output, so the mixup would be invisible.
-      if (ServerAddr.empty()) {
+      if (ValueOk && ServerAddr.empty()) {
         std::fprintf(stderr, "error: --server needs a non-empty address "
                              "(unix:/path or host:port)\n");
         return ExitError;
       }
     }
-    else if (!std::strcmp(argv[I], "--store") && I + 1 < argc)
-      StoreDir = argv[++I];
-    else if (!std::strcmp(argv[I], "--builtin") && I + 1 < argc)
-      Builtin = argv[++I];
+    else if (!std::strcmp(argv[I], "--store"))
+      ValueOk = tools::stringFlag(argc, argv, I, StoreDir);
+    else if (!std::strcmp(argv[I], "--builtin"))
+      ValueOk = tools::stringFlag(argc, argv, I, Builtin);
     else if (!std::strcmp(argv[I], "--retries"))
-      NumOk = tools::numericFlag(argc, argv, I, Retry.MaxRetries);
+      ValueOk = tools::numericFlag(argc, argv, I, Retry.MaxRetries);
     else if (!std::strcmp(argv[I], "--retry-base-ms"))
-      NumOk = tools::numericFlag(argc, argv, I, Retry.BaseMs);
+      ValueOk = tools::numericFlag(argc, argv, I, Retry.BaseMs);
     else if (!std::strcmp(argv[I], "--help") || !std::strcmp(argv[I], "-h")) {
       usage(argv[0]);
       return 0;
@@ -241,7 +241,7 @@ int run(int argc, char **argv) {
       usage(argv[0]);
       return ExitError;
     }
-    if (!NumOk)
+    if (!ValueOk)
       return ExitError;
   }
   if (File.empty() == Builtin.empty()) {

@@ -128,39 +128,41 @@ int run(int argc, char **argv) {
   uint64_t RequestId = 0;
   serve::ServerOptions SO;
   for (int I = 1; I < argc; ++I) {
-    bool NumOk = true;
-    if (!std::strcmp(argv[I], "--listen") && I + 1 < argc)
-      Listen = argv[++I];
-    else if (!std::strcmp(argv[I], "--ctl") && I + 1 < argc)
-      Ctl = argv[++I];
-    else if (!std::strcmp(argv[I], "--op") && I + 1 < argc)
-      Op = argv[++I];
-    else if (!std::strcmp(argv[I], "--format") && I + 1 < argc)
-      Format = argv[++I];
+    bool ValueOk = true;
+    if (!std::strcmp(argv[I], "--listen"))
+      ValueOk = tools::stringFlag(argc, argv, I, Listen);
+    else if (!std::strcmp(argv[I], "--ctl"))
+      ValueOk = tools::stringFlag(argc, argv, I, Ctl);
+    else if (!std::strcmp(argv[I], "--op"))
+      ValueOk = tools::stringFlag(argc, argv, I, Op);
+    else if (!std::strcmp(argv[I], "--format"))
+      ValueOk = tools::stringFlag(argc, argv, I, Format);
     else if (!std::strcmp(argv[I], "--request"))
-      NumOk = tools::numericFlag(argc, argv, I, RequestId);
-    else if (!std::strcmp(argv[I], "--store") && I + 1 < argc)
-      SO.StoreDir = argv[++I];
+      ValueOk = tools::numericFlag(argc, argv, I, RequestId);
+    else if (!std::strcmp(argv[I], "--store"))
+      ValueOk = tools::stringFlag(argc, argv, I, SO.StoreDir);
     else if (!std::strcmp(argv[I], "--request-workers"))
-      NumOk = tools::numericFlag(argc, argv, I, SO.RequestWorkers);
+      ValueOk = tools::numericFlag(argc, argv, I, SO.RequestWorkers);
     else if (!std::strcmp(argv[I], "--synth-workers"))
-      NumOk = tools::numericFlag(argc, argv, I, SO.SynthWorkers);
+      ValueOk = tools::numericFlag(argc, argv, I, SO.SynthWorkers);
     else if (!std::strcmp(argv[I], "--max-request-seconds"))
-      NumOk = tools::numericFlag(argc, argv, I, SO.MaxRequestSeconds);
+      ValueOk = tools::numericFlag(argc, argv, I, SO.MaxRequestSeconds);
     else if (!std::strcmp(argv[I], "--queue-depth"))
-      NumOk = tools::numericFlag(argc, argv, I, SO.QueueDepth);
+      ValueOk = tools::numericFlag(argc, argv, I, SO.QueueDepth);
     else if (!std::strcmp(argv[I], "--drain-timeout"))
-      NumOk = tools::numericFlag(argc, argv, I, SO.DrainTimeoutSeconds);
-    else if (!std::strcmp(argv[I], "--faults") && I + 1 < argc)
-      SO.Faults = argv[++I];
-    else if (!std::strcmp(argv[I], "--access-log") && I + 1 < argc)
-      SO.AccessLogPath = argv[++I];
+      ValueOk = tools::numericFlag(argc, argv, I, SO.DrainTimeoutSeconds);
+    else if (!std::strcmp(argv[I], "--faults"))
+      ValueOk = tools::stringFlag(argc, argv, I, SO.Faults);
+    else if (!std::strcmp(argv[I], "--access-log"))
+      ValueOk = tools::stringFlag(argc, argv, I, SO.AccessLogPath);
     else if (!std::strcmp(argv[I], "--slow-request-seconds"))
-      NumOk = tools::numericFlag(argc, argv, I, SO.SlowRequestSeconds);
+      ValueOk = tools::numericFlag(argc, argv, I, SO.SlowRequestSeconds);
     else if (!std::strcmp(argv[I], "--flight-recorder"))
-      NumOk = tools::numericFlag(argc, argv, I, SO.FlightCapacity);
-    else if (!std::strcmp(argv[I], "--log-level") && I + 1 < argc) {
-      std::string L = argv[++I];
+      ValueOk = tools::numericFlag(argc, argv, I, SO.FlightCapacity);
+    else if (!std::strcmp(argv[I], "--log-level")) {
+      std::string L;
+      if (!tools::stringFlag(argc, argv, I, L))
+        return front::ExitError;
       if (auto P = obs::parseLogLevel(L)) {
         SO.Level = *P;
       } else {
@@ -175,7 +177,7 @@ int run(int argc, char **argv) {
       usage(argv[0]);
       return front::ExitError;
     }
-    if (!NumOk)
+    if (!ValueOk)
       return front::ExitError;
   }
 

@@ -12,7 +12,8 @@
 //   SHARPIE_WORKERS     worker count for the parallel search (default 1,
 //                       "max" = one per hardware thread);
 //   SHARPIE_BENCH_JSON  path to append one JSON line per row to, carrying
-//                       the verdict, timings, and SynthStats counters.
+//                       the verdict, timings, SynthStats counters, and
+//                       the inferred invariant (cards and atoms).
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,14 +40,15 @@ struct RowResult {
   bool FoundCex = false;
   double Seconds = 0;
   std::string Cards;      ///< Inferred cardinalities (ours).
+  std::vector<std::string> Atoms; ///< Invariant atoms, rendered, in order.
   std::string PaperTime;
   std::string ComparatorTime;
   synth::SynthStats Stats;
 };
 
 /// Worker count for bench runs: SHARPIE_WORKERS (number, or "max" for one
-/// per hardware thread). Defaults to 1 so timing baselines stay serial
-/// unless a sweep asks otherwise.
+/// per hardware thread). Defaults to 1 so timing baselines stay at one
+/// worker unless a sweep asks otherwise.
 inline unsigned benchWorkers() {
   const char *Env = std::getenv("SHARPIE_WORKERS");
   if (!Env || !*Env)
@@ -68,6 +70,9 @@ inline void emitJsonRow(const RowResult &Row) {
   if (!Fp)
     return;
   const synth::SynthStats &S = Row.Stats;
+  std::string Atoms;
+  for (const std::string &A : Row.Atoms)
+    Atoms += (Atoms.empty() ? "\"" : ",\"") + obs::jsonEscape(A) + "\"";
   std::fprintf(
       Fp,
       "{\"protocol\":\"%s\",\"workers\":%u,\"expected_safe\":%s,"
@@ -76,13 +81,13 @@ inline void emitJsonRow(const RowResult &Row) {
       "\"cache_misses\":%u,\"worker_utilization\":%.3f,"
       "\"prefilter_seconds\":%.3f,\"reduce_seconds\":%.3f,"
       "\"houdini_seconds\":%.3f,\"recheck_seconds\":%.3f,"
-      "\"cards\":\"%s\"}\n",
+      "\"cards\":\"%s\",\"atoms\":[%s]}\n",
       obs::jsonEscape(Row.Name).c_str(), S.NumWorkers,
       Row.Expected ? "true" : "false", Row.Verified ? "true" : "false",
       Row.FoundCex ? "true" : "false", Row.Seconds, S.TuplesTried,
       S.SmtChecks, S.CacheHits, S.CacheMisses, S.WorkerUtilization,
       S.PrefilterSeconds, S.ReduceSeconds, S.HoudiniSeconds,
-      S.RecheckSeconds, obs::jsonEscape(Row.Cards).c_str());
+      S.RecheckSeconds, obs::jsonEscape(Row.Cards).c_str(), Atoms.c_str());
   std::fclose(Fp);
 }
 
@@ -112,6 +117,8 @@ inline RowResult runBundle(const std::string &Name,
   }
   if (Row.Cards.empty())
     Row.Cards = "-";
+  for (logic::Term A : R.Atoms)
+    Row.Atoms.push_back(logic::toString(A));
   emitJsonRow(Row);
   return Row;
 }

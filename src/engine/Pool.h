@@ -1,12 +1,12 @@
 //===- engine/Pool.h - Fixed thread pool and cancellation -------*- C++ -*-===//
 //
-// Part of sharpie. A small fixed-size thread pool used by the parallel
-// set-tuple search (synth/Synth.cpp): callers submit jobs, wait for the
-// batch to drain, and signal cooperative cancellation through a shared
-// token. Workers in this codebase own all their state (TermManager, SMT
-// solver, reduction caches), so the pool needs no affinity or stealing
-// machinery beyond a shared queue -- load balancing happens at the job
-// level via an atomic work cursor.
+// Part of sharpie. A small fixed-size thread pool used by the set-tuple
+// search (synth/Synth.cpp), whose calling thread works alongside it as
+// worker 0: callers submit jobs, wait for the batch to drain, and signal
+// cooperative cancellation through a shared token. Every tuple attempt
+// owns all its state (TermManager, SMT solvers), so the pool needs no
+// affinity or stealing machinery beyond a shared queue -- load balancing
+// happens at the job level via an atomic work cursor.
 //
 //===----------------------------------------------------------------------===//
 

@@ -295,9 +295,9 @@ uint64_t sharpie::engine::reduceOptionsFingerprint(const ReduceOptions &O) {
 }
 
 namespace {
-/// The id-key over pre-fingerprinted options: shared between keyFor and
-/// the persistence path, which stores the fingerprint (not the options)
-/// on disk.
+/// The key over pre-fingerprinted options and host-manager terms: shared
+/// by lookups, inserts and the persistence path, which stores the
+/// fingerprint (not the options) on disk.
 uint64_t keyFromParts(Term Psi, uint64_t OptsFp,
                       const std::vector<std::pair<Term, Term>> &EC,
                       const std::vector<Term> &EIT) {
@@ -311,37 +311,7 @@ uint64_t keyFromParts(Term Psi, uint64_t OptsFp,
     H = hashMix(H, E.id());
   return H;
 }
-} // namespace
 
-uint64_t sharpie::engine::ReduceCache::keyFor(
-    Term Psi, const ReduceOptions &Opts,
-    const std::vector<std::pair<Term, Term>> &ExternalCounters,
-    const std::vector<Term> &ExtraIndexTerms) {
-  return keyFromParts(Psi, reduceOptionsFingerprint(Opts), ExternalCounters,
-                      ExtraIndexTerms);
-}
-
-const ReduceResult *sharpie::engine::ReduceCache::lookup(uint64_t Key) {
-  auto It = Entries.find(Key);
-  return It == Entries.end() ? nullptr : &It->second;
-}
-
-void sharpie::engine::ReduceCache::insert(uint64_t Key, ReduceResult R) {
-  Entries.emplace(Key, std::move(R));
-}
-
-void sharpie::engine::ReduceCache::enableSharing() {
-  if (HostM)
-    return;
-  // Id-mode entries are keyed by term ids of whichever manager produced
-  // them; the shared key space is the host's, so they cannot be told
-  // apart from colliding foreign keys. Drop them.
-  Entries.clear();
-  HostM = std::make_unique<logic::TermManager>();
-  Mu = std::make_unique<std::mutex>();
-}
-
-namespace {
 /// Translates the (Psi, options, externals) key into the host manager and
 /// keys on the translated ids: two structurally equal obligations from
 /// different managers intern to the same host nodes, so the key is
@@ -358,7 +328,8 @@ uint64_t sharedKey(logic::TermTranslator &In, Term Psi,
   HostEIT.reserve(ExtraIndexTerms.size());
   for (Term E : ExtraIndexTerms)
     HostEIT.push_back(In(E));
-  return ReduceCache::keyFor(In(Psi), Opts, HostEC, HostEIT);
+  return keyFromParts(In(Psi), reduceOptionsFingerprint(Opts), HostEC,
+                      HostEIT);
 }
 } // namespace
 
@@ -366,9 +337,8 @@ std::optional<ReduceResult> sharpie::engine::ReduceCache::lookupShared(
     logic::TermManager &M, Term Psi, const ReduceOptions &Opts,
     const std::vector<std::pair<Term, Term>> &ExternalCounters,
     const std::vector<Term> &ExtraIndexTerms) {
-  assert(HostM && "lookupShared before enableSharing");
-  std::lock_guard<std::mutex> Lock(*Mu);
-  logic::TermTranslator In(*HostM);
+  std::lock_guard<std::mutex> Lock(Mu);
+  logic::TermTranslator In(HostM);
   uint64_t Key = sharedKey(In, Psi, Opts, ExternalCounters, ExtraIndexTerms);
   auto It = Entries.find(Key);
   if (It == Entries.end())
@@ -404,9 +374,8 @@ void sharpie::engine::ReduceCache::insertShared(
     Term Psi, const ReduceOptions &Opts,
     const std::vector<std::pair<Term, Term>> &ExternalCounters,
     const std::vector<Term> &ExtraIndexTerms, const ReduceResult &R) {
-  assert(HostM && "insertShared before enableSharing");
-  std::lock_guard<std::mutex> Lock(*Mu);
-  logic::TermTranslator In(*HostM);
+  std::lock_guard<std::mutex> Lock(Mu);
+  logic::TermTranslator In(HostM);
   uint64_t Key = sharedKey(In, Psi, Opts, ExternalCounters, ExtraIndexTerms);
   if (Entries.count(Key))
     return;
@@ -433,17 +402,12 @@ void sharpie::engine::ReduceCache::insertShared(
 }
 
 size_t sharpie::engine::ReduceCache::size() const {
-  if (Mu) {
-    std::lock_guard<std::mutex> Lock(*Mu);
-    return Entries.size();
-  }
+  std::lock_guard<std::mutex> Lock(Mu);
   return Entries.size();
 }
 
 size_t sharpie::engine::ReduceCache::serializeShared(std::string &Out) const {
-  if (!HostM)
-    return 0;
-  std::lock_guard<std::mutex> Lock(*Mu);
+  std::lock_guard<std::mutex> Lock(Mu);
   size_t N = 0;
   char Buf[128];
   for (const auto &[Key, R] : Entries) {
@@ -520,12 +484,7 @@ bool parseCount(std::string_view S, size_t Max, size_t &N) {
 
 size_t sharpie::engine::ReduceCache::deserializeShared(
     std::string_view In, std::string *CorruptNote) {
-  if (!HostM) {
-    if (CorruptNote)
-      *CorruptNote = "cache not in shared mode";
-    return 0;
-  }
-  std::lock_guard<std::mutex> Lock(*Mu);
+  std::lock_guard<std::mutex> Lock(Mu);
   LineCursor LC{In};
   size_t Merged = 0;
   std::string_view Tag, Rest;
@@ -540,7 +499,7 @@ size_t sharpie::engine::ReduceCache::deserializeShared(
   auto ParseTerm = [&](std::string_view Text, bool AllowNull,
                        Term &T) -> bool {
     std::string TErr;
-    T = logic::deserializeTerm(*HostM, Text, &TErr);
+    T = logic::deserializeTerm(HostM, Text, &TErr);
     return !T.isNull() || (AllowNull && TErr.empty());
   };
   while (LC.next(Tag, Rest)) {
@@ -647,31 +606,16 @@ ReduceResult sharpie::engine::reduceToGroundCached(
   if (!Cache)
     return reduceToGround(M, Psi, Opts, VennOracle, ExternalCounters,
                           ExtraIndexTerms, Trace);
-  if (Cache->isShared()) {
-    if (std::optional<ReduceResult> Hit = Cache->lookupShared(
-            M, Psi, Opts, ExternalCounters, ExtraIndexTerms)) {
-      if (Trace)
-        Trace->counter("reduce_cache_hits", 1);
-      return std::move(*Hit);
-    }
-    if (Trace)
-      Trace->counter("reduce_cache_misses", 1);
-    ReduceResult R = reduceToGround(M, Psi, Opts, VennOracle,
-                                    ExternalCounters, ExtraIndexTerms, Trace);
-    Cache->insertShared(Psi, Opts, ExternalCounters, ExtraIndexTerms, R);
-    return R;
-  }
-  uint64_t Key =
-      ReduceCache::keyFor(Psi, Opts, ExternalCounters, ExtraIndexTerms);
-  if (const ReduceResult *Hit = Cache->lookup(Key)) {
+  if (std::optional<ReduceResult> Hit = Cache->lookupShared(
+          M, Psi, Opts, ExternalCounters, ExtraIndexTerms)) {
     if (Trace)
       Trace->counter("reduce_cache_hits", 1);
-    return *Hit;
+    return std::move(*Hit);
   }
   if (Trace)
     Trace->counter("reduce_cache_misses", 1);
   ReduceResult R = reduceToGround(M, Psi, Opts, VennOracle, ExternalCounters,
                                   ExtraIndexTerms, Trace);
-  Cache->insert(Key, R);
+  Cache->insertShared(Psi, Opts, ExternalCounters, ExtraIndexTerms, R);
   return R;
 }

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 
@@ -82,15 +81,16 @@ struct ReduceResult {
 /// under one axiom configuration must not be served under another.
 uint64_t reduceOptionsFingerprint(const ReduceOptions &Opts);
 
-/// Memoizes reduceToGround results. The cache key combines the hash-consed
-/// id of the input formula (which already encodes the full clause: the
-/// transition, the set-tuple measurements, and the placeholder wiring, so
-/// equal ids mean equal obligations within one TermManager), the ids of the
-/// external counters and extra index terms, and the axiom-configuration
-/// fingerprint. A cache is bound to the single TermManager whose term ids
-/// it stores; in the parallel search every worker owns one, so no locking
-/// is needed. Entries pin their ReduceResult terms alive through the
-/// manager, making hits a pure lookup.
+/// Memoizes reduceToGround results by content. The key is the obligation
+/// itself -- the input formula (which already encodes the full clause: the
+/// transition, the set-tuple measurements and the placeholder wiring), the
+/// external counters, the extra index terms -- translated into a
+/// TermManager the cache owns, plus the axiom-configuration fingerprint.
+/// Structurally equal obligations from any two managers intern to the
+/// same host nodes, so the key is manager-independent and exact, and
+/// every entry lives in the host manager, outliving the manager that
+/// produced it. Lookups and inserts are mutex-guarded, so one cache serves
+/// every tuple attempt of a run and concurrent daemon requests at once.
 ///
 /// The cache keeps no hit/miss tally of its own: reduceToGroundCached
 /// counts "reduce_cache_hits"/"reduce_cache_misses" on the caller's trace
@@ -100,43 +100,23 @@ uint64_t reduceOptionsFingerprint(const ReduceOptions &Opts);
 /// When do hits occur? NOT within one synthesis run: the ranked tuple
 /// enumeration is duplicate-free and every clause formula embeds its
 /// tuple's measurement terms, so each of a run's reduction inputs is
-/// distinct by construction and a single run reports CacheHits == 0 (the
-/// all-zero cache_hits columns of BENCH_PR1/PR2 are expected, not a
-/// keying bug). The cache pays off exactly when the same obligation is
-/// rebuilt: re-verifying a protocol in the same TermManager (deterministic
-/// clause-variable naming makes the clauses pointer-identical -- share a
-/// cache across runs via SynthOptions::ReuseReduceCache), or re-reducing a
+/// distinct by construction. The search therefore consults only a cache
+/// its caller supplies (SynthOptions::ReuseReduceCache), and hits come
+/// from rebuilding the same obligation in a later run: re-verifying a
+/// protocol (the daemon's tier 2, `sharpie --store`), or re-reducing a
 /// pinned FixedSetBodies tuple. tests/reduce_cache_test.cpp pins both the
 /// zero-hit single-run expectation and the cross-run hit path.
 class ReduceCache {
 public:
-  /// Returns the cached result for the key, or nullptr.
-  const ReduceResult *lookup(uint64_t Key);
-  void insert(uint64_t Key, ReduceResult R);
+  /// Does nothing: a cache is shareable across managers and threads from
+  /// construction. Kept only because sharpiebench/harness.cpp calls it.
+  void enableSharing() {}
 
-  /// Builds the cache key for a reduceToGround call.
-  static uint64_t
-  keyFor(logic::Term Psi, const ReduceOptions &Opts,
-         const std::vector<std::pair<logic::Term, logic::Term>>
-             &ExternalCounters,
-         const std::vector<logic::Term> &ExtraIndexTerms);
-
-  /// Flips the cache into shared (cross-manager) mode for the parallel
-  /// search. Entries move into a private TermManager owned by the cache,
-  /// so they outlive any worker and never race the workers' managers;
-  /// keys become ids of the host-translated key terms, which makes them
-  /// manager-independent without hash-collision risk. Existing id-mode
-  /// entries are keyed in their producer's manager and cannot be carried
-  /// over; they are dropped. Idempotent.
-  void enableSharing();
-  bool isShared() const { return HostM != nullptr; }
-
-  /// Shared-mode lookup: translates the key terms into the host, and on a
-  /// hit materializes the entry in \p M with every freshVar-minted
-  /// variable ("!" names: witnesses, skolems, k/venn counters)
-  /// re-skolemized through M.freshVar, so two entries -- or one entry hit
-  /// twice -- can never alias skolems inside one solver context.
-  /// Thread-safe.
+  /// Translates the key terms into the host, and on a hit materializes
+  /// the entry in \p M with every freshVar-minted variable ("!" names:
+  /// witnesses, skolems, k/venn counters) re-skolemized through
+  /// M.freshVar, so two entries -- or one entry hit twice -- can never
+  /// alias skolems inside one solver context. Thread-safe.
   std::optional<ReduceResult>
   lookupShared(logic::TermManager &M, logic::Term Psi,
                const ReduceOptions &Opts,
@@ -144,9 +124,9 @@ public:
                    &ExternalCounters,
                const std::vector<logic::Term> &ExtraIndexTerms);
 
-  /// Shared-mode insert: stores \p R translated into the host manager.
-  /// First writer wins on a key collision between racing workers (the
-  /// results are equivalent up to skolem names). Thread-safe.
+  /// Stores \p R translated into the host manager. First writer wins on a
+  /// key collision between racing attempts (the results are equivalent up
+  /// to skolem names). Thread-safe.
   void insertShared(logic::Term Psi, const ReduceOptions &Opts,
                     const std::vector<std::pair<logic::Term, logic::Term>>
                         &ExternalCounters,
@@ -155,26 +135,24 @@ public:
 
   // -- Persistence (the serving stack's tier-2 store, serve/Store.h) ---------
   //
-  // Shared-mode entries round-trip through a line-based text encoding:
-  // every entry carries its key material (the host-translated Psi, the
-  // options fingerprint, external counters, extra index terms) alongside
-  // the ReduceResult, both serialized with logic/TermIO.h. Loading parses
-  // the key terms into this cache's host manager and recomputes the id
-  // key exactly as lookupShared would, so a cache written by one process
-  // serves hits in another: the keys are content, not ids. The id-based
-  // keys of Entries are process-local; only the text form travels.
+  // Entries round-trip through a line-based text encoding: every entry
+  // carries its key material (the host-translated Psi, the options
+  // fingerprint, external counters, extra index terms) alongside the
+  // ReduceResult, both serialized with logic/TermIO.h. Loading parses the
+  // key terms into this cache's host manager and recomputes the key
+  // exactly as lookupShared would, so a cache written by one process
+  // serves hits in another: the keys are content, not ids.
 
-  /// Serializes every shared-mode entry (text, deterministic order).
-  /// Returns the number of entries written. Thread-safe; id mode writes
-  /// nothing (its keys are not portable by design).
+  /// Serializes every entry (text, deterministic order). Returns the
+  /// number of entries written. Thread-safe.
   size_t serializeShared(std::string &Out) const;
 
   /// Parses entries serialized by serializeShared and merges them into
-  /// this cache (which must already be in shared mode; existing entries
-  /// win on key collisions). Corruption-tolerant: a malformed entry stops
-  /// the load at that point -- everything already parsed stays, nothing
-  /// throws, and \p CorruptNote (when non-null) records what was wrong.
-  /// Returns the number of entries merged. Thread-safe.
+  /// this cache (existing entries win on key collisions).
+  /// Corruption-tolerant: a malformed entry stops the load at that point
+  /// -- everything already parsed stays, nothing throws, and
+  /// \p CorruptNote (when non-null) records what was wrong. Returns the
+  /// number of entries merged. Thread-safe.
   size_t deserializeShared(std::string_view In,
                            std::string *CorruptNote = nullptr);
 
@@ -182,7 +160,7 @@ public:
   size_t size() const;
 
 private:
-  /// The content identity of a shared entry, retained so the entry can be
+  /// The content identity of an entry, retained so the entry can be
   /// re-keyed after a round trip through disk (terms live in HostM).
   struct SharedKey {
     logic::Term Psi;
@@ -192,12 +170,12 @@ private:
   };
 
   std::map<uint64_t, ReduceResult> Entries;
-  /// Shared mode only: key material per entry, same keys as Entries.
+  /// Key material per entry, same keys as Entries.
   std::map<uint64_t, SharedKey> KeyParts;
-  /// Non-null exactly in shared mode. The mutex guards Entries, KeyParts
+  /// Owns every key and entry term. The mutex guards Entries, KeyParts
   /// and every translation touching HostM.
-  std::unique_ptr<logic::TermManager> HostM;
-  std::unique_ptr<std::mutex> Mu;
+  logic::TermManager HostM;
+  mutable std::mutex Mu;
 };
 
 /// Reduces the satisfiability obligation \p Psi to a ground formula.
@@ -219,11 +197,12 @@ reduceToGround(logic::TermManager &M, logic::Term Psi,
                const std::vector<logic::Term> &ExtraIndexTerms = {},
                obs::TraceBuffer *Trace = nullptr);
 
-/// Memoizing front end to reduceToGround. \p Cache may be null (plain
-/// call). On a hit the cached ReduceResult is returned without touching
-/// the oracle; on a miss the reduction runs and the result is stored.
-/// \p Trace additionally counts "reduce_cache_hits"/"reduce_cache_misses"
-/// -- the only tally of the cache's traffic.
+/// Memoizing front end to reduceToGround. \p Cache may be null: a plain
+/// call that makes no lookup and counts nothing. On a hit the cached
+/// ReduceResult is returned without touching the oracle; on a miss the
+/// reduction runs and the result is stored. \p Trace additionally counts
+/// "reduce_cache_hits"/"reduce_cache_misses" -- the only tally of the
+/// cache's traffic.
 ReduceResult
 reduceToGroundCached(ReduceCache *Cache, logic::TermManager &M,
                      logic::Term Psi, const ReduceOptions &Opts,

@@ -210,11 +210,6 @@ uint64_t Tracer::droppedEvents() const {
   return N;
 }
 
-unsigned Tracer::workerCount() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return static_cast<unsigned>(Buffers.size());
-}
-
 std::vector<Event> Tracer::mergedEvents() const {
   std::lock_guard<std::mutex> L(Mu);
   std::vector<Event> Out;

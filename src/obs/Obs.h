@@ -217,10 +217,6 @@ public:
   /// all workers.
   uint64_t droppedEvents() const;
 
-  /// Number of distinct workers that registered a buffer -- the peak
-  /// worker count of the traced run.
-  unsigned workerCount() const;
-
   /// Microseconds since the trace epoch (construction time, or
   /// Cfg.EpochAt when set).
   double microsSinceEpoch() const;

@@ -13,15 +13,19 @@
 //
 // Determinism: every decision is a pure function of (plan seed, site
 // name, scope, invocation index) hashed through splitmix64 -- no global
-// RNG state, no wall clock. The synthesizer opens one scope per candidate
-// tuple (scope = tuple rank + 1; scope 0 is driver setup), and the
-// per-site invocation index resets at each scope, so a tuple draws the
-// same faults no matter which worker claims it or in which order tuples
-// complete. The one deliberate exception is the `worker=W` trigger, which
-// keys on the physical worker rank to model "this machine is bad"
-// scenarios; under a racy work cursor the set of tuples it hits varies
-// run to run, and the chaos tests only assert verdict-or-inconclusive for
-// such plans.
+// RNG state, no wall clock. Every tuple attempt owns one injector and
+// opens one scope (scope = tuple rank + 1), and the per-site invocation
+// index resets at each scope, so a tuple draws the same faults no matter
+// which worker claims it or in which order tuples complete. The one
+// deliberate exception is the `worker=W` trigger, which keys on the
+// physical worker rank to model "this machine is bad" scenarios; under a
+// racy work cursor the set of tuples it hits varies run to run, and the
+// chaos tests only assert verdict-or-inconclusive for such plans.
+//
+// Ranks: search worker W is fault rank W+1 at every width, the same
+// number as its trace rank (obs/Obs.h), so a 1-worker search runs on
+// rank 1. Rank 0 is the synthesis driver, which reaches no synthesis
+// fault site: only tuple attempts solve.
 //
 // Plan grammar (--faults):
 //
@@ -35,7 +39,8 @@
 //   trigger := "always" | "p=" FLOAT | "every=" N | "worker=" W
 //
 // A rule with no trigger fires always; multiple triggers on one rule must
-// all hold. Example: "seed=7;smt_check:timeout@p=0.3;worker_task:throw@worker=0".
+// all hold. Example: "seed=7;smt_check:timeout@p=0.3;worker_task:throw@worker=1"
+// (worker=1 is the first search worker, the only one at 1 worker).
 //
 //===----------------------------------------------------------------------===//
 
@@ -96,18 +101,20 @@ struct FaultDecision {
 };
 
 /// Turns a FaultPlan into per-invocation decisions. One injector per
-/// worker; not thread-safe (each worker owns its own, like its solver).
+/// tuple attempt; not thread-safe (each attempt owns its own, like its
+/// solvers).
 class FaultInjector {
 public:
   explicit FaultInjector(FaultPlan Plan) : Plan(std::move(Plan)) {}
 
-  /// The physical worker rank the `worker=W` trigger compares against
-  /// (0 = serial search / driver, parallel worker W = W).
+  /// The physical worker rank the `worker=W` trigger compares against:
+  /// search worker W is rank W+1 at every width; rank 0, the driver,
+  /// reaches no synthesis fault site.
   void setWorker(unsigned W) { Worker = W; }
   unsigned worker() const { return Worker; }
 
   /// Opens a deterministic decision scope (the synthesizer uses tuple
-  /// rank + 1; 0 is the pre-search scope). Resets the per-site indices.
+  /// rank + 1). Resets the per-site indices.
   void beginScope(uint64_t S);
 
   /// Consumes one invocation at \p Site and returns the decision. The

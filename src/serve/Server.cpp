@@ -57,9 +57,6 @@ Server::Server(ServerOptions O)
     }
   }
 
-  // The reduce cache is shared-mode from birth: requests run on pool
-  // threads with private managers, exactly the cross-manager case.
-  RC.enableSharing();
   // A corrupt tier-2 file degrades to whatever prefix parsed; the note
   // surfaces through status/cache_stats rather than a log line (the
   // daemon may be running --log-level quiet).
@@ -371,11 +368,12 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
   }
 
   double ParseSeconds = 0, SynthSeconds = 0;
+  unsigned SynthWorkers = 0; // Stays 0 when no search ran (a tier-1 hit).
   VerifyResponse Resp;
   {
     obs::Span Sp(TB, "request");
     Resp = verifyImpl(Id, Req, Cancel, Tracer, TB, T0, LR, ParseSeconds,
-                      SynthSeconds, Arrival);
+                      SynthSeconds, SynthWorkers, Arrival);
   }
   // The owner thread stamps the watchdog's verdict into the trace at
   // completion -- deterministically placed (after the request span), so
@@ -434,7 +432,7 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
     L["cache_lookup_seconds"] = Json(Resp.CacheLookupSeconds);
     L["synth_seconds"] = Json(SynthSeconds);
     L["server_seconds"] = Json(Resp.ServerSeconds);
-    L["workers"] = Json(Tracer.workerCount());
+    L["workers"] = Json(SynthWorkers);
     L["dropped_events"] = Json(Tracer.droppedEvents());
     L["slow"] = Json(LR.Slow.load());
     L["disposition"] = Json(Resp.Disposition);
@@ -450,7 +448,7 @@ VerifyResponse Server::verifyImpl(uint64_t Id, const VerifyRequest &Req,
                                   obs::Tracer &Tracer, obs::TraceBuffer *TB,
                                   std::chrono::steady_clock::time_point T0,
                                   LiveRequest &Live, double &ParseSeconds,
-                                  double &SynthSeconds,
+                                  double &SynthSeconds, unsigned &SynthWorkers,
                                   std::chrono::steady_clock::time_point Arrival) {
   (void)Id;
   VerifyResponse Resp;
@@ -575,6 +573,7 @@ VerifyResponse Server::verifyImpl(uint64_t Id, const VerifyRequest &Req,
     Res = synth::synthesize(*B.Sys, SO);
   }
   SynthSeconds = secondsSince(T1);
+  SynthWorkers = Res.Stats.NumWorkers;
 
   Live.Phase.store("render");
   obs::Span RenderSp(TB, "render");

@@ -250,7 +250,7 @@ private:
                             obs::Tracer &Tracer, obs::TraceBuffer *TB,
                             std::chrono::steady_clock::time_point T0,
                             LiveRequest &Live, double &ParseSeconds,
-                            double &SynthSeconds,
+                            double &SynthSeconds, unsigned &SynthWorkers,
                             std::chrono::steady_clock::time_point Arrival);
   void writeAccessLine(const std::string &Line);
   void watchdogLoop();
@@ -274,8 +274,9 @@ private:
 
   ServerOptions Opts;
   ResultStore Store;
-  /// Cross-request reduce cache (tier 2), shared mode from birth; loaded
-  /// from / saved to the store around each uncached solve.
+  /// Cross-request reduce cache (tier 2), content-keyed, so every request
+  /// thread and tuple attempt shares it; loaded from / saved to the store
+  /// around each uncached solve.
   engine::ReduceCache RC;
   engine::ThreadPool Pool;
 

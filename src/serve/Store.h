@@ -22,7 +22,7 @@
 //            timings, never a stale verdict.
 //
 //   tier 2   <dir>/t2/reduce.cache
-//            The shared-mode engine::ReduceCache, serialized with its own
+//            The content-keyed engine::ReduceCache, serialized with its own
 //            content-keyed format (engine/Reduce.h, "Persistence"): every
 //            entry travels with its key terms, so a cache written by one
 //            process re-keys and serves hits in any other.
@@ -113,10 +113,9 @@ public:
   /// (the store keeps serving; persistence is best-effort by design).
   bool store(const front::CanonicalHash &H, const T1Entry &E);
 
-  /// Tier-2: merges the on-disk reduce cache into \p C (which must be in
-  /// shared mode). Corruption keeps the parsed prefix and counts
-  /// T2Corrupt; \p Note, when non-null, receives a classified
-  /// "corrupt_store: ..." description for logging.
+  /// Tier-2: merges the on-disk reduce cache into \p C. Corruption keeps
+  /// the parsed prefix and counts T2Corrupt; \p Note, when non-null,
+  /// receives a classified "corrupt_store: ..." description for logging.
   size_t loadReduceCache(engine::ReduceCache &C, std::string *Note = nullptr);
 
   /// Tier-2: serializes \p C to disk (atomic). Returns entries written,

@@ -2,15 +2,18 @@
 //
 // Part of sharpie. See Synth.h.
 //
-// The set-tuple search (the outer loop of paper Fig. 5) runs either
-// serially or across a fixed worker pool (SynthOptions::NumWorkers). Each
-// worker owns a full private copy of the world -- TermManager, cloned
-// ParamSystem, SMT solver, reduction cache -- so the hash-consing tables
-// and solver state need no locks; the only shared mutable state is the
-// atomic tuple cursor, the best-verified-rank watermark, and the
-// mutex-guarded per-rank outcome table. Results merge by rank: the
-// lowest-ranked verified tuple wins, exactly what the serial search would
-// have returned, so the invariant is independent of thread timing (see
+// The set-tuple search (the outer loop of paper Fig. 5) is one rank-cursor
+// loop at every width (SynthOptions::NumWorkers): the calling thread is
+// worker 0 and pool threads are workers 1..W-1, each claiming the next
+// rank from an atomic cursor. Every tuple attempt builds a private world
+// -- a TermManager, the system cloned into it, the pool, states and set
+// bodies translated into it, and its own SMT solvers -- and drops it when
+// the attempt ends, so hash-consing tables and solver state need no locks
+// and an attempt cannot see which tuples ran before it. The only shared
+// mutable state is the cursor, the best-verified-rank watermark, the
+// mutex-guarded per-rank outcome table, and a caller-supplied reduction
+// cache. Results merge by rank: the lowest-ranked verified tuple wins, so
+// the invariant is independent of thread timing and of the width (see
 // DESIGN.md, "Parallel search & determinism").
 //
 //===----------------------------------------------------------------------===//
@@ -120,102 +123,80 @@ struct ReducedClause {
   uint64_t NumInstances = 0;
 };
 
+/// True once the run's wall-clock budget is spent or the caller cancelled.
+/// External cancellation rides the budget path: every "did the budget run
+/// out?" poll also observes the caller's token, so a cancelled run winds
+/// down exactly like a budget-exhausted one.
+bool budgetExhausted(const SynthOptions &Opts,
+                     std::chrono::steady_clock::time_point Deadline) {
+  if (Opts.Cancel && Opts.Cancel->cancelled())
+    return true;
+  return std::chrono::steady_clock::now() > Deadline;
+}
+
+/// Everything a finished tuple attempt produces, in the attempt's own
+/// TermManager.
+struct TupleOutcome {
+  bool Verified = false;
+  std::vector<Term> Atoms;
+  Term Invariant;
+  std::string Why;
+  /// Near-miss data: a Houdini check found a counterexample to the
+  /// safety clause under the live atoms.
+  bool HasPartial = false;
+  std::vector<Term> PartialAtoms;
+  std::string FailedOn;
+};
+
+/// The per-tuple pipeline (prefilter -> reduce -> Houdini -> recheck) of
+/// one tuple attempt, over the system cloned into the attempt's world.
+/// Every term, solver and Houdini context it builds lives in that world
+/// and dies with it.
 class Synthesizer {
 public:
-  Synthesizer(sys::ParamSystem &Sys, const SynthOptions &Opts)
+  /// \p TB is the attempt's worker buffer (trace rank W+1 on worker W),
+  /// \p FaultRank the rank a `worker=N` fault trigger compares against
+  /// (the same W+1), \p Superseded tells a tuple that a lower rank already
+  /// won, and \p Stats receives the phase seconds and the prefilter count.
+  Synthesizer(sys::ParamSystem &Sys, const SynthOptions &Opts,
+              std::chrono::steady_clock::time_point Deadline,
+              obs::TraceBuffer *TB, unsigned FaultRank,
+              std::function<bool()> Superseded, SynthStats &Stats)
       : Sys(Sys), M(Sys.manager()), Opts(Opts),
-        F(makeFormals(M, Opts.Shape)),
-        Deadline(Opts.TimeBudgetSeconds > 0
-                     ? std::chrono::steady_clock::now() +
-                           std::chrono::duration_cast<
-                               std::chrono::steady_clock::duration>(
-                               std::chrono::duration<double>(
-                                   Opts.TimeBudgetSeconds))
-                     : std::chrono::steady_clock::time_point::max()) {
-    if (Opts.Supervise.Enabled && Opts.Faults && !Opts.Faults->empty())
+        F(makeFormals(M, Opts.Shape)), Stats(Stats), Deadline(Deadline),
+        TB(TB), Superseded(std::move(Superseded)) {
+    if (Opts.Supervise.Enabled && Opts.Faults && !Opts.Faults->empty()) {
       Faults.emplace(*Opts.Faults);
-    // Bound here (not in run()) so parallel workers -- which are driven
-    // through tryTuple directly -- share a caller-provided cache too.
-    if (Opts.ReuseReduceCache)
-      RC = Opts.ReuseReduceCache;
+      Faults->setWorker(FaultRank);
+    }
   }
 
-  // External cancellation rides the budget path: every "did the budget
-  // run out?" poll also observes the caller's token, so a cancelled run
-  // winds down exactly like a budget-exhausted one.
-  bool outOfTime() const {
-    if (Opts.Cancel && Opts.Cancel->cancelled())
-      return true;
-    return std::chrono::steady_clock::now() > Deadline;
-  }
-
-  /// True when this tuple attempt should stop early: the time budget ran
-  /// out, or (parallel search) a lower-ranked tuple already verified.
-  bool aborted() const {
-    return outOfTime() || (ExternAbort && ExternAbort());
-  }
-
-  SynthResult run();
+  /// Runs the pipeline on the tuple of rank \p Rank, inside the fault
+  /// scope of that rank (the "worker_task" injection site fires first). An
+  /// injected throw, like any exception, escapes to the attempt's
+  /// containment in the driver.
+  TupleOutcome tryTuple(size_t Rank, const std::vector<Term> &SetBodies,
+                        const std::vector<Term> &Pool,
+                        const std::vector<sys::ParamSystem::State> &States);
 
 private:
-  /// Fills \p Res.Stats at the end of the run: the phase stats, the wall
-  /// time since \p Start, the tracer's metrics, and the counts derived
-  /// from them against \p Before (the metrics when the run began).
-  void finish(SynthResult &Res, const obs::MetricsSummary &Before,
-              std::chrono::steady_clock::time_point Start);
+  bool outOfTime() const { return budgetExhausted(Opts, Deadline); }
 
-  /// Everything a finished tuple attempt produces, in this synthesizer's
-  /// own TermManager.
-  struct TupleOutcome {
-    bool Verified = false;
-    std::vector<Term> Atoms;
-    Term Invariant;
-    std::string Why;
-    /// Near-miss data: a Houdini check found a counterexample to the
-    /// safety clause under the live atoms.
-    bool HasPartial = false;
-    std::vector<Term> PartialAtoms;
-    std::string FailedOn;
-  };
+  /// True when this tuple attempt should stop early: the time budget ran
+  /// out, or a lower-ranked tuple already verified.
+  bool aborted() const { return outOfTime() || Superseded(); }
 
-  // -- Search-space assembly -------------------------------------------------
-  std::vector<std::vector<size_t>> rankTuples(
-      const std::vector<SetCandidate> &Cands) const;
   std::vector<Term> prefilterAtoms(const std::vector<Term> &Pool,
                                    const std::vector<Term> &SetBodies,
                                    const std::vector<sys::ParamSystem::State>
                                        &States) const;
 
-  // -- Per-tuple pipeline (prefilter -> reduce -> Houdini -> recheck) -----------
-  TupleOutcome tryTuple(const std::vector<Term> &SetBodies,
-                        const std::vector<Term> &Pool,
-                        const std::vector<sys::ParamSystem::State> &States);
-  /// tryTuple plus the resilience envelope: fault-injection scoping for
-  /// rank \p Rank, the "worker_task" injection site, and exception
-  /// containment -- a throwing attempt marks the tuple skipped (with the
-  /// reason recorded) and the search continues with a fresh solver.
-  TupleOutcome attemptTuple(size_t Rank, const std::vector<Term> &SetBodies,
-                            const std::vector<Term> &Pool,
-                            const std::vector<sys::ParamSystem::State>
-                                &States);
-
-  // -- Serial / parallel drivers over the ranked tuples ------------------------
-  void runSerial(const std::vector<std::vector<Term>> &TupleBodies,
-                 const std::vector<Term> &Pool,
-                 const std::vector<sys::ParamSystem::State> &States,
-                 SynthResult &Res);
-  void runParallel(unsigned Workers,
-                   const std::vector<std::vector<Term>> &TupleBodies,
-                   const std::vector<Term> &Pool,
-                   const std::vector<sys::ParamSystem::State> &States,
-                   SynthResult &Res);
-
   // -- Clause construction (INSTQ + measurements + placeholders) ---------------
   /// Deterministic clause-local variables: the same (clause, position)
   /// always names the same variable, so rebuilding a clause for the same
-  /// set tuple yields the pointer-identical formula and the reduction
-  /// cache can key on the term id. '$' keeps the namespace disjoint from
-  /// protocol variables and freshVar's "!" names.
+  /// set tuple yields the same formula in every world, which is what a
+  /// caller's content-keyed reduction cache matches on. '$' keeps the
+  /// namespace disjoint from protocol variables and freshVar's "!" names.
   Term clauseVar(const char *Base, const std::string &CN, unsigned &Ctr,
                  Sort S) {
     return M.mkVar(std::string(Base) + "$" + CN + "$" + std::to_string(Ctr++),
@@ -262,7 +243,6 @@ private:
   // which is why verdicts and invariants match the eager grounding
   // (RefineBudget = 0).
   struct IncCtx {
-    bool Active = false;
     std::vector<Term> Atoms; ///< Candidate pool, fixing indicator indices.
     std::vector<Term> Ind;   ///< Ind[k]: atom k is live.
     std::map<Term, size_t> IndIndex; ///< Ind[k] -> k, for core mapping.
@@ -314,9 +294,6 @@ private:
   }
   void incSetup(const std::vector<ReducedClause> &Clauses,
                 const std::vector<Term> &Cand);
-  /// Destroys the merged context and forgets the tuple's state.
-  /// Idempotent; called on every tryTuple exit path and by resetSolver.
-  void incTeardown();
   std::vector<Term> incAssumptions() const;
   bool coreConsistent() const;
   void incRecordCore();
@@ -359,53 +336,103 @@ private:
   bool recheck(Term Inv, const std::vector<sys::ParamSystem::State> &States,
                std::string &Why);
 
-  /// Builds this synthesizer's standard solver stack for injection site
+  /// Builds this attempt's standard solver stack for injection site
   /// \p Site: supervised Z3 with a MiniSolver fallback factory, wired to
-  /// this synthesizer's injector, trace buffer and deadline.
+  /// this attempt's injector, trace buffer and deadline.
   /// With supervision disabled, the bare Z3 back end (the A/B baseline).
   std::unique_ptr<smt::SmtSolver> makeSolver(const char *Site);
-  /// Replaces the member Solver after an exception may have left it with
-  /// stale pushed frames (reusing it could discharge clauses vacuously).
-  /// The incremental context dies with the solver it was asserted on.
-  void resetSolver() {
-    Solver = makeSolver("smt_check");
-    Inc = IncCtx();
-  }
+
+  sys::ParamSystem &Sys;
+  TermManager &M;
+  const SynthOptions &Opts; ///< With QGuard translated into the world.
+  Formals F;
+  SynthStats &Stats;
+  /// The merged per-tuple Houdini context.
+  IncCtx Inc;
+  std::chrono::steady_clock::time_point Deadline;
+  /// Engaged when a non-empty fault plan is configured (and supervision
+  /// is on). One injector per attempt, scoped to the attempt's rank.
+  std::optional<resil::FaultInjector> Faults;
+  /// The attempt's trace buffer (rank W+1 on worker W); its counters are
+  /// the only tally of the run's counts.
+  obs::TraceBuffer *TB;
+  std::function<bool()> Superseded;
+};
+
+/// One tuple attempt's world: a private TermManager and the system cloned
+/// into it. Every term of the attempt lives here; the world is dropped
+/// when the attempt ends, except the winner's, which the merge translates
+/// back into the caller's manager.
+struct World {
+  TermManager M;
+  std::unique_ptr<sys::ParamSystem> Sys;
+};
+
+/// The run's driver (paper Fig. 5's outer loop) on trace rank 0: explicit
+/// exploration, enumeration and tuple ranking in the caller's manager,
+/// then the rank-cursor search over per-attempt worlds, and the merge.
+class Search {
+public:
+  Search(sys::ParamSystem &Sys, const SynthOptions &Opts)
+      : Sys(Sys), M(Sys.manager()), Opts(Opts),
+        F(makeFormals(M, Opts.Shape)),
+        Deadline(Opts.TimeBudgetSeconds > 0
+                     ? std::chrono::steady_clock::now() +
+                           std::chrono::duration_cast<
+                               std::chrono::steady_clock::duration>(
+                               std::chrono::duration<double>(
+                                   Opts.TimeBudgetSeconds))
+                     : std::chrono::steady_clock::time_point::max()) {}
+
+  SynthResult run();
+
+private:
+  bool outOfTime() const { return budgetExhausted(Opts, Deadline); }
+
+  std::vector<std::vector<size_t>> rankTuples(
+      const std::vector<SetCandidate> &Cands) const;
+
+  /// The rank-cursor loop over the ranked tuples on \p Workers workers,
+  /// and the rank-ordered merge into \p Res.
+  void searchTuples(unsigned Workers,
+                    const std::vector<std::vector<Term>> &TupleBodies,
+                    const std::vector<Term> &Pool,
+                    const std::vector<sys::ParamSystem::State> &States,
+                    SynthResult &Res);
+
+  /// One tuple attempt on worker \p W: builds the world \p Wd (the clone,
+  /// and the pool, states and set bodies translated into it) and runs the
+  /// pipeline there, all inside the exception containment -- a throw
+  /// anywhere, world construction included, marks the tuple skipped (with
+  /// the reason recorded) and the search continues. \p Phases receives
+  /// the attempt's phase seconds.
+  TupleOutcome attempt(unsigned W, size_t Rank,
+                       const std::vector<Term> &SetBodies,
+                       const std::vector<Term> &Pool,
+                       const std::vector<sys::ParamSystem::State> &States,
+                       std::function<bool()> Superseded,
+                       std::unique_ptr<World> &Wd, SynthStats &Phases);
+
+  /// Fills \p Res.Stats at the end of the run: the phase stats, the wall
+  /// time since \p Start, the tracer's metrics, and the counts derived
+  /// from them against \p Before (the metrics when the run began).
+  void finish(SynthResult &Res, const obs::MetricsSummary &Before,
+              std::chrono::steady_clock::time_point Start);
 
   sys::ParamSystem &Sys;
   TermManager &M;
   SynthOptions Opts;
   Formals F;
-  SynthStats Stats;
-  std::unique_ptr<smt::SmtSolver> Solver;
-  /// The merged per-tuple Houdini context.
-  IncCtx Inc;
   std::chrono::steady_clock::time_point Deadline;
-  /// Engaged when a non-empty fault plan is configured (and supervision
-  /// is on). One injector per synthesizer: deterministic per worker.
-  std::optional<resil::FaultInjector> Faults;
-  /// Memoizes reduceToGround per (clause formula, axiom config); owned by
-  /// this synthesizer, hence by one TermManager and one thread.
-  engine::ReduceCache OwnRCache;
-  /// Points at OwnRCache, or at Opts.ReuseReduceCache when the caller
-  /// shares a cache across runs (serial path; bound to the same manager).
-  engine::ReduceCache *RC = &OwnRCache;
-  /// This synthesizer's trace buffer: rank 0 for the driver and the serial
-  /// search, rank W+1 on parallel worker W. Never null once the search
-  /// runs: its counters are the only tally of the run's counts.
+  SynthStats Stats;
+  /// The driver's trace buffer, rank 0.
   obs::TraceBuffer *TB = nullptr;
-  /// Parallel search: set on worker synthesizers to abandon tuples that a
-  /// lower-ranked verified tuple has made irrelevant.
-  std::function<bool()> ExternAbort;
-  /// The skolemized negated safety property, computed once per synthesizer
-  /// (it does not depend on the set tuple).
-  std::optional<quant::SkolemResult> NotSafeSk;
 };
 
 // -- Tuple ranking ---------------------------------------------------------------
 
 std::vector<std::vector<size_t>>
-Synthesizer::rankTuples(const std::vector<SetCandidate> &Cands) const {
+Search::rankTuples(const std::vector<SetCandidate> &Cands) const {
   unsigned m = Opts.Shape.NumSets;
   std::vector<std::vector<size_t>> Tuples;
   if (m == 0) {
@@ -690,7 +717,8 @@ Synthesizer::buildClauses(const std::vector<Term> &SetBodies,
     obs::Span Sp(TB, "reduce_clause", [&] { return C.Name; });
     Term Raw = M.mkAnd(Conj);
     engine::ReduceResult R = engine::reduceToGroundCached(
-        RC, M, Raw, BuildRO, Oracle, Externals, InstanceTerms(C.Insts), TB);
+        Opts.ReuseReduceCache, M, Raw, BuildRO, Oracle, Externals,
+        InstanceTerms(C.Insts), TB);
     C.Ground = R.Ground;
     C.Deferred = std::move(R.Deferred);
     C.NumInstances = R.NumInstances;
@@ -740,14 +768,13 @@ Synthesizer::buildClauses(const std::vector<Term> &SetBodies,
     C.Name = "safe";
     C.IsSafety = true;
     unsigned Ctr = 0;
-    // The safety skolemization is tuple-independent; doing it once keeps
-    // the clause formula pointer-identical across tuples with equal
-    // bodies, which is what lets the reduction cache hit.
-    if (!NotSafeSk)
-      NotSafeSk = quant::skolemize(M, M.mkNot(Sys.safe()));
-    std::vector<Term> Conj{NotSafeSk->Formula};
+    // Skolemized in the attempt's fresh world after the same reductions
+    // every time, so the skolem names -- and the clause formula -- repeat
+    // across runs, which is what lets a caller's reduction cache hit.
+    quant::SkolemResult NotSafeSk = quant::skolemize(M, M.mkNot(Sys.safe()));
+    std::vector<Term> Conj{NotSafeSk.Formula};
     std::vector<Term> ExtraTids, ExtraInts;
-    for (Term Sk : NotSafeSk->Skolems)
+    for (Term Sk : NotSafeSk.Skolems)
       (Sk.sort() == Sort::Tid ? ExtraTids : ExtraInts).push_back(Sk);
     // Int-sorted ground subterms of the property (e.g. n-1 in the filter
     // lock's property) are natural instance candidates.
@@ -808,7 +835,6 @@ void Synthesizer::incSetup(const std::vector<ReducedClause> &Clauses,
   Inc = IncCtx();
   Inc.Atoms = Cand;
   Inc.Live.assign(Cand.size(), 1);
-  Inc.Active = true;
   for (size_t K = 0; K < Cand.size(); ++K) {
     // Deterministic per-index names (like clauseVar's): rebuilding the
     // context for another tuple reuses the same interned variables.
@@ -874,12 +900,6 @@ void Synthesizer::incSetup(const std::vector<ReducedClause> &Clauses,
   // violated clauses through its true selectors, and Unsat means every
   // clause (safety included) is discharged under the live indicators.
   Inc.S->add(M.mkOr(Inc.Sel));
-}
-
-void Synthesizer::incTeardown() {
-  if (!Inc.Active)
-    return;
-  Inc = IncCtx(); // Destroys the merged context.
 }
 
 std::vector<Term> Synthesizer::incAssumptions() const {
@@ -959,7 +979,7 @@ bool Synthesizer::refineAgainstModel(const std::vector<ReducedClause> &Clauses,
       if (D.Kind == resil::FaultKind::Latency)
         std::this_thread::sleep_for(std::chrono::milliseconds(D.LatencyMs));
       else if (D.Kind == resil::FaultKind::Throw)
-        throw resil::InjectedFault("refine"); // Contained at attemptTuple.
+        throw resil::InjectedFault("refine"); // Contained by the attempt.
       else {
         // Timeout/Unknown: the model became unusable mid-refinement.
         // Degrade exactly like an evaluation failure -- fully ground
@@ -1251,10 +1271,9 @@ Term Synthesizer::closedInvariant(const std::vector<Term> &SetBodies,
 /// concrete invariant. Two levers keep it cheap: (1) each obligation is
 /// first reduced with the CARD relevancy filter (lazyReduceOptions) --
 /// Unsat under that weaker ground already discharges it, and only a
-/// surviving answer pays the full reduction; (2) all checks share the
-/// member solver (push/pop scoped), whose back-end translation cache is
-/// already warm from the Houdini phase. The full reduction always has the
-/// final word.
+/// surviving answer pays the full reduction; (2) all checks share one
+/// solver (push/pop scoped), so its back-end translation cache warms up
+/// over the obligations. The full reduction always has the final word.
 bool Synthesizer::recheck(Term Inv,
                           const std::vector<sys::ParamSystem::State> &States,
                           std::string &Why) {
@@ -1263,6 +1282,7 @@ bool Synthesizer::recheck(Term Inv,
     return false;
   }
   std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce");
+  std::unique_ptr<smt::SmtSolver> Solver = makeSolver("smt_check");
   const engine::ReduceOptions Lazy = lazyReduceOptions();
   bool FirstCheck = true;
   for (const sys::Obligation &O : sys::safetyObligations(Sys, Inv)) {
@@ -1271,7 +1291,8 @@ bool Synthesizer::recheck(Term Inv,
     for (int Phase = 0; Phase < 2; ++Phase) {
       const engine::ReduceOptions &RO = Phase == 0 ? Lazy : Opts.Reduce;
       engine::ReduceResult R = engine::reduceToGroundCached(
-          RC, M, O.Psi, RO, Oracle.get(), Sys.externalCounters(), {}, TB);
+          Opts.ReuseReduceCache, M, O.Psi, RO, Oracle.get(),
+          Sys.externalCounters(), {}, TB);
       LastGroundSize = logic::termSize(R.Ground);
       Solver->push();
       Solver->add(R.Ground);
@@ -1318,11 +1339,11 @@ std::unique_ptr<smt::SmtSolver> Synthesizer::makeSolver(const char *Site) {
   return S;
 }
 
-Synthesizer::TupleOutcome Synthesizer::attemptTuple(
-    size_t Rank, const std::vector<Term> &SetBodies,
-    const std::vector<Term> &Pool,
-    const std::vector<sys::ParamSystem::State> &States) {
-  bool InjectThrow = false;
+TupleOutcome
+Synthesizer::tryTuple(size_t Rank, const std::vector<Term> &SetBodies,
+                      const std::vector<Term> &Pool,
+                      const std::vector<sys::ParamSystem::State> &States) {
+  TupleOutcome Out;
   if (Faults) {
     // Scope the per-site invocation indices to this tuple: a rule like
     // "reduce:unknown@every=2" then fires at the same point of every
@@ -1331,48 +1352,23 @@ Synthesizer::TupleOutcome Synthesizer::attemptTuple(
     resil::FaultDecision D = Faults->next("worker_task");
     if (D.Kind != resil::FaultKind::None) {
       TB->counter("faults_injected", 1);
-      if (D.Kind == resil::FaultKind::Latency)
+      if (D.Kind == resil::FaultKind::Latency) {
         std::this_thread::sleep_for(std::chrono::milliseconds(D.LatencyMs));
-      else if (D.Kind == resil::FaultKind::Throw)
-        InjectThrow = true; // Thrown below, through the containment path.
-      else {
-        TupleOutcome Out;
+      } else if (D.Kind == resil::FaultKind::Throw) {
+        throw resil::InjectedFault("worker_task"); // Contained by the attempt.
+      } else {
         Out.Why = "injected fault at worker_task";
         TB->counter("tuples_skipped", 1);
         return Out;
       }
     }
   }
-  try {
-    if (InjectThrow)
-      throw resil::InjectedFault("worker_task");
-    return tryTuple(SetBodies, Pool, States);
-  } catch (const std::exception &E) {
-    TupleOutcome Out;
-    Out.Why = std::string("exception: ") + E.what();
-    TB->counter("tuples_skipped", 1);
-    TB->counter("worker_exceptions", 1);
-    TB->logf(obs::LogLevel::Info, "[resil] tuple %zu skipped: %s", Rank + 1,
-             Out.Why.c_str());
-    // The escape may have unwound through a push()ed solver scope;
-    // reusing those stale frames could discharge later clauses
-    // vacuously, so the solver is rebuilt from scratch.
-    resetSolver();
-    return Out;
-  }
-}
-
-Synthesizer::TupleOutcome
-Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
-                      const std::vector<Term> &Pool,
-                      const std::vector<sys::ParamSystem::State> &States) {
   obs::Span TupleSp(TB, "tuple", [&] {
     std::string D;
     for (Term SB : SetBodies)
       D += (D.empty() ? "" : " ") + ("#{t | " + logic::toString(SB) + "}");
     return D;
   });
-  TupleOutcome Out;
   TB->counter("tuples_tried", 1);
 
   std::vector<Term> Cand = Pool;
@@ -1412,7 +1408,6 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
   SHARPIE_LOGF(TB, obs::LogLevel::Debug, "houdini %s in %.2fs",
                HoudiniOk ? "ok" : "failed", secondsSince(THou));
   if (!HoudiniOk) {
-    incTeardown();
     Stats.HoudiniSeconds += secondsSince(THou);
     SHARPIE_LOGF(TB, obs::LogLevel::Debug, "houdini failed: %s",
                  Out.Why.c_str());
@@ -1426,9 +1421,9 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
     SHARPIE_LOGF(TB, obs::LogLevel::Debug, "minimized %zu -> %zu atoms in %.2fs",
                  Before, Cand.size(), secondsSince(TMin));
   }
-  // Free the merged context before the recheck: the invariant is
-  // fixed now, so only the shared member solver is needed from here on.
-  incTeardown();
+  // Free the merged context before the recheck: the invariant is fixed
+  // now, and the recheck builds its own solver.
+  Inc = IncCtx();
   Stats.HoudiniSeconds += secondsSince(THou);
 
   Term Inv = closedInvariant(SetBodies, Cand);
@@ -1450,124 +1445,32 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
   return Out;
 }
 
-// -- Serial driver ---------------------------------------------------------------------
+// -- The rank-cursor search -----------------------------------------------------------
 
-void Synthesizer::runSerial(
-    const std::vector<std::vector<Term>> &TupleBodies,
-    const std::vector<Term> &Pool,
-    const std::vector<sys::ParamSystem::State> &States, SynthResult &Res) {
-  std::string LastWhy = "no candidate set tuple succeeded";
-  for (size_t Rank = 0; Rank < TupleBodies.size(); ++Rank) {
-    const std::vector<Term> &SetBodies = TupleBodies[Rank];
-    if (outOfTime()) {
-      LastWhy = "time budget exhausted";
-      break;
-    }
-    if (TB->logEnabled(obs::LogLevel::Debug)) {
-      std::string Bodies;
-      for (Term SB : SetBodies)
-        Bodies += " #{t | " + logic::toString(SB) + "}";
-      TB->logf(obs::LogLevel::Debug, "[tuple %zu]%s", Rank + 1,
-               Bodies.c_str());
-    }
-    TupleOutcome O = attemptTuple(Rank, SetBodies, Pool, States);
-    if (!O.Verified) {
-      LastWhy = O.Why;
-      if (O.HasPartial && !Res.Best) {
-        PartialCandidate P;
-        P.Rank = static_cast<unsigned>(Rank) + 1;
-        for (Term SB : SetBodies)
-          P.SetBodies.push_back(logic::toString(SB));
-        for (Term A : O.PartialAtoms)
-          P.Atoms.push_back(logic::toString(A));
-        P.FailedOn = std::move(O.FailedOn);
-        Res.Best = std::move(P);
-      }
-      continue;
-    }
-    Res.Verified = true;
-    Res.Invariant = O.Invariant;
-    Res.SetBodies = SetBodies;
-    Res.Atoms = std::move(O.Atoms);
-    Stats.AtomsInInvariant = static_cast<unsigned>(Res.Atoms.size());
-    break;
+TupleOutcome Search::attempt(unsigned W, size_t Rank,
+                             const std::vector<Term> &SetBodies,
+                             const std::vector<Term> &Pool,
+                             const std::vector<sys::ParamSystem::State> &States,
+                             std::function<bool()> Superseded,
+                             std::unique_ptr<World> &Wd, SynthStats &Phases) {
+  // Worker W owns trace rank W+1 (rank 0 is the driver); registration is
+  // the one mutex-guarded step, the buffer itself is thread-local.
+  obs::TraceBuffer *WTB = Opts.Trace->worker(W + 1);
+  if (WTB->logEnabled(obs::LogLevel::Debug)) {
+    std::string Bodies;
+    for (Term SB : SetBodies)
+      Bodies += " #{t | " + logic::toString(SB) + "}";
+    WTB->logf(obs::LogLevel::Debug, "[tuple %zu]%s", Rank + 1, Bodies.c_str());
   }
-  if (!Res.Verified)
-    Res.Note = LastWhy;
-}
-
-// -- Parallel driver -------------------------------------------------------------------
-
-void Synthesizer::runParallel(
-    unsigned Workers, const std::vector<std::vector<Term>> &TupleBodies,
-    const std::vector<Term> &Pool,
-    const std::vector<sys::ParamSystem::State> &States, SynthResult &Res) {
-  auto SearchStart = std::chrono::steady_clock::now();
-  Stats.NumWorkers = Workers;
-
-  // A caller-provided cache is shared with every worker. Sharing must be
-  // on before the first worker spawns: it moves the entries into the
-  // cache's own manager, after which all access is mutex-guarded and
-  // manager-independent (see ReduceCache::enableSharing).
-  if (Opts.ReuseReduceCache)
-    Opts.ReuseReduceCache->enableSharing();
-
-  /// Shared per-rank outcome table. A rank is Done once some worker fully
-  /// processed it, Skipped when it was claimed after a lower rank had
-  /// already verified (such ranks can never win).
-  struct RankSlot {
-    bool Done = false;
-    bool Skipped = false;
-    bool Verified = false;
-    unsigned Worker = 0;
-    std::string Why;
-    std::vector<Term> Atoms; ///< In the processing worker's manager.
-    Term Invariant;          ///< Likewise.
-    /// Near-miss data, already rendered (manager-independent).
-    bool HasPartial = false;
-    std::vector<std::string> PartialAtoms;
-    std::string FailedOn;
-  };
-  std::vector<RankSlot> Slots(TupleBodies.size());
-  std::mutex SlotsMu;
-  std::atomic<size_t> Cursor{0};
-  std::atomic<size_t> BestVerified{SIZE_MAX};
-  engine::CancellationToken Cancel;
-
-  /// Per-worker world; kept alive past pool shutdown so the winning
-  /// tuple's terms can be translated back into the main manager.
-  struct WorkerCtx {
-    std::unique_ptr<TermManager> M;
-    std::unique_ptr<sys::ParamSystem> Sys;
-    std::unique_ptr<Synthesizer> Synth;
-    double BusySeconds = 0;
-  };
-  std::vector<WorkerCtx> Ctxs(Workers);
-
-  auto WorkerMain = [&](unsigned W) {
-    auto TSetup = std::chrono::steady_clock::now();
-    WorkerCtx &C = Ctxs[W];
-    C.M = std::make_unique<TermManager>();
-    C.Sys = Sys.cloneInto(*C.M);
-    logic::TermTranslator Tr(*C.M);
+  try {
+    Wd = std::make_unique<World>();
+    Wd->Sys = Sys.cloneInto(Wd->M);
+    logic::TermTranslator Tr(Wd->M);
     SynthOptions WOpts = Opts;
     WOpts.QGuard = Tr(Opts.QGuard);
-    WOpts.FixedSetBodies.clear();
-    WOpts.NumWorkers = 1;
-    WOpts.Trace = nullptr; // Buffers are handed out by rank below.
-    // The shared cache (flipped into shared mode above) is safe from any
-    // manager; a worker either shares it or runs its own private cache.
-    WOpts.ReuseReduceCache = Opts.ReuseReduceCache;
-    C.Synth = std::make_unique<Synthesizer>(*C.Sys, WOpts);
-    C.Synth->Deadline = Deadline; // One budget for the whole search.
-    // Worker W owns trace rank W+1 (rank 0 is the driver); registration is
-    // the one mutex-guarded step, the buffer itself is thread-local.
-    C.Synth->TB = Opts.Trace->worker(W + 1);
-    // Fault rules with a worker=N trigger key on the same rank numbering
-    // as the traces (0 = driver/serial, W+1 = parallel worker W).
-    if (C.Synth->Faults)
-      C.Synth->Faults->setWorker(W + 1);
-    C.Synth->Solver = C.Synth->makeSolver("smt_check");
+    // Fault rules with a worker=N trigger key on the trace rank, W+1.
+    Synthesizer Synth(*Wd->Sys, WOpts, Deadline, WTB, W + 1,
+                      std::move(Superseded), Phases);
     std::vector<Term> WPool;
     WPool.reserve(Pool.size());
     for (Term A : Pool)
@@ -1584,37 +1487,76 @@ void Synthesizer::runParallel(
         WS.Arrays[Tr(A)] = Vals;
       WStates.push_back(std::move(WS));
     }
-    C.BusySeconds += secondsSince(TSetup);
+    std::vector<Term> WBodies;
+    WBodies.reserve(SetBodies.size());
+    for (Term B : SetBodies)
+      WBodies.push_back(Tr(B));
+    return Synth.tryTuple(Rank, WBodies, WPool, WStates);
+  } catch (const std::exception &E) {
+    TupleOutcome Out;
+    Out.Why = std::string("exception: ") + E.what();
+    WTB->counter("tuples_skipped", 1);
+    WTB->counter("worker_exceptions", 1);
+    WTB->logf(obs::LogLevel::Info, "[resil] tuple %zu skipped: %s", Rank + 1,
+              Out.Why.c_str());
+    return Out;
+  }
+}
 
+void Search::searchTuples(unsigned Workers,
+                          const std::vector<std::vector<Term>> &TupleBodies,
+                          const std::vector<Term> &Pool,
+                          const std::vector<sys::ParamSystem::State> &States,
+                          SynthResult &Res) {
+  auto SearchStart = std::chrono::steady_clock::now();
+  Stats.NumWorkers = Workers;
+
+  /// Shared per-rank outcome table. A rank is Done once some worker fully
+  /// processed it.
+  struct RankSlot {
+    bool Done = false;
+    bool Verified = false;
+    std::string Why;
+    unsigned AtomsAfterPrefilter = 0;
+    /// A verified rank's world, kept until the merge translates its atoms
+    /// and invariant back.
+    std::unique_ptr<World> Wd;
+    std::vector<Term> Atoms; ///< In Wd's manager.
+    Term Invariant;          ///< Likewise.
+    /// Near-miss data, already rendered (manager-independent).
+    bool HasPartial = false;
+    std::vector<std::string> PartialAtoms;
+    std::string FailedOn;
+  };
+  std::vector<RankSlot> Slots(TupleBodies.size());
+  std::mutex SlotsMu;
+  double BusySeconds = 0; ///< Guarded by SlotsMu, like Stats.
+  std::atomic<size_t> Cursor{0};
+  std::atomic<size_t> BestVerified{SIZE_MAX};
+  std::atomic<bool> BudgetStopped{false};
+  engine::CancellationToken Decided;
+
+  auto WorkerMain = [&](unsigned W) {
     for (;;) {
       size_t Rank = Cursor.fetch_add(1);
-      if (Rank >= TupleBodies.size())
+      if (Rank >= TupleBodies.size() || Decided.cancelled())
         break;
-      if (Cancel.cancelled() || C.Synth->outOfTime())
+      if (outOfTime()) {
+        BudgetStopped.store(true);
         break;
-      if (Rank > BestVerified.load()) {
-        std::lock_guard<std::mutex> L(SlotsMu);
-        Slots[Rank].Skipped = true;
-        continue;
       }
-      C.Synth->ExternAbort = [&BestVerified, &Cancel, Rank] {
-        return BestVerified.load() < Rank || Cancel.cancelled();
-      };
-      std::vector<Term> WBodies;
-      WBodies.reserve(TupleBodies[Rank].size());
-      for (Term B : TupleBodies[Rank])
-        WBodies.push_back(Tr(B));
-      if (obs::TraceBuffer *WTB = C.Synth->TB;
-          WTB->logEnabled(obs::LogLevel::Debug)) {
-        std::string Bodies;
-        for (Term SB : WBodies)
-          Bodies += " #{t | " + logic::toString(SB) + "}";
-        WTB->logf(obs::LogLevel::Debug, "[tuple %zu]%s", Rank + 1,
-                  Bodies.c_str());
-      }
+      if (Rank > BestVerified.load())
+        continue; // A lower rank already verified: this one cannot win.
       auto T0 = std::chrono::steady_clock::now();
-      TupleOutcome O = C.Synth->attemptTuple(Rank, WBodies, WPool, WStates);
-      C.BusySeconds += secondsSince(T0);
+      std::unique_ptr<World> Wd;
+      SynthStats Phases;
+      TupleOutcome O = attempt(
+          W, Rank, TupleBodies[Rank], Pool, States,
+          [&BestVerified, &Decided, Rank] {
+            return BestVerified.load() < Rank || Decided.cancelled();
+          },
+          Wd, Phases);
+      double Busy = secondsSince(T0);
       if (O.Verified) {
         size_t Cur = BestVerified.load();
         while (Rank < Cur &&
@@ -1624,13 +1566,21 @@ void Synthesizer::runParallel(
       bool AllBelowBestDone = false;
       {
         std::lock_guard<std::mutex> L(SlotsMu);
+        Stats.PrefilterSeconds += Phases.PrefilterSeconds;
+        Stats.ReduceSeconds += Phases.ReduceSeconds;
+        Stats.HoudiniSeconds += Phases.HoudiniSeconds;
+        Stats.RecheckSeconds += Phases.RecheckSeconds;
+        BusySeconds += Busy;
         RankSlot &S = Slots[Rank];
         S.Done = true;
         S.Verified = O.Verified;
-        S.Worker = W;
         S.Why = std::move(O.Why);
-        S.Atoms = std::move(O.Atoms);
-        S.Invariant = O.Invariant;
+        S.AtomsAfterPrefilter = Phases.AtomsAfterPrefilter;
+        if (O.Verified) {
+          S.Wd = std::move(Wd);
+          S.Atoms = std::move(O.Atoms);
+          S.Invariant = O.Invariant;
+        }
         if (O.HasPartial) {
           S.HasPartial = true;
           for (Term A : O.PartialAtoms)
@@ -1649,19 +1599,28 @@ void Synthesizer::runParallel(
       // failed -- otherwise the watermark would be lower), the winner is
       // decided; everything still in flight is wasted work.
       if (AllBelowBestDone)
-        Cancel.cancel();
-    }
+        Decided.cancel();
+    } // An unverified attempt's world drops here, outside the lock.
   };
 
   {
-    engine::ThreadPool TP(Workers);
-    for (unsigned W = 0; W < Workers; ++W)
-      TP.submit([&WorkerMain, W] { WorkerMain(W); });
-    TP.wait();
-  } // Joins all workers; Ctxs stay alive below.
+    // Worker 0 is the calling thread and pool threads are workers
+    // 1..W-1, so a 1-worker search spawns no thread. The pool is declared
+    // after every local its workers touch, so its destructor joins them
+    // before any of those locals die.
+    std::optional<engine::ThreadPool> TP;
+    if (Workers > 1) {
+      TP.emplace(Workers - 1);
+      for (unsigned W = 1; W < Workers; ++W)
+        TP->submit([&WorkerMain, W] { WorkerMain(W); });
+    }
+    WorkerMain(0);
+    if (TP)
+      TP->wait();
+  }
 
   // Deterministic merge: the lowest-ranked verified tuple wins, which is
-  // exactly the serial search's answer whenever every lower rank completed.
+  // the 1-worker answer whenever every lower rank completed.
   size_t Winner = SIZE_MAX;
   for (size_t R = 0; R < Slots.size(); ++R)
     if (Slots[R].Done && Slots[R].Verified) {
@@ -1669,31 +1628,31 @@ void Synthesizer::runParallel(
       break;
     }
   if (Winner != SIZE_MAX) {
-    RankSlot &S = Slots[Winner];
-    WorkerCtx &C = Ctxs[S.Worker];
+    const RankSlot &S = Slots[Winner];
     logic::TermTranslator Back(M);
     Res.Verified = true;
-    Res.SetBodies = TupleBodies[Winner]; // Main-manager originals.
-    Res.Atoms.clear();
+    Res.SetBodies = TupleBodies[Winner]; // Caller-manager originals.
     for (Term A : S.Atoms)
       Res.Atoms.push_back(Back(A));
     Res.Invariant = Back(S.Invariant);
     Stats.AtomsInInvariant = static_cast<unsigned>(Res.Atoms.size());
-    (void)C;
+    Stats.AtomsAfterPrefilter = S.AtomsAfterPrefilter;
   } else {
-    // Prefer the most informative failure: the last processed rank's Why,
-    // falling back to the budget/default notes.
+    // The last processed rank -- the last tuple tried at 1 worker -- gives
+    // the note and the prefilter count, unless the budget stopped the
+    // search.
     std::string Why;
     for (const RankSlot &S : Slots)
-      if (S.Done && !S.Why.empty())
-        Why = S.Why;
-    if (Why.empty())
-      Why = outOfTime() ? "time budget exhausted"
-                        : "no candidate set tuple succeeded";
-    Res.Note = Why;
-    // Lowest-ranked near-miss, mirroring the serial search's "first
-    // partial wins" (rank order, not completion order, so the report is
-    // deterministic).
+      if (S.Done) {
+        Stats.AtomsAfterPrefilter = S.AtomsAfterPrefilter;
+        if (!S.Why.empty())
+          Why = S.Why;
+      }
+    if (BudgetStopped.load())
+      Why = "time budget exhausted";
+    Res.Note = Why.empty() ? "no candidate set tuple succeeded" : Why;
+    // The lowest-ranked near-miss (rank order, not completion order, so
+    // the report is deterministic).
     for (size_t R = 0; R < Slots.size() && !Res.Best; ++R)
       if (Slots[R].Done && Slots[R].HasPartial) {
         PartialCandidate P;
@@ -1706,38 +1665,22 @@ void Synthesizer::runParallel(
       }
   }
 
-  // Fold the workers' phase times into the driver's (their counts are
-  // already on the tracer, in the workers' buffers).
-  double Busy = 0;
-  for (WorkerCtx &C : Ctxs) {
-    if (!C.Synth)
-      continue;
-    const SynthStats &WS = C.Synth->Stats;
-    Stats.PrefilterSeconds += WS.PrefilterSeconds;
-    Stats.ReduceSeconds += WS.ReduceSeconds;
-    Stats.HoudiniSeconds += WS.HoudiniSeconds;
-    Stats.RecheckSeconds += WS.RecheckSeconds;
-    if (Winner != SIZE_MAX && Slots[Winner].Worker ==
-                                  static_cast<unsigned>(&C - Ctxs.data()))
-      Stats.AtomsAfterPrefilter = WS.AtomsAfterPrefilter;
-    Busy += C.BusySeconds;
-  }
   double Wall = secondsSince(SearchStart);
   Stats.WorkerUtilization =
-      Wall > 0 ? Busy / (static_cast<double>(Workers) * Wall) : 1.0;
+      Wall > 0 ? BusySeconds / (static_cast<double>(Workers) * Wall) : 1.0;
 }
 
 // -- Driver ---------------------------------------------------------------------------------
 
-void Synthesizer::finish(SynthResult &Res, const obs::MetricsSummary &Before,
-                         std::chrono::steady_clock::time_point Start) {
+void Search::finish(SynthResult &Res, const obs::MetricsSummary &Before,
+                    std::chrono::steady_clock::time_point Start) {
   Res.Stats = Stats;
   Res.Stats.Seconds = secondsSince(Start);
   Res.Stats.Metrics = Opts.Trace->metrics();
   deriveCounts(Res.Stats, Before, Res.Stats.Metrics);
 }
 
-SynthResult Synthesizer::run() {
+SynthResult Search::run() {
   auto Start = std::chrono::steady_clock::now();
   TB = Opts.Trace->worker(0);
   const obs::MetricsSummary Before = Opts.Trace->metrics();
@@ -1773,8 +1716,6 @@ SynthResult Synthesizer::run() {
   std::vector<Term> Pool = enumerateInvAtoms(Sys, F);
   Stats.AtomsInPool = static_cast<unsigned>(Pool.size());
 
-  Solver = makeSolver("smt_check");
-
   std::vector<std::vector<Term>> TupleBodies;
   if (!Opts.FixedSetBodies.empty()) {
     assert(Opts.FixedSetBodies.size() == Opts.Shape.NumSets &&
@@ -1793,10 +1734,7 @@ SynthResult Synthesizer::run() {
   unsigned Workers = engine::ThreadPool::effectiveWorkers(Opts.NumWorkers);
   Workers = static_cast<unsigned>(
       std::min<size_t>(Workers, std::max<size_t>(1, TupleBodies.size())));
-  if (Workers > 1 && !outOfTime())
-    runParallel(Workers, TupleBodies, Pool, States, Res);
-  else
-    runSerial(TupleBodies, Pool, States, Res);
+  searchTuples(Workers, TupleBodies, Pool, States, Res);
 
   // Zero-delta touches so these counters always exist in the exported
   // metrics (ctr_retries etc. in every --json run, faulted or not), which
@@ -1833,12 +1771,12 @@ SynthResult Synthesizer::run() {
 SynthResult sharpie::synth::synthesize(sys::ParamSystem &Sys,
                                        const SynthOptions &Opts) {
   if (Opts.Trace)
-    return Synthesizer(Sys, Opts).run();
+    return Search(Sys, Opts).run();
   // The counts are read off the tracer's counters, so a run without a
   // caller's tracer records into a private quiet one: counters and
   // samples only, no events, no log.
   obs::Tracer Quiet;
   SynthOptions O = Opts;
   O.Trace = &Quiet;
-  return Synthesizer(Sys, O).run();
+  return Search(Sys, O).run();
 }

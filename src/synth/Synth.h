@@ -98,13 +98,16 @@ struct SynthOptions {
   /// elected clause on its first model -- the eager reduction -- and is
   /// the test oracle of the refinement loop. See DESIGN.md Sec. 10, 14.
   unsigned RefineBudget = 16;
-  /// Parallel set-tuple search width: 0 = one worker per hardware thread,
-  /// 1 = today's serial search, N = exactly N workers. Each worker owns a
-  /// private TermManager, SMT solver and reduction state (no shared-state
-  /// locking); candidate tuples are claimed from an atomic cursor and
-  /// results are merged by rank (first-verified-by-rank wins), so the
-  /// outcome is independent of thread timing. See DESIGN.md, "Parallel
-  /// search & determinism".
+  /// Set-tuple search width: 0 = one worker per hardware thread, N =
+  /// exactly N workers (clamped to the tuple count). Every width runs the
+  /// same loop: the calling thread is worker 0 and pool threads are
+  /// workers 1..N-1 (so 1 worker spawns no thread), each claiming the next
+  /// rank from an atomic cursor. Every tuple attempt builds a private
+  /// world -- its own TermManager, cloned system and SMT solvers -- and
+  /// drops it when the attempt ends, and results merge by rank
+  /// (first-verified-by-rank wins), so the outcome depends neither on
+  /// thread timing nor on which tuples a worker tried before. See
+  /// DESIGN.md, "Parallel search & determinism".
   unsigned NumWorkers = 0;
   /// Wall-clock budget for the whole synthesis run; 0 disables. Checked
   /// between tuples, between Houdini iterations, and between the SMT
@@ -112,8 +115,9 @@ struct SynthOptions {
   double TimeBudgetSeconds = 0;
   /// Observability sink (see obs/Obs.h). The synthesis emits spans
   /// (synthesize > tuple > houdini > smt_check), counters, latency
-  /// histograms and leveled log lines into it: the driver and the serial
-  /// search use worker rank 0, parallel search worker W uses rank W+1.
+  /// histograms and leveled log lines into it: the driver (explicit
+  /// exploration, enumeration, the merge) uses rank 0 and search worker W
+  /// uses rank W+1 at every width.
   /// Its counters are the only tally of the SynthStats counts, so when
   /// null the run records into a private quiet tracer instead (counters
   /// and samples, no events, no log). A tracer may be shared across runs;
@@ -128,19 +132,16 @@ struct SynthOptions {
   /// injection. Applied only when supervision is enabled. Not owned; must
   /// outlive the call.
   const resil::FaultPlan *Faults = nullptr;
-  /// Cross-run reduction cache. Within one run every reduction input is
-  /// distinct (see ReduceCache's doc), so sharing a cache across runs is
-  /// where hits come from (re-verification, pinned tuples). On the serial
-  /// path the cache is bound to Sys's manager and hits are id-based pure
-  /// lookups. The parallel path flips it into shared mode
-  /// (ReduceCache::enableSharing): entries move into a manager the cache
-  /// itself owns, keys become ids of the host-translated key terms
-  /// (manager-independent and collision-free), and every worker consults
-  /// the cache under a mutex, with hits materialized into its private
-  /// manager and skolems re-freshened -- so a 4-worker re-verification
-  /// hits the entries a previous run's workers stored. Once shared, a
-  /// cache stays shared (later serial runs keep hitting the same
-  /// entries). Not owned; must outlive every run that uses it.
+  /// Cross-run reduction cache, the only one the search consults: within
+  /// one run every reduction input is distinct (see ReduceCache's doc), so
+  /// sharing a cache across runs is where hits come from
+  /// (re-verification, pinned tuples). The cache is content-keyed: keys
+  /// and entries live in a manager the cache owns, every tuple attempt
+  /// consults it under its mutex, and a hit is materialized into the
+  /// attempt's world with its skolems re-freshened -- so a run at any
+  /// width hits the entries an earlier run stored. Null (the default)
+  /// means no lookups at all. Not owned; must outlive every run that uses
+  /// it.
   engine::ReduceCache *ReuseReduceCache = nullptr;
   /// Cooperative external cancellation (the serving stack's
   /// client-disconnect signal; see serve/Server.h). Polled wherever the
@@ -168,16 +169,19 @@ struct SynthStats {
   double Seconds = 0;
 
   // -- Parallel-search observability ----------------------------------------
-  /// Effective worker count of the search (1 for the serial path).
+  /// Effective worker count of the search: SynthOptions::NumWorkers
+  /// clamped to the tuple count.
   unsigned NumWorkers = 1;
-  /// Reduction-cache hits/misses of this run, summed over all workers.
+  /// This run's lookups in the caller's reduction cache
+  /// (SynthOptions::ReuseReduceCache), summed over all workers; both 0
+  /// without one.
   unsigned CacheHits = 0;
   unsigned CacheMisses = 0;
   /// Per-phase busy time, summed over all workers (so in a parallel run
   /// the phases can exceed Seconds, which stays wall-clock).
   double ExplicitSeconds = 0;
-  /// Candidate enumeration: set-body/atom-pool grammar walks, tuple
-  /// ranking, and main-solver setup (driver only, once per run).
+  /// Candidate enumeration: set-body/atom-pool grammar walks and tuple
+  /// ranking (driver only, once per run).
   double EnumerateSeconds = 0;
   double PrefilterSeconds = 0;
   double ReduceSeconds = 0;
@@ -187,8 +191,9 @@ struct SynthStats {
   /// the synthesis; synthesize() leaves this 0) so the phase table
   /// accounts for cache-tier latency next to the engine phases.
   double CacheLookupSeconds = 0;
-  /// Busy worker-seconds divided by workers * search wall time; 1.0 means
-  /// every worker was processing tuples the whole search.
+  /// Busy worker-seconds divided by workers * search wall time, at every
+  /// width; 1.0 means every worker was processing tuples (world building
+  /// included) the whole search.
   double WorkerUtilization = 1.0;
 
   // -- Resilience observability (see resil/Resil.h) --------------------------
@@ -219,8 +224,8 @@ struct SynthStats {
 
 /// The strongest candidate a failed run got to: the live atoms of a tuple
 /// whose Houdini check found a counterexample to the safety clause.
-/// Rendered terms (not Terms) so it survives the owning worker's
-/// TermManager and can be reported verbatim by the drivers.
+/// Rendered terms (not Terms) so it survives the attempt's TermManager
+/// and can be reported verbatim by the drivers.
 struct PartialCandidate {
   unsigned Rank = 0;                  ///< 1-based tuple rank.
   std::vector<std::string> SetBodies; ///< Rendered set bodies.

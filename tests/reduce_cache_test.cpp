@@ -1,11 +1,11 @@
 //===- tests/reduce_cache_test.cpp - Reduction memoization tests --------------===//
 //
 // Part of sharpie. The ReduceCache memoizes reduceToGround per (input
-// formula id, axiom configuration, counters, extra index terms). Because
-// terms are hash-consed, rebuilding the same obligation yields the same
-// id and must hit; changing any axiom knob or auxiliary input must miss.
-// Hits and misses are read off the reduce_cache_* counters of a local
-// tracer, the cache's only tally.
+// formula, axiom configuration, counters, extra index terms), keyed by
+// content: rebuilding the same obligation must hit, and a hit equals the
+// stored result up to its re-skolemized "!" names; changing any axiom
+// knob or auxiliary input must miss. Hits and misses are read off the
+// reduce_cache_* counters of a local tracer, the cache's only tally.
 //
 //===----------------------------------------------------------------------===//
 
@@ -59,12 +59,14 @@ TEST_F(ReduceCacheTest, RepeatedObligationHits) {
   EXPECT_EQ(hits(), 0);
   EXPECT_EQ(misses(), 1);
 
-  // Rebuilding the obligation from scratch hash-conses to the same term,
-  // so the second reduction is a pure lookup with an identical result.
+  // Rebuilding the obligation from scratch gives the same content, so the
+  // second reduction is a lookup. The hit re-skolemizes the entry's "!"
+  // variables into fresh ones, so it equals the stored result up to
+  // those names: same size, axioms and instances.
   engine::ReduceResult R2 = reduce(Cache, Opts, obligation());
   EXPECT_EQ(hits(), 1);
   EXPECT_EQ(misses(), 1);
-  EXPECT_EQ(R1.Ground, R2.Ground);
+  EXPECT_EQ(logic::termSize(R1.Ground), logic::termSize(R2.Ground));
   EXPECT_EQ(R1.NumAxioms, R2.NumAxioms);
   EXPECT_EQ(R1.NumInstances, R2.NumInstances);
 }
@@ -129,11 +131,11 @@ TEST_F(ReduceCacheTest, NullCacheIsPlainCall) {
 
 // Within one synthesis run the cache never hits -- the ranked tuple
 // enumeration is duplicate-free and each clause formula embeds its tuple's
-// measurement terms, so every reduction input is a distinct hash-consed
-// term (the all-zero cache_hits columns in BENCH_PR1/PR2 are by
-// construction, not a keying bug; see ReduceCache's doc). Hits come from
-// *sharing* a cache across runs on the same TermManager, which
-// SynthOptions::ReuseReduceCache enables. Both halves pinned here.
+// measurement terms, so every reduction input is distinct (the all-zero
+// cache_hits columns in BENCH_PR1/PR2 are by construction, not a keying
+// bug; see ReduceCache's doc). Hits come from *sharing* a cache across
+// runs, which SynthOptions::ReuseReduceCache enables. Both halves pinned
+// here.
 TEST(ReduceCacheSharing, HitsComeFromCrossRunSharingOnly) {
   logic::TermManager M;
   protocols::ProtocolBundle B = protocols::makeIncrement(M);
@@ -147,15 +149,14 @@ TEST(ReduceCacheSharing, HitsComeFromCrossRunSharingOnly) {
   EXPECT_EQ(R1.Stats.CacheHits, 0u) << "single-run hits must be impossible";
   EXPECT_GT(R1.Stats.CacheMisses, 0u);
 
-  // Re-verification on the same manager replays mostly identical
-  // obligations: now the lookups land. (Not *all* of them: a few
-  // obligations embed variables gensymmed fresh per run, so a residual
-  // trickle of misses is expected -- the pin is that hits dominate.)
+  // Re-verification replays the same obligations -- every attempt builds
+  // them in a fresh world, so even their skolem names repeat -- and every
+  // lookup lands.
   synth::SynthResult R2 = synth::synthesize(*B.Sys, Opts);
   ASSERT_TRUE(R2.Verified) << R2.Note;
   EXPECT_GT(R2.Stats.CacheHits, 0u) << "second run must reuse reductions";
-  EXPECT_LT(R2.Stats.CacheMisses, R1.Stats.CacheMisses);
-  EXPECT_GT(R2.Stats.CacheHits, R2.Stats.CacheMisses);
+  EXPECT_EQ(R2.Stats.CacheMisses, 0u);
+  EXPECT_EQ(R2.Stats.CacheHits, R1.Stats.CacheMisses);
 }
 
 } // namespace

@@ -560,13 +560,20 @@ TEST(Chaos, OneWorkerAlwaysThrowsOnIncrementFourWorkers) {
   expectHonest(Out, "increment worker-1 throws");
 }
 
+// Every worker throws on every tuple: 4 workers under a rank-free rule,
+// and 1 worker under a rule on its rank -- worker 0 is fault rank 1 at
+// every width, like its trace rank.
 TEST(Chaos, AllWorkersThrowIsHonestlyInconclusive) {
-  ChaosOut Out = runChaos(makeIncrement, 4, "seed=4;worker_task:throw");
-  EXPECT_FALSE(Out.Verified);
-  EXPECT_FALSE(Out.Cex);
-  EXPECT_TRUE(Out.Inconclusive);
-  EXPECT_GT(Out.Stats.TuplesSkipped, 0u);
-  EXPECT_EQ(Out.Stats.TuplesSkipped, Out.Stats.WorkerExceptions);
+  for (auto [Workers, Plan] :
+       {std::pair<unsigned, const char *>{4, "seed=4;worker_task:throw"},
+        {1, "seed=4;worker_task:throw@worker=1"}}) {
+    ChaosOut Out = runChaos(makeIncrement, Workers, Plan);
+    EXPECT_FALSE(Out.Verified) << Plan;
+    EXPECT_FALSE(Out.Cex) << Plan;
+    EXPECT_TRUE(Out.Inconclusive) << Plan;
+    EXPECT_GT(Out.Stats.TuplesSkipped, 0u) << Plan;
+    EXPECT_EQ(Out.Stats.TuplesSkipped, Out.Stats.WorkerExceptions) << Plan;
+  }
 }
 
 TEST(Chaos, UnknownAtEverySiteNeverVerifies) {

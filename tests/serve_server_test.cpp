@@ -372,7 +372,10 @@ TEST_F(ServerTest, AccessLogWritesOneParseableJsonLinePerRequest) {
   EXPECT_EQ(Lines[0].get("hash").asString(),
             Lines[1].get("hash").asString());
   EXPECT_GT(Lines[0].get("server_seconds").asDouble(), 0.0);
-  EXPECT_GE(Lines[0].get("workers").asInt(), 1);
+  // The synthesis width: 1 for the cold solve, 0 for the tier-1 hit,
+  // which ran no search.
+  EXPECT_EQ(1, Lines[0].get("workers").asInt());
+  EXPECT_EQ(0, Lines[1].get("workers").asInt());
   EXPECT_FALSE(Lines[0].get("slow").asBool());
 }
 

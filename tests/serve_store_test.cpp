@@ -169,11 +169,9 @@ TEST_F(StoreTest, ExitFieldOutsideSettledRangeIsCorruption) {
 
 class Tier2Test : public StoreTest {
 protected:
-  /// Builds a shared-mode cache holding one entry keyed by a small
-  /// obligation over f/k.
+  /// Fills \p C with one entry keyed by a small obligation over f/k.
   void populate(engine::ReduceCache &C, logic::TermManager &M,
                 int GuardConst = 2) {
-    C.enableSharing();
     Term T = M.mkVar("t", Sort::Tid);
     Term F = M.mkVar("f", Sort::Array);
     Term K = M.mkVar("k", Sort::Int);
@@ -200,7 +198,6 @@ TEST_F(Tier2Test, RoundTripServesHitsInAFreshCache) {
   ASSERT_EQ(1u, S.saveReduceCache(C));
 
   engine::ReduceCache C2;
-  C2.enableSharing();
   ASSERT_EQ(1u, S.loadReduceCache(C2));
   EXPECT_EQ(1u, C2.size());
 
@@ -248,7 +245,6 @@ TEST_F(Tier2Test, CorruptTailKeepsParsedPrefix) {
   }
 
   engine::ReduceCache C2;
-  C2.enableSharing();
   std::string Note;
   EXPECT_EQ(1u, S.loadReduceCache(C2, &Note)); // Prefix survived.
   EXPECT_EQ(1u, C2.size());
@@ -264,7 +260,6 @@ TEST_F(Tier2Test, GarbageFileLoadsAsEmpty) {
     Out << "complete nonsense \xff\xfe\n\n\n";
   }
   engine::ReduceCache C;
-  C.enableSharing();
   std::string Note;
   EXPECT_EQ(0u, S.loadReduceCache(C, &Note));
   EXPECT_EQ(0u, C.size());
@@ -293,7 +288,6 @@ TEST_F(Tier2Test, WrongVersionHeaderLoadsAsEmpty) {
     Out << Full;
   }
   engine::ReduceCache C2;
-  C2.enableSharing();
   EXPECT_EQ(0u, S.loadReduceCache(C2));
   EXPECT_EQ(0u, C2.size());
   EXPECT_EQ(1u, S.stats().T2Corrupt);

@@ -1,10 +1,11 @@
 //===- tests/synth_parallel_test.cpp - Parallel-search determinism ------------===//
 //
-// Part of sharpie. The parallel set-tuple search must be a pure
-// performance feature: for any worker count, the synthesized invariant
-// (set bodies and atoms) must be the one the serial search finds, because
-// results merge by rank and the per-tuple pipeline is deterministic. See
-// DESIGN.md, "Parallel search & determinism".
+// Part of sharpie. The worker count must be a pure performance knob: for
+// any width, the synthesized invariant (set bodies and atoms) must be the
+// 1-worker one, because results merge by rank and every tuple attempt
+// runs the deterministic pipeline in a fresh world of its own. The same
+// fresh worlds make a rerun repeat exactly. See DESIGN.md, "Parallel
+// search & determinism".
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,11 +34,9 @@ struct RunOutput {
   synth::SynthStats Stats;
 };
 
-/// Runs a bundle with the given worker count and renders the result to
+/// Runs bundle \p B with the given worker count and renders the result to
 /// strings, so runs over distinct TermManagers compare structurally.
-RunOutput runWith(BundleFactory Make, unsigned NumWorkers) {
-  logic::TermManager M;
-  ProtocolBundle B = Make(M);
+RunOutput runOn(const ProtocolBundle &B, unsigned NumWorkers) {
   synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.NumWorkers = NumWorkers;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
@@ -50,6 +49,12 @@ RunOutput runWith(BundleFactory Make, unsigned NumWorkers) {
   Out.Note = R.Note;
   Out.Stats = R.Stats;
   return Out;
+}
+
+/// runOn over a fresh TermManager.
+RunOutput runWith(BundleFactory Make, unsigned NumWorkers) {
+  logic::TermManager M;
+  return runOn(Make(M), NumWorkers);
 }
 
 void expectIdentical(BundleFactory Make, const char *Name) {
@@ -78,13 +83,37 @@ TEST(SynthParallel, OneThirdIdenticalInvariant) {
   expectIdentical(makeOneThird, "one_third");
 }
 
-// The serial path with NumWorkers=1 must not report parallel machinery.
+// A 1-worker run reports its width and a measured utilization: the one
+// worker is busy for part of the search wall time, world building
+// included, never more than all of it.
 TEST(SynthParallel, SerialStatsStayHonest) {
   RunOutput Serial = runWith(makeTicketMutex, 1);
   ASSERT_TRUE(Serial.Verified) << Serial.Note;
   EXPECT_EQ(Serial.Stats.NumWorkers, 1u);
-  EXPECT_DOUBLE_EQ(Serial.Stats.WorkerUtilization, 1.0);
   EXPECT_GT(Serial.Stats.TuplesTried, 0u);
+  EXPECT_GT(Serial.Stats.WorkerUtilization, 0.0);
+  EXPECT_LE(Serial.Stats.WorkerUtilization, 1.0);
+}
+
+// A tuple's outcome must not depend on what ran before it in the caller's
+// manager: every attempt builds its own world, so a second run on the
+// same TermManager repeats the first one exactly -- tuples, SMT checks and
+// invariant -- and both match a run on a fresh manager.
+TEST(SynthParallel, RerunOnOneManagerRepeatsExactly) {
+  for (BundleFactory Make : {makeTicketMutex, makeBarrier}) {
+    logic::TermManager M;
+    ProtocolBundle B = Make(M);
+    RunOutput First = runOn(B, 1);
+    RunOutput Second = runOn(B, 1);
+    RunOutput Fresh = runWith(Make, 1);
+    ASSERT_TRUE(First.Verified) << First.Note;
+    for (const RunOutput *R : {&Second, &Fresh}) {
+      EXPECT_EQ(R->Stats.TuplesTried, First.Stats.TuplesTried);
+      EXPECT_EQ(R->Stats.SmtChecks, First.Stats.SmtChecks);
+      EXPECT_EQ(R->SetBodies, First.SetBodies);
+      EXPECT_EQ(R->Atoms, First.Atoms);
+    }
+  }
 }
 
 // Oversubscription beyond the tuple count must clamp, not deadlock. The
@@ -103,9 +132,10 @@ TEST(SynthParallel, MoreWorkersThanTuples) {
   EXPECT_LE(R.Stats.NumWorkers, 64u);
 }
 
-// A tracer observing the parallel search: every worker emits into its own
-// rank's buffer concurrently and the leveled log sink is hit from all of
-// them, so this is the race surface the ThreadSanitizer ctest entry runs
+// A tracer observing the parallel search: every worker -- the calling
+// thread as worker 0 among them -- emits into its own rank's buffer
+// concurrently and the leveled log sink is hit from all of them, so this
+// is the race surface the ThreadSanitizer ctest entry runs
 // (tests/CMakeLists.txt). Also pins the rank scheme -- driver on rank 0,
 // worker W on rank W+1 -- and that the merged metrics survive the fold.
 TEST(SynthParallel, TracerFourWorkers) {
@@ -151,15 +181,15 @@ TEST(SynthParallel, TracerFourWorkers) {
   std::fclose(Sink);
 }
 
-// A caller-held ReduceCache handed to the 4-worker search flips into
-// shared mode: all workers consult it under a mutex, entries live in the
-// cache's private manager, and a re-verification run hits the reductions
-// the first run's workers stored (each worker's world is rebuilt from
-// scratch, so without the shared cache the second run would re-reduce
-// everything). Results must stay byte-identical across runs -- cache-hit
-// grounds differ from fresh ones only in re-skolemized witness names,
-// which the semantic fixpoint cannot observe. This test doubles as the
-// TSan entry for the shared-cache locking (tests/CMakeLists.txt).
+// A caller-held ReduceCache handed to the 4-worker search: all workers
+// consult it under its mutex, entries live in the cache's own manager,
+// and a re-verification run hits the reductions the first run's attempts
+// stored (every attempt's world is built from scratch, so without the
+// cache the second run would re-reduce everything). Results must stay
+// byte-identical across runs -- cache-hit grounds differ from fresh ones
+// only in re-skolemized witness names, which the semantic fixpoint
+// cannot observe. This test doubles as the TSan entry for the cache
+// locking (tests/CMakeLists.txt).
 TEST(SynthParallel, SharedReduceCacheHitsAcrossRunsFourWorkers) {
   logic::TermManager M;
   ProtocolBundle B = makeIncrement(M);

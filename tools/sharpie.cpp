@@ -23,11 +23,17 @@
 // (missing, non-numeric, trailing garbage, negative) exits 3 naming the
 // flag.
 //
+// Search width: --workers N runs the rank-ordered set-tuple search on N
+// workers (0 = one per hardware thread; the default 1 spawns no thread).
+// Every tuple attempt runs in a fresh world of its own, so every width
+// prints the same invariant; only the wall time and the speculative
+// tuples past the winner differ.
+//
 // Observability (see src/obs/): --trace-out writes a Chrome trace-event /
-// Perfetto JSON with one track per search worker; --events-out a JSONL
-// event stream; --log-level sets the human log (debug shows the
-// pipeline's progress); --stats prints a per-phase stats table to stderr
-// after the run.
+// Perfetto JSON with one track per trace rank (rank 0 the driver, rank
+// W+1 search worker W); --events-out a JSONL event stream; --log-level
+// sets the human log (debug shows the pipeline's progress); --stats
+// prints a per-phase stats table to stderr after the run.
 //
 // Resilience (see src/resil/): solver checks always run supervised
 // (per-check deadlines, retry with backoff, Z3<->MiniSolver fallback).
@@ -50,7 +56,9 @@
 // replays here byte-exactly (same output, same exit code), warm results
 // arriving from the daemon's persistent store. --store DIR gives a local
 // (daemonless) run the same persistent cache: warm re-verifications of
-// an already-solved protocol replay the stored verdict without solving.
+// an already-solved protocol replay the stored verdict without solving,
+// and a solve consults the stored reduce cache (without --store the
+// search makes no reduce-cache lookups).
 // Daemon operations (status, metrics, dump_trace, ...) go through
 // `sharpied --ctl ADDR --op ...`.
 //
@@ -403,10 +411,8 @@ int run(int argc, char **argv) {
     }
   }
   engine::ReduceCache RC;
-  if (Store.enabled()) {
-    RC.enableSharing();
+  if (Store.enabled())
     Store.loadReduceCache(RC);
-  }
 
   synth::SynthOptions Opts = synth::optionsFor(B);
   Opts.Trace = Tracer.get();

@@ -70,11 +70,9 @@ int main(int argc, char **argv) {
   Opts.Trace = Tracer.get();
   Opts.FixedSetBodies = Fixed;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
-  if (Tracer) {
-    std::string Err;
-    if (!Obs.writeOutputs(*Tracer, Err))
-      std::fprintf(stderr, "warning: %s\n", Err.c_str());
-  }
+  std::string Err;
+  if (!Obs.writeOutputs(*Tracer, Err))
+    std::fprintf(stderr, "warning: %s\n", Err.c_str());
   if (Obs.Stats)
     std::fprintf(stderr, "%s",
                  synth::renderStatsTable(R.Stats, R.Stats.Seconds).c_str());

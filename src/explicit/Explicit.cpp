@@ -40,43 +40,63 @@ std::vector<int64_t> fingerprint(const ParamSystem &Sys,
   return Key;
 }
 
-/// Generic successor generation for asynchronous guarded commands.
-class AsyncStepper {
+/// Generic successor generation from the system's own transitions: the
+/// asynchronous interpretation of guarded commands (one mover per step),
+/// or, for a sync system, whole rounds.
+class Stepper {
 public:
-  AsyncStepper(const ParamSystem &Sys, int64_t IntBound)
+  Stepper(const ParamSystem &Sys, int64_t IntBound)
       : Sys(Sys), IntBound(IntBound) {}
 
   std::vector<std::pair<std::string, FiniteModel>>
   successors(const FiniteModel &S) {
     std::vector<std::pair<std::string, FiniteModel>> Out;
-    for (const Transition &T : Sys.transitions())
+    for (const Transition &T : Sys.transitions()) {
+      if (Sys.mode() == sys::Composition::Sync) {
+        forEachChoice(T, S.DomainSize, 0, [&] { round(S, T, Out); });
+        continue;
+      }
       for (int64_t Mover = 0; Mover < S.DomainSize; ++Mover)
-        stepWithChoices(S, T, Mover, 0, Out);
+        forEachChoice(T, S.DomainSize, 0, [&] { step(S, T, Mover, Out); });
+    }
     return Out;
   }
 
 private:
-  void stepWithChoices(const FiniteModel &S, const Transition &T,
-                       int64_t Mover, size_t ChoiceIdx,
-                       std::vector<std::pair<std::string, FiniteModel>> &Out) {
-    if (ChoiceIdx < T.Choices.size() + T.TidChoices.size()) {
-      bool IsInt = ChoiceIdx < T.Choices.size();
-      Term C = IsInt ? T.Choices[ChoiceIdx]
-                     : T.TidChoices[ChoiceIdx - T.Choices.size()];
-      int64_t Lo = IsInt ? Sys.ChoiceLo : 0;
-      int64_t Hi = IsInt ? Sys.ChoiceHi : S.DomainSize - 1;
-      for (int64_t V = Lo; V <= Hi; ++V) {
-        ChoiceVals[C] = V;
-        stepWithChoices(S, T, Mover, ChoiceIdx + 1, Out);
-      }
-      ChoiceVals.erase(C);
+  /// Calls \p Visit once per valuation of \p T's choice variables (held
+  /// in ChoiceVals), the first choice varying slowest: Int choices over
+  /// [Sys.ChoiceLo, Sys.ChoiceHi], Tid choices over the threads.
+  template <typename Fn>
+  void forEachChoice(const Transition &T, int64_t DomainSize, size_t Idx,
+                     Fn &&Visit) {
+    if (Idx == T.Choices.size() + T.TidChoices.size()) {
+      Visit();
       return;
     }
+    bool IsInt = Idx < T.Choices.size();
+    Term C = IsInt ? T.Choices[Idx] : T.TidChoices[Idx - T.Choices.size()];
+    int64_t Lo = IsInt ? Sys.ChoiceLo : 0;
+    int64_t Hi = IsInt ? Sys.ChoiceHi : DomainSize - 1;
+    for (int64_t V = Lo; V <= Hi; ++V) {
+      ChoiceVals[C] = V;
+      forEachChoice(T, DomainSize, Idx + 1, Visit);
+    }
+    ChoiceVals.erase(C);
+  }
+
+  /// \p S with the acting thread \p Self and the current choices bound.
+  FiniteModel env(const FiniteModel &S, int64_t Self) const {
     FiniteModel Env = S;
     Env.IntBound = IntBound;
-    Env.Scalars[Sys.self()] = Mover;
+    Env.Scalars[Sys.self()] = Self;
     for (const auto &[C, V] : ChoiceVals)
       Env.Scalars[C] = V;
+    return Env;
+  }
+
+  void step(const FiniteModel &S, const Transition &T, int64_t Mover,
+            std::vector<std::pair<std::string, FiniteModel>> &Out) {
+    FiniteModel Env = env(S, Mover);
     Evaluator Ev(Env);
     if (!Ev.evalBool(T.Guard))
       return;
@@ -102,6 +122,77 @@ private:
       A[static_cast<size_t>(Idx)] = Ev.evalInt(W.Val);
     }
     Out.push_back({T.Name, std::move(Next)});
+  }
+
+  /// The rounds of \p T from \p S. The globals take their updates on the
+  /// pre-state. Each thread's post-state locals range over [-IntBound,
+  /// IntBound]; the values for which the relation holds at that thread
+  /// (the other threads' post locals read 0) are its candidates. Every
+  /// combination of candidates that satisfies the whole relation at
+  /// every thread is a successor. Since x'[e] may index any thread, the
+  /// per-thread filter can miss a round, which only shrinks the explored
+  /// prefix; it can never admit a round the relation forbids.
+  void round(const FiniteModel &S, const Transition &T,
+             std::vector<std::pair<std::string, FiniteModel>> &Out) {
+    FiniteModel Post = env(S, 0);
+    FiniteModel Next = S;
+    {
+      Evaluator Ev(Post);
+      for (const auto &[G, U] : T.GlobalUpd)
+        Next.Scalars[G] = Ev.evalInt(U);
+    }
+    for (Term G : Sys.globals())
+      Post.Scalars[Sys.post(G)] = Next.Scalars[G];
+    const std::vector<Term> &Locals = Sys.locals();
+    size_t N = static_cast<size_t>(S.DomainSize);
+    for (Term L : Locals)
+      Post.Arrays[Sys.post(L)].assign(N, 0);
+    auto Set = [&](size_t Tid, const std::vector<int64_t> &Vals) {
+      for (size_t J = 0; J < Locals.size(); ++J)
+        Post.Arrays[Sys.post(Locals[J])][Tid] = Vals[J];
+    };
+    auto HoldsAt = [&](size_t Tid) {
+      Post.Scalars[Sys.self()] = static_cast<int64_t>(Tid);
+      return Evaluator(Post).evalBool(T.SyncRelation);
+    };
+
+    std::vector<std::vector<std::vector<int64_t>>> Cands(N);
+    for (size_t Tid = 0; Tid < N; ++Tid) {
+      std::vector<int64_t> Vals(Locals.size(), -IntBound);
+      for (;;) {
+        Set(Tid, Vals);
+        if (HoldsAt(Tid))
+          Cands[Tid].push_back(Vals);
+        size_t J = 0;
+        while (J < Vals.size() && ++Vals[J] > IntBound)
+          Vals[J++] = -IntBound;
+        if (J == Vals.size())
+          break;
+      }
+      Set(Tid, std::vector<int64_t>(Locals.size(), 0));
+      if (Cands[Tid].empty())
+        return;
+    }
+
+    std::vector<size_t> Pick(N, 0);
+    for (;;) {
+      for (size_t Tid = 0; Tid < N; ++Tid)
+        Set(Tid, Cands[Tid][Pick[Tid]]);
+      bool Holds = true;
+      for (size_t Tid = 0; Tid < N && Holds; ++Tid)
+        Holds = HoldsAt(Tid);
+      if (Holds) {
+        FiniteModel Succ = Next;
+        for (Term L : Locals)
+          Succ.Arrays[L] = Post.Arrays[Sys.post(L)];
+        Out.push_back({T.Name, std::move(Succ)});
+      }
+      size_t I = 0;
+      while (I < N && ++Pick[I] == Cands[I].size())
+        Pick[I++] = 0;
+      if (I == N)
+        break;
+    }
   }
 
   const ParamSystem &Sys;
@@ -143,7 +234,7 @@ ExplicitResult sharpie::explct::explore(const ParamSystem &Sys,
 #endif
   }
 
-  AsyncStepper Generic(Sys, Opts.IntBound);
+  Stepper Generic(Sys, Opts.IntBound);
   std::map<std::vector<int64_t>, size_t> Visited;
   struct Node {
     FiniteModel S;

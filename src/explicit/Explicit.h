@@ -55,8 +55,13 @@ struct ExplicitResult {
 /// Explores the N-thread instance of \p Sys. Initial states come from
 /// Sys.CustomInit if set, otherwise from the all-zero state (validated
 /// against Sys.init()). Successors come from Sys.CustomStepper if set,
-/// otherwise from the generic asynchronous interpretation of the guarded
-/// commands (choice variables enumerated over [Sys.ChoiceLo, Sys.ChoiceHi]).
+/// otherwise from the transitions themselves (choice variables
+/// enumerated over [Sys.ChoiceLo, Sys.ChoiceHi]): one mover per step for
+/// an asynchronous system; for a sync system, rounds whose post-state
+/// satisfies the round relation at every thread, each thread's post
+/// locals ranging over [-IntBound, IntBound]. A round outside that range
+/// is not explored, so the prefix shrinks; no round the relation forbids
+/// is ever taken.
 /// \p Trace, when non-null, receives an "explicit" span, the
 /// "explicit_states" counter and an instant event on a counterexample.
 ExplicitResult explore(const sys::ParamSystem &Sys,

@@ -25,8 +25,9 @@
 // assert, and NDEBUG builds must reject corrupt cache files, not build
 // broken terms over them), variable sorts are checked against both the
 // input's own declarations and the destination manager's live bindings,
-// and recursion depth is bounded. Any violation yields a null Term and a
-// message -- a corrupt cache entry is a miss, never a crash.
+// and recursion depth is bounded (256 levels, far past any real term and
+// far short of a sanitizer build's stack). Any violation yields a null
+// Term and a message -- a corrupt cache entry is a miss, never a crash.
 //
 //===----------------------------------------------------------------------===//
 

@@ -48,8 +48,6 @@ bool CliObs::parseArg(int argc, char **argv, int &I, std::string &Err) {
 }
 
 std::unique_ptr<Tracer> CliObs::makeTracer() const {
-  if (!enabled())
-    return nullptr;
   TracerConfig Cfg;
   Cfg.Level = Level;
   Cfg.CollectEvents = !TraceOut.empty() || !EventsOut.empty();

@@ -35,16 +35,10 @@ struct CliObs {
   /// malformed value (e.g. --log-level typo) returns true with \p Err set.
   bool parseArg(int argc, char **argv, int &I, std::string &Err);
 
-  /// True when any sink is configured (so a tracer is worth creating).
-  bool enabled() const {
-    return Stats || Level != LogLevel::Quiet || !TraceOut.empty() ||
-           !EventsOut.empty();
-  }
-
   /// Builds the tracer for the configuration: log level as given, event
-  /// collection on iff a trace/events file was requested. Returns null
-  /// when enabled() is false -- the caller passes the null straight into
-  /// SynthOptions::Trace and the pipeline stays on the zero-cost path.
+  /// collection on iff a trace/events file was requested. Never null:
+  /// every run counts into a tracer (synthesize() makes a private quiet
+  /// one otherwise), so with no flag this is that same quiet tracer.
   std::unique_ptr<Tracer> makeTracer() const;
 
   /// Writes the configured trace/JSONL files. Returns false with \p Err

@@ -6,12 +6,15 @@
 
 #include "serve/Proto.h"
 
+#include "front/Canon.h"
 #include "front/ExitCodes.h"
 #include "logic/TermOps.h"
 #include "obs/Export.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 using namespace sharpie;
 using namespace sharpie::serve;
@@ -30,14 +33,29 @@ Json VerifyRequest::encode() const {
   return J;
 }
 
-VerifyRequest VerifyRequest::decode(const serve::Json &J) {
+VerifyRequest VerifyRequest::decode(const serve::Json &J, std::string *Err) {
   VerifyRequest R;
+  // A numeric knob, when present, must be a non-negative number (an
+  // integer for the counts), as the CLI requires of its flags.
+  auto Number = [&](const char *Field, auto &Out) {
+    using T = std::remove_reference_t<decltype(Out)>;
+    constexpr bool Real = std::is_floating_point_v<T>;
+    const Json &V = J.get(Field);
+    double D = V.asDouble(-1);
+    bool Typed = V.type() == Json::Type::Int ||
+                 (Real && V.type() == Json::Type::Double);
+    if (Typed && D >= 0 && D <= double(std::numeric_limits<T>::max()))
+      Out = static_cast<T>(D);
+    else if (!V.isNull() && Err && Err->empty())
+      *Err = std::string("field '") + Field + "' needs a non-negative " +
+             (Real ? "number" : "integer") + ", got " + V.dump();
+  };
   R.ProtocolText = J.get("protocol_text").asString();
   R.File = J.get("file").asString();
-  R.Workers = static_cast<unsigned>(J.get("workers").asInt(1));
-  R.TimeBudget = J.get("time_budget").asDouble(0);
-  R.MaxTuples = static_cast<unsigned>(J.get("max_tuples").asInt(0));
-  R.SmtTimeoutMs = static_cast<unsigned>(J.get("smt_timeout_ms").asInt(0));
+  Number("workers", R.Workers);
+  Number("time_budget", R.TimeBudget);
+  Number("max_tuples", R.MaxTuples);
+  Number("smt_timeout_ms", R.SmtTimeoutMs);
   R.Faults = J.get("faults").asString();
   R.JsonLine = J.get("json").asBool(false);
   return R;
@@ -87,17 +105,29 @@ std::string sharpie::serve::renderHeader(const std::string &Name,
   return Out;
 }
 
-std::string sharpie::serve::renderJsonLine(
-    const std::string &Protocol, const std::string &File, bool Verified,
-    bool FoundCex, bool Inconclusive, double ParseSeconds,
-    double CacheLookupSeconds, double SynthSeconds, double TotalSeconds,
-    const std::string &StatsJson) {
+namespace {
+
+double secondsSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+      .count();
+}
+
+/// The machine-readable --json result line (trailing newline included)
+/// for a verdict with exit code \p Exit. \p Protocol and \p File are
+/// JSON-escaped (a file name is outside input); \p StatsJson is
+/// synth::statsJsonFields() output.
+std::string renderJsonLine(const std::string &Protocol,
+                           const std::string &File, int Exit,
+                           double ParseSeconds, double CacheLookupSeconds,
+                           double SynthSeconds, double TotalSeconds,
+                           const std::string &StatsJson) {
+  auto Flag = [Exit](int E) { return Exit == E ? "true" : "false"; };
   char Buf[256];
   std::string Out = "{\"protocol\":\"" + obs::jsonEscape(Protocol) +
                     "\",\"file\":\"" + obs::jsonEscape(File) +
-                    "\",\"verified\":" + (Verified ? "true" : "false") +
-                    ",\"found_cex\":" + (FoundCex ? "true" : "false") +
-                    ",\"inconclusive\":" + (Inconclusive ? "true" : "false");
+                    "\",\"verified\":" + Flag(front::ExitVerified) +
+                    ",\"found_cex\":" + Flag(front::ExitUnsafe) +
+                    ",\"inconclusive\":" + Flag(front::ExitInconclusive);
   std::snprintf(Buf, sizeof(Buf),
                 ",\"parse_seconds\":%.6f,\"cache_lookup_seconds\":%.6f,"
                 "\"synth_seconds\":%.3f,\"total_seconds\":%.3f,",
@@ -108,10 +138,11 @@ std::string sharpie::serve::renderJsonLine(
   return Out;
 }
 
-RenderedVerdict sharpie::serve::renderVerdict(const synth::SynthResult &Res,
-                                              bool ExpectSafe,
-                                              double ParseSeconds) {
-  RenderedVerdict V;
+/// The verdict block (VERIFIED/UNSAFE/INCONCLUSIVE/UNKNOWN) and its exit
+/// code, as the tier-1 entry a settled verdict is stored as.
+ResultStore::T1Entry renderVerdict(const synth::SynthResult &Res,
+                                   bool ExpectSafe, double ParseSeconds) {
+  ResultStore::T1Entry V;
   char Buf[256];
   if (Res.Verified) {
     V.Exit = front::ExitVerified;
@@ -120,37 +151,133 @@ RenderedVerdict sharpie::serve::renderVerdict(const synth::SynthResult &Res,
                   "%.1fms)\n",
                   Res.Stats.Seconds, Res.Stats.TuplesTried,
                   Res.Stats.SmtChecks, ParseSeconds * 1e3);
-    V.Text = Buf;
-    V.Text += "inferred cardinalities:\n";
+    V.Verdict = Buf;
+    V.Verdict += "inferred cardinalities:\n";
     for (logic::Term S : Res.SetBodies)
-      V.Text += "  #{t | " + logic::toString(S) + "}\n";
-    V.Text += "invariant atoms (" + std::to_string(Res.Atoms.size()) + "):\n";
+      V.Verdict += "  #{t | " + logic::toString(S) + "}\n";
+    V.Verdict +=
+        "invariant atoms (" + std::to_string(Res.Atoms.size()) + "):\n";
     for (logic::Term A : Res.Atoms)
-      V.Text += "  " + logic::toString(A) + "\n";
+      V.Verdict += "  " + logic::toString(A) + "\n";
     return V;
   }
   if (Res.Cex) {
     V.Exit = front::ExitUnsafe;
-    V.Text = "UNSAFE: explicit counterexample (" +
-             std::to_string(Res.Cex->TransitionNames.size()) + " steps):\n";
+    V.Verdict = "UNSAFE: explicit counterexample (" +
+                std::to_string(Res.Cex->TransitionNames.size()) +
+                " steps):\n";
     for (const std::string &S : Res.Cex->TransitionNames)
-      V.Text += "  " + S + "\n";
+      V.Verdict += "  " + S + "\n";
     if (ExpectSafe)
-      V.Text += "note: protocol declares 'expect safe'\n";
+      V.Verdict += "note: protocol declares 'expect safe'\n";
     return V;
   }
   if (Res.Inconclusive) {
     V.Exit = front::ExitInconclusive;
     std::snprintf(Buf, sizeof(Buf), "INCONCLUSIVE after %.2fs: ",
                   Res.Stats.Seconds);
-    V.Text = Buf + Res.Note + "\n";
-    V.Text += synth::renderInconclusiveReport(Res);
+    V.Verdict = Buf + Res.Note + "\n";
+    V.Verdict += synth::renderInconclusiveReport(Res);
     return V;
   }
   V.Exit = front::ExitUnknown;
   std::snprintf(Buf, sizeof(Buf), "UNKNOWN after %.2fs: ", Res.Stats.Seconds);
-  V.Text = Buf + Res.Note + "\n";
+  V.Verdict = Buf + Res.Note + "\n";
   return V;
+}
+
+} // namespace
+
+VerifyRun sharpie::serve::verifyBundle(
+    const front::FrontBundle &B, const VerifyRequest &Req,
+    const resil::FaultPlan &Faults, ResultStore &Store,
+    engine::ReduceCache *RC, bool LoadTier2, obs::Tracer &Tracer,
+    const engine::CancellationToken *Cancel,
+    std::chrono::steady_clock::time_point T0, double ParseSeconds,
+    std::atomic<const char *> *Phase) {
+  obs::TraceBuffer *TB = Tracer.worker(0);
+  auto Enter = [Phase](const char *Name) {
+    if (Phase)
+      Phase->store(Name);
+  };
+  VerifyRun Run;
+  Run.ParseSeconds = ParseSeconds;
+  VerifyResponse &Resp = Run.Resp;
+  bool Cacheable = Req.Faults.empty();
+  bool UseT1 = Cacheable && Store.enabled();
+
+  // The verdict to print: replayed from tier 1, or solved below.
+  std::optional<ResultStore::T1Entry> V;
+  Enter("hash_lookup");
+  front::CanonicalHash H;
+  {
+    obs::Span LookupSp(TB, "hash_lookup");
+    H = front::canonicalProblemHash(B);
+    Resp.Hash = H.hex();
+    if (UseT1) {
+      auto TL = std::chrono::steady_clock::now();
+      V = Store.lookup(H);
+      Resp.CacheLookupSeconds = secondsSince(TL);
+      TB->counter(V ? "serve_t1_hits" : "serve_t1_misses", 1);
+      Resp.Cache = V ? "hit" : "miss";
+    }
+  }
+
+  if (V) {
+    Run.Stats.CacheLookupSeconds = Resp.CacheLookupSeconds;
+    Run.Stats.Metrics = Tracer.metrics();
+  } else {
+    Enter("synth");
+    if (LoadTier2 && UseT1 && RC)
+      Store.loadReduceCache(*RC);
+    synth::SynthOptions SO = synth::optionsFor(B);
+    SO.Trace = &Tracer;
+    SO.NumWorkers = Req.Workers;
+    SO.TimeBudgetSeconds = Req.TimeBudget;
+    if (Req.MaxTuples)
+      SO.MaxTuples = Req.MaxTuples;
+    if (Req.SmtTimeoutMs)
+      SO.SmtTimeoutMs = Req.SmtTimeoutMs;
+    if (!Faults.empty())
+      SO.Faults = &Faults;
+    SO.Cancel = Cancel;
+    if (Cacheable)
+      SO.ReuseReduceCache = RC;
+    auto T1 = std::chrono::steady_clock::now();
+    synth::SynthResult Res;
+    {
+      obs::Span SynthSp(TB, "synth");
+      Res = synth::synthesize(*B.Sys, SO);
+    }
+    Run.SynthSeconds = secondsSince(T1);
+    Res.Stats.CacheLookupSeconds = Resp.CacheLookupSeconds;
+
+    Enter("render");
+    obs::Span RenderSp(TB, "render");
+    V = renderVerdict(Res, B.ExpectSafe, ParseSeconds);
+    V->Protocol = B.Sys->name();
+    V->StatsJson = synth::statsJsonFields(Res.Stats);
+    V->SynthSeconds = Run.SynthSeconds;
+    // Write back settled verdicts only, and never from a cancelled run (a
+    // disconnect mid-solve must not publish a partial result).
+    bool Cancelled = Cancel && Cancel->cancelled();
+    if (UseT1 && !Cancelled &&
+        (V->Exit == front::ExitVerified || V->Exit == front::ExitUnsafe)) {
+      Store.store(H, *V);
+      if (RC)
+        Store.saveReduceCache(*RC);
+    }
+    Run.Stats = std::move(Res.Stats);
+  }
+
+  Resp.Exit = V->Exit;
+  if (Req.JsonLine)
+    Resp.Output = renderJsonLine(B.Sys->name(), Req.File, V->Exit,
+                                 ParseSeconds, Resp.CacheLookupSeconds,
+                                 Run.SynthSeconds, secondsSince(T0),
+                                 V->StatsJson);
+  Resp.Output += V->Verdict;
+  return Run;
 }
 
 std::optional<Addr> sharpie::serve::parseAddr(const std::string &Spec,

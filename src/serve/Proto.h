@@ -44,19 +44,25 @@
 // re-lowers, which is cheap, keeps the wire format trivially stable, and
 // lets the content hash (front/Canon.h) guarantee that reformatted
 // sources still hit the cache. The "output" field carries the complete,
-// byte-exact stdout a local `sharpie` run would print -- both sides
-// render through the functions below, so `sharpie --server` is
-// indistinguishable from `sharpie` to scripts and humans (same
-// diagnostics, same exit codes; see front/ExitCodes.h).
+// byte-exact stdout a local `sharpie` run would print -- both sides run
+// verifyBundle() below, so `sharpie --server` and `sharpie --store` are
+// indistinguishable from the daemon to scripts and humans (same
+// diagnostics, same exit codes, same --json keys and counters; see
+// front/ExitCodes.h).
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef SHARPIE_SERVE_PROTO_H
 #define SHARPIE_SERVE_PROTO_H
 
+#include "front/Front.h"
+#include "resil/Fault.h"
 #include "serve/Json.h"
+#include "serve/Store.h"
 #include "synth/Synth.h"
 
+#include <atomic>
+#include <chrono>
 #include <optional>
 #include <string>
 
@@ -76,7 +82,12 @@ struct VerifyRequest {
   bool JsonLine = false; ///< Client passed --json: include the JSON line.
 
   serve::Json encode() const;
-  static VerifyRequest decode(const serve::Json &J);
+  /// An absent field reads as its default. A numeric knob (workers,
+  /// max_tuples, smt_timeout_ms, time_budget) that is negative or not a
+  /// number sets \p Err to a message naming the field, as the CLI
+  /// rejects the same values of its flags.
+  static VerifyRequest decode(const serve::Json &J,
+                              std::string *Err = nullptr);
 };
 
 /// A verify response. `Output` is the full stdout text; `Error` the
@@ -99,32 +110,56 @@ struct VerifyResponse {
   static VerifyResponse decode(const serve::Json &J);
 };
 
-// -- Shared rendering --------------------------------------------------------
+// -- The verify sequence -----------------------------------------------------
 //
-// The one implementation of the driver's human-readable output. The CLI
-// prints these strings; the daemon ships them in VerifyResponse::Output.
+// What `sharpie` (files, --builtin, --store) and Server::verify both run
+// on a parsed protocol; the callers differ only around the call (the CLI
+// prints, the daemon admits, clamps, cancels and marks phases for its
+// watchdog). Chaos requests (a fault plan) bypass both cache tiers:
+// nothing a fault produced may be served later. Only settled verdicts
+// (verified, unsafe) of runs that were not cancelled are written back.
 
-/// "== name ==" banner plus the optional property line.
+/// "== name ==" banner plus the optional property line: the first lines
+/// of stdout, printed by the caller right after the parse.
 std::string renderHeader(const std::string &Name, const std::string &Property);
 
-/// The machine-readable --json result line (trailing newline included).
-/// \p Protocol and \p File are JSON-escaped (a file name is outside
-/// input); \p StatsJson is synth::statsJsonFields() output.
-std::string renderJsonLine(const std::string &Protocol,
-                           const std::string &File, bool Verified,
-                           bool FoundCex, bool Inconclusive,
-                           double ParseSeconds, double CacheLookupSeconds,
-                           double SynthSeconds, double TotalSeconds,
-                           const std::string &StatsJson);
+/// What one verifyBundle() call produced.
+struct VerifyRun {
+  /// Exit, Cache, Hash and CacheLookupSeconds as the wire carries them;
+  /// Output is the stdout after the header (the --json line when asked
+  /// for, then the verdict block).
+  VerifyResponse Resp;
+  double ParseSeconds = 0;
+  double SynthSeconds = 0; ///< 0 when no search ran.
+  /// With no search (a tier-1 hit, or a request that failed first) only
+  /// CacheLookupSeconds and the tracer's Metrics are set; NumWorkers and
+  /// WorkerUtilization are 0.
+  synth::SynthStats Stats;
 
-/// The verdict block (VERIFIED/UNSAFE/INCONCLUSIVE/UNKNOWN) plus the
-/// matching exit code.
-struct RenderedVerdict {
-  int Exit = 2;
-  std::string Text;
+  VerifyRun() {
+    Stats.NumWorkers = 0;
+    Stats.WorkerUtilization = 0;
+  }
 };
-RenderedVerdict renderVerdict(const synth::SynthResult &Res, bool ExpectSafe,
-                              double ParseSeconds);
+
+/// Canonical hash, tier-1 lookup and replay, synthesis of \p B with the
+/// knobs of \p Req (tier 2 = \p RC; null means no reduce-cache lookups),
+/// render, settled write-back. \p Faults is Req.Faults parsed;
+/// Req.ProtocolText is not read. \p LoadTier2 merges the store's tier-2
+/// file into *RC before a solve: a one-shot run reads it only when it
+/// solves, a daemon keeps RC warm from startup on. With \p Store
+/// enabled, a cacheable run counts serve_t1_hits or serve_t1_misses on
+/// \p Tracer. \p T0 clocks the whole request (total_seconds). \p Phase,
+/// when set, receives each phase's name as it starts: hash_lookup,
+/// synth, render -- each also a span on Tracer's worker 0.
+VerifyRun verifyBundle(const front::FrontBundle &B, const VerifyRequest &Req,
+                       const resil::FaultPlan &Faults, ResultStore &Store,
+                       engine::ReduceCache *RC, bool LoadTier2,
+                       obs::Tracer &Tracer,
+                       const engine::CancellationToken *Cancel,
+                       std::chrono::steady_clock::time_point T0,
+                       double ParseSeconds,
+                       std::atomic<const char *> *Phase = nullptr);
 
 // -- Addresses ---------------------------------------------------------------
 

@@ -31,6 +31,14 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
+/// The exit-3 response to a verify request that fails to decode.
+Json badRequest(const std::string &Err) {
+  VerifyResponse R;
+  R.Exit = front::ExitError;
+  R.Error = "error: " + Err + "\n";
+  return R.encode();
+}
+
 } // namespace
 
 Server::Server(ServerOptions O)
@@ -367,14 +375,12 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
     Live[Id] = &LR;
   }
 
-  double ParseSeconds = 0, SynthSeconds = 0;
-  unsigned SynthWorkers = 0; // Stays 0 when no search ran (a tier-1 hit).
-  VerifyResponse Resp;
+  VerifyRun Run;
   {
     obs::Span Sp(TB, "request");
-    Resp = verifyImpl(Id, Req, Cancel, Tracer, TB, T0, LR, ParseSeconds,
-                      SynthSeconds, SynthWorkers, Arrival);
+    Run = verifyImpl(Req, Cancel, Tracer, T0, Arrival, LR);
   }
+  VerifyResponse &Resp = Run.Resp;
   // The owner thread stamps the watchdog's verdict into the trace at
   // completion -- deterministically placed (after the request span), so
   // tests can assert on it without racing the watchdog.
@@ -399,16 +405,11 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
   }
   syncBreakerTrips();
 
-  obs::MetricsSummary MS = Tracer.metrics();
   obs::Outcome O = outcomeForExit(Resp.Exit);
-  obs::CacheTier Tier = obs::CacheTier::Cold;
-  if (Resp.Cache == "hit") {
-    Tier = obs::CacheTier::T1Hit;
-  } else if (const int64_t *H = MS.counter("reduce_cache_hits");
-             H && *H > 0) {
-    Tier = obs::CacheTier::T2Warm;
-  }
-  Registry.record(O, Tier, MS, Resp.ServerSeconds);
+  obs::CacheTier Tier = Resp.Cache == "hit"    ? obs::CacheTier::T1Hit
+                        : Run.Stats.CacheHits ? obs::CacheTier::T2Warm
+                                              : obs::CacheTier::Cold;
+  Registry.record(O, Tier, Tracer.metrics(), Resp.ServerSeconds);
 
   if (CollectEvents) {
     obs::FlightRecord FR;
@@ -428,11 +429,11 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
     L["hash"] = Json(Resp.Hash);
     L["outcome"] = Json(obs::outcomeName(O));
     L["cache_tier"] = Json(obs::cacheTierName(Tier));
-    L["parse_seconds"] = Json(ParseSeconds);
+    L["parse_seconds"] = Json(Run.ParseSeconds);
     L["cache_lookup_seconds"] = Json(Resp.CacheLookupSeconds);
-    L["synth_seconds"] = Json(SynthSeconds);
+    L["synth_seconds"] = Json(Run.SynthSeconds);
     L["server_seconds"] = Json(Resp.ServerSeconds);
-    L["workers"] = Json(SynthWorkers);
+    L["workers"] = Json(Run.Stats.NumWorkers);
     L["dropped_events"] = Json(Tracer.droppedEvents());
     L["slow"] = Json(LR.Slow.load());
     L["disposition"] = Json(Resp.Disposition);
@@ -440,18 +441,17 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
         Json(std::chrono::duration<double>(T0 - Arrival).count());
     writeAccessLine(L.dump());
   }
-  return Resp;
+  return std::move(Run.Resp);
 }
 
-VerifyResponse Server::verifyImpl(uint64_t Id, const VerifyRequest &Req,
-                                  const engine::CancellationToken *Cancel,
-                                  obs::Tracer &Tracer, obs::TraceBuffer *TB,
-                                  std::chrono::steady_clock::time_point T0,
-                                  LiveRequest &Live, double &ParseSeconds,
-                                  double &SynthSeconds, unsigned &SynthWorkers,
-                                  std::chrono::steady_clock::time_point Arrival) {
-  (void)Id;
-  VerifyResponse Resp;
+VerifyRun Server::verifyImpl(const VerifyRequest &Req,
+                             const engine::CancellationToken *Cancel,
+                             obs::Tracer &Tracer,
+                             std::chrono::steady_clock::time_point T0,
+                             std::chrono::steady_clock::time_point Arrival,
+                             LiveRequest &Live) {
+  VerifyRun Run;
+  VerifyResponse &Resp = Run.Resp;
 
   // Deadline propagation: the clock started at admission, so time spent
   // waiting for a worker is already gone. A request whose whole budget
@@ -473,8 +473,7 @@ VerifyResponse Server::verifyImpl(uint64_t Id, const VerifyRequest &Req,
                     QueueSeconds, Opts.MaxRequestSeconds,
                     static_cast<long long>(Resp.RetryAfterMs));
       Resp.Error = Buf;
-      Resp.ServerSeconds = secondsSince(T0);
-      return Resp;
+      return Run;
     }
   }
 
@@ -486,12 +485,12 @@ VerifyResponse Server::verifyImpl(uint64_t Id, const VerifyRequest &Req,
     } else {
       Resp.Exit = front::ExitError;
       Resp.Error = "error: bad fault plan: " + FErr + "\n";
-      Resp.ServerSeconds = secondsSince(T0);
-      return Resp;
+      return Run;
     }
   }
 
   Live.Phase.store("parse");
+  obs::TraceBuffer *TB = Tracer.worker(0);
   logic::TermManager M;
   front::LoadResult L = [&] {
     obs::Span ParseSp(TB, "parse");
@@ -500,118 +499,38 @@ VerifyResponse Server::verifyImpl(uint64_t Id, const VerifyRequest &Req,
   if (!L.ok()) {
     Resp.Exit = front::ExitError;
     Resp.Error = L.Error->render() + "\n";
-    Resp.ServerSeconds = secondsSince(T0);
-    return Resp;
+    return Run;
   }
-  ParseSeconds = secondsSince(T0);
-  front::FrontBundle &B = *L.Bundle;
+  double ParseSeconds = secondsSince(T0);
+  const front::FrontBundle &B = *L.Bundle;
 
-  // Chaos requests bypass both cache tiers: injected faults make the run
-  // non-canonical, and nothing a fault produced may be served later.
-  bool Cacheable = Req.Faults.empty();
-
-  // -- Tier 1 ----------------------------------------------------------------
-  Live.Phase.store("hash_lookup");
-  front::CanonicalHash H;
-  {
-    obs::Span LookupSp(TB, "hash_lookup");
-    H = front::canonicalProblemHash(B);
-    Resp.Hash = H.hex();
-    if (Cacheable && Store.enabled()) {
-      auto TL = std::chrono::steady_clock::now();
-      std::optional<ResultStore::T1Entry> Hit = Store.lookup(H);
-      Resp.CacheLookupSeconds = secondsSince(TL);
-      TB->counter(Hit ? "serve_t1_hits" : "serve_t1_misses", 1);
-      if (Hit) {
-        Resp.Exit = Hit->Exit;
-        Resp.Cache = "hit";
-        Resp.Output = renderHeader(B.Sys->name(), B.Property);
-        if (Req.JsonLine)
-          Resp.Output += renderJsonLine(
-              B.Sys->name(), Req.File, Hit->Exit == front::ExitVerified,
-              Hit->Exit == front::ExitUnsafe, /*Inconclusive=*/false,
-              ParseSeconds, Resp.CacheLookupSeconds, /*SynthSeconds=*/0.0,
-              secondsSince(T0), Hit->StatsJson);
-        Resp.Output += Hit->Verdict;
-        Resp.ServerSeconds = secondsSince(T0);
-        return Resp;
-      }
-      Resp.Cache = "miss";
-    }
-  }
-  std::string Header = renderHeader(B.Sys->name(), B.Property);
-
-  // -- Solve -----------------------------------------------------------------
-  Live.Phase.store("synth");
-  synth::SynthOptions SO = synth::optionsFor(B);
-  SO.Trace = &Tracer;
-  SO.NumWorkers = Req.Workers;
+  // The daemon's clamps, on a copy of the request: --synth-workers caps
+  // the search width, and what is left of the deadline (not the full
+  // ceiling: queue wait already spent part of it) caps the budget.
+  VerifyRequest Eff = Req;
   if (Opts.SynthWorkers &&
-      (Req.Workers == 0 || Req.Workers > Opts.SynthWorkers))
-    SO.NumWorkers = Opts.SynthWorkers;
-  SO.TimeBudgetSeconds = Req.TimeBudget;
-  // Clamp by what is left of the deadline, not the full ceiling: queue
-  // wait already spent part of it (RemainingSeconds > 0 was checked at
-  // entry).
-  if (RemainingSeconds > 0 && (SO.TimeBudgetSeconds <= 0 ||
-                               SO.TimeBudgetSeconds > RemainingSeconds))
-    SO.TimeBudgetSeconds = RemainingSeconds;
-  if (Req.MaxTuples)
-    SO.MaxTuples = Req.MaxTuples;
-  if (Req.SmtTimeoutMs)
-    SO.SmtTimeoutMs = Req.SmtTimeoutMs;
-  if (!Faults.empty())
-    SO.Faults = &Faults;
-  SO.Cancel = Cancel;
-  if (Cacheable)
-    SO.ReuseReduceCache = &RC; // Tier 2: warm across requests.
+      (Eff.Workers == 0 || Eff.Workers > Opts.SynthWorkers))
+    Eff.Workers = Opts.SynthWorkers;
+  if (RemainingSeconds > 0 &&
+      (Eff.TimeBudget <= 0 || Eff.TimeBudget > RemainingSeconds))
+    Eff.TimeBudget = RemainingSeconds;
 
-  auto T1 = std::chrono::steady_clock::now();
-  synth::SynthResult Res;
-  {
-    obs::Span SynthSp(TB, "synth");
-    Res = synth::synthesize(*B.Sys, SO);
-  }
-  SynthSeconds = secondsSince(T1);
-  SynthWorkers = Res.Stats.NumWorkers;
-
-  Live.Phase.store("render");
-  obs::Span RenderSp(TB, "render");
-  RenderedVerdict V = renderVerdict(Res, B.ExpectSafe, ParseSeconds);
-  Resp.Exit = V.Exit;
-  Resp.Output = Header;
-  if (Req.JsonLine)
-    Resp.Output += renderJsonLine(
-        B.Sys->name(), Req.File, Res.Verified, Res.Cex.has_value(),
-        Res.Inconclusive, ParseSeconds, Resp.CacheLookupSeconds, SynthSeconds,
-        secondsSince(T0), synth::statsJsonFields(Res.Stats));
-  Resp.Output += V.Text;
-
-  // -- Write-back ------------------------------------------------------------
-  // Settled verdicts only, and never from a cancelled run (a disconnect
-  // mid-solve must not publish a partial result).
-  bool Cancelled = Cancel && Cancel->cancelled();
-  if (Cacheable && Store.enabled() && !Cancelled &&
-      (V.Exit == front::ExitVerified || V.Exit == front::ExitUnsafe)) {
-    ResultStore::T1Entry E;
-    E.Exit = V.Exit;
-    E.Protocol = B.Sys->name();
-    E.StatsJson = synth::statsJsonFields(Res.Stats);
-    E.SynthSeconds = SynthSeconds;
-    E.Verdict = V.Text;
-    Store.store(H, E);
-    Store.saveReduceCache(RC);
-  }
-
-  Resp.ServerSeconds = secondsSince(T0);
-  return Resp;
+  Run = verifyBundle(B, Eff, Faults, Store, &RC, /*LoadTier2=*/false, Tracer,
+                     Cancel, T0, ParseSeconds, &Live.Phase);
+  Run.Resp.Output.insert(0, renderHeader(B.Sys->name(), B.Property));
+  return Run;
 }
 
 Json Server::handle(const Json &Request,
                     const engine::CancellationToken *Cancel) {
   const std::string &Op = Request.get("op").asString();
-  if (Op == "verify")
-    return verify(VerifyRequest::decode(Request), Cancel).encode();
+  if (Op == "verify") {
+    std::string Err;
+    VerifyRequest R = VerifyRequest::decode(Request, &Err);
+    if (!Err.empty())
+      return badRequest(Err);
+    return verify(R, Cancel).encode();
+  }
   if (Op == "status")
     return statusJson();
   if (Op == "health")
@@ -653,24 +572,38 @@ Json Server::handle(const Json &Request,
 }
 
 Json Server::dispatch(const Json &Request) {
-  const std::string &Op = Request.get("op").asString();
+  bool ClientGone;
+  return dispatch(Request, -1, ClientGone);
+}
+
+Json Server::dispatch(const Json &Request, int Fd, bool &ClientGone) {
+  ClientGone = false;
   // Cheap ops answer inline on the calling (connection) thread: they
   // must stay responsive precisely when every pool worker is busy.
-  if (Op != "verify")
+  if (Request.get("op").asString() != "verify")
     return handle(Request);
+  std::string Err;
+  VerifyRequest VR = VerifyRequest::decode(Request, &Err);
+  if (!Err.empty())
+    return badRequest(Err);
 
-  // Admission: reserve a slot or shed, before the pool queue ever sees
-  // the request. fetch_add-then-check keeps the race window harmless --
-  // two simultaneous arrivals at the boundary shed at most one request
-  // early, never admit one late.
+  // Admission: reserve a slot or shed, on the calling thread, before the
+  // pool queue ever sees the request -- so the queue stays bounded no
+  // matter how many clients pile on. fetch_add-then-check keeps the race
+  // window harmless -- two simultaneous arrivals at the boundary shed at
+  // most one request early, never admit one late.
   if (DrainingFlag.load())
     return shedResponse("draining");
   if (Admitted.fetch_add(1) >= admissionCapacity()) {
     Admitted.fetch_sub(1);
     return shedResponse("shed");
   }
+  // Admitted: the deadline clock starts now -- queue wait is the
+  // request's problem, not the next one's. The warm pool runs the work
+  // while this thread waits, watching the client's socket when there is
+  // one, so a vanished client cancels its request instead of occupying a
+  // pool worker to completion.
   auto Arrival = std::chrono::steady_clock::now();
-
   struct Pending {
     std::mutex M;
     std::condition_variable CV;
@@ -680,7 +613,6 @@ Json Server::dispatch(const Json &Request) {
   auto P = std::make_shared<Pending>();
   auto Tok = std::make_shared<engine::CancellationToken>();
   uint64_t TokId = registerToken(Tok);
-  VerifyRequest VR = VerifyRequest::decode(Request);
   Pool.submit([this, VR = std::move(VR), P, Tok, Arrival] {
     Json R = verify(VR, Tok.get(), Arrival).encode();
     std::lock_guard<std::mutex> Lock(P->M);
@@ -691,7 +623,20 @@ Json Server::dispatch(const Json &Request) {
   Json Resp;
   {
     std::unique_lock<std::mutex> Lock(P->M);
-    P->CV.wait(Lock, [&] { return P->Done; });
+    while (!P->CV.wait_for(Lock, std::chrono::milliseconds(100),
+                           [&] { return P->Done; })) {
+      if (Fd < 0 || ClientGone)
+        continue;
+      Lock.unlock();
+      // EOF probe: a readable-but-empty socket means the client hung up
+      // (it owes us nothing until our response).
+      char Peek;
+      if (::recv(Fd, &Peek, 1, MSG_PEEK | MSG_DONTWAIT) == 0) {
+        ClientGone = true;
+        Tok->cancel();
+      }
+      Lock.lock();
+    }
     Resp = P->Resp;
   }
   unregisterToken(TokId);
@@ -1032,63 +977,9 @@ void Server::handleConnection(int Fd) {
     if (!PErr.empty()) {
       Resp["ok"] = Json(false);
       Resp["error"] = Json("bad request: " + PErr);
-    } else if (Req.get("op").asString() != "verify") {
-      // Cheap ops (status/health/metrics/...) answer inline: they must
-      // work precisely when the pool is saturated.
-      Resp = dispatch(Req);
-    } else if (DrainingFlag.load()) {
-      Resp = shedResponse("draining");
-    } else if (Admitted.fetch_add(1) >= admissionCapacity()) {
-      // Admission happens here, on the connection thread, so the pool
-      // queue stays bounded no matter how many clients pile on.
-      Admitted.fetch_sub(1);
-      Resp = shedResponse("shed");
     } else {
-      // Admitted: ship the work to the warm pool; this thread watches
-      // the socket so a vanished client cancels its request instead of
-      // occupying a pool worker to completion. The deadline clock
-      // starts now -- queue wait is the request's problem, not the next
-      // one's.
-      auto Arrival = std::chrono::steady_clock::now();
-      struct Pending {
-        std::mutex M;
-        std::condition_variable CV;
-        bool Done = false;
-        Json Resp;
-      };
-      auto P = std::make_shared<Pending>();
-      auto Tok = std::make_shared<engine::CancellationToken>();
-      uint64_t TokId = registerToken(Tok);
-      VerifyRequest VR = VerifyRequest::decode(Req);
-      Pool.submit([this, VR = std::move(VR), P, Tok, Arrival] {
-        Json R = verify(VR, Tok.get(), Arrival).encode();
-        std::lock_guard<std::mutex> Lock(P->M);
-        P->Resp = std::move(R);
-        P->Done = true;
-        P->CV.notify_all();
-      });
-      bool ClientGone = false;
-      {
-        std::unique_lock<std::mutex> Lock(P->M);
-        while (!P->Done) {
-          P->CV.wait_for(Lock, std::chrono::milliseconds(100));
-          if (P->Done)
-            break;
-          Lock.unlock();
-          // EOF probe: a readable-but-empty socket means the client hung
-          // up (it owes us nothing until our response).
-          char Peek;
-          ssize_t R = ::recv(Fd, &Peek, 1, MSG_PEEK | MSG_DONTWAIT);
-          if (R == 0 && !ClientGone) {
-            ClientGone = true;
-            Tok->cancel();
-          }
-          Lock.lock();
-        }
-        Resp = P->Resp;
-      }
-      unregisterToken(TokId);
-      Admitted.fetch_sub(1);
+      bool ClientGone;
+      Resp = dispatch(Req, Fd, ClientGone);
       if (ClientGone)
         break;
     }

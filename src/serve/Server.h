@@ -6,16 +6,18 @@
 // from / feeds the persistent two-tier result store (serve/Store.h).
 //
 // Layering: the socket front end is a thin shell -- every operation is
-// also a plain method (verify(), handle(), statusJson(), ...) so the
-// tests drive a Server in-process with no sockets or subprocesses, and
-// the request semantics cannot drift from the wire semantics.
+// also a plain method (verify(), dispatch(), statusJson(), ...) so the
+// tests drive a Server in-process, and a connection runs each line
+// through the same dispatch() the tests call. verify() runs the CLI's
+// verify sequence (serve::verifyBundle), adding only the deadline, the
+// parse, its clamps, cancellation and the watchdog's phase marks.
 //
 // Concurrency model: one OS thread per accepted connection does framing
-// only; verify work is submitted to the request pool (RequestWorkers
-// threads, warm for the daemon's lifetime). While a verify is in
-// flight its connection thread polls the socket; EOF (client gone)
-// cancels the request's engine::CancellationToken, which the synthesis
-// observes at every budget poll (SynthOptions::Cancel) -- a disconnected
+// only; dispatch(), the one admission path, submits verify work to the
+// request pool (RequestWorkers threads, warm for the daemon's lifetime).
+// While a verify is in flight its connection thread polls the socket;
+// EOF (client gone) cancels the request's engine::CancellationToken,
+// which the synthesis observes at every budget poll -- a disconnected
 // client stops burning CPU within one poll interval. Each request gets
 // its own obs::Tracer (log lines tagged "r<id>") and SynthOptions; the
 // shared state is the store, the cross-request reduce cache, and the
@@ -167,9 +169,8 @@ public:
 
   /// The full daemon request path minus the socket: cheap ops inline,
   /// verify through admission control + the warm pool, sheds when the
-  /// queue is full or the server is draining. What handleConnection()
-  /// runs per line; public so tests drive overload and drain
-  /// in-process.
+  /// queue is full or the server is draining; a verify that fails to
+  /// decode exits 3 unadmitted. What handleConnection() runs per line.
   Json dispatch(const Json &Request);
 
   Json statusJson() const;
@@ -245,13 +246,15 @@ private:
   };
 
   void handleConnection(int Fd);
-  VerifyResponse verifyImpl(uint64_t Id, const VerifyRequest &Req,
-                            const engine::CancellationToken *Cancel,
-                            obs::Tracer &Tracer, obs::TraceBuffer *TB,
-                            std::chrono::steady_clock::time_point T0,
-                            LiveRequest &Live, double &ParseSeconds,
-                            double &SynthSeconds, unsigned &SynthWorkers,
-                            std::chrono::steady_clock::time_point Arrival);
+  /// dispatch() on a connection: while an admitted verify runs, \p Fd
+  /// is probed for EOF; a client that hung up cancels its request.
+  Json dispatch(const Json &Request, int Fd, bool &ClientGone);
+  VerifyRun verifyImpl(const VerifyRequest &Req,
+                       const engine::CancellationToken *Cancel,
+                       obs::Tracer &Tracer,
+                       std::chrono::steady_clock::time_point T0,
+                       std::chrono::steady_clock::time_point Arrival,
+                       LiveRequest &Live);
   void writeAccessLine(const std::string &Line);
   void watchdogLoop();
   static obs::Outcome outcomeForExit(int Exit);

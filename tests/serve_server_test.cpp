@@ -190,6 +190,31 @@ TEST_F(ServerTest, BadFaultPlanReturnsExitError) {
   EXPECT_NE(std::string::npos, Resp.Error.find("bad fault plan"));
 }
 
+// The wire takes the CLI's numeric knobs, so it rejects what the CLI
+// rejects: a negative or non-numeric value exits 3 naming the field, and
+// the request is never solved (nor, through dispatch(), admitted).
+TEST_F(ServerTest, NegativeOrNonNumericKnobsAreRejected) {
+  Server Srv(options());
+  for (const char *Field :
+       {"workers", "max_tuples", "smt_timeout_ms", "time_budget"})
+    for (const Json &Bad : {Json(-1), Json("2")}) {
+      Json J = request().encode();
+      J[Field] = Bad;
+      VerifyResponse R = VerifyResponse::decode(Srv.handle(J));
+      EXPECT_EQ(front::ExitError, R.Exit) << Field << " = " << Bad.dump();
+      EXPECT_NE(std::string::npos, R.Error.find(Field)) << R.Error;
+      EXPECT_TRUE(R.Output.empty()) << R.Output;
+    }
+  Json J = request().encode();
+  J["workers"] = Json(-1);
+  VerifyResponse R = VerifyResponse::decode(Srv.dispatch(J));
+  EXPECT_EQ(front::ExitError, R.Exit);
+  EXPECT_NE(std::string::npos, R.Error.find("workers")) << R.Error;
+  StoreStats St = Srv.store().stats();
+  EXPECT_EQ(0u, St.T1Hits + St.T1Misses);
+  EXPECT_EQ(0u, Srv.admitted());
+}
+
 TEST_F(ServerTest, ChaosRequestsBypassTheCacheBothWays) {
   Server Srv(options());
   // Warm the cache first so a fault request *could* hit if it looked.

@@ -11,8 +11,6 @@
 
 #include "serve/Store.h"
 
-#include "logic/TermIO.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -291,74 +289,6 @@ TEST_F(Tier2Test, WrongVersionHeaderLoadsAsEmpty) {
   EXPECT_EQ(0u, S.loadReduceCache(C2));
   EXPECT_EQ(0u, C2.size());
   EXPECT_EQ(1u, S.stats().T2Corrupt);
-}
-
-// -- Term codec (the foundation both tiers stand on) -------------------------
-
-TEST(TermIO, RoundTripsRepresentativeTerms) {
-  logic::TermManager M;
-  Term T = M.mkVar("t", Sort::Tid);
-  Term F = M.mkVar("f", Sort::Array);
-  Term K = M.mkVar("k weird\"name\\", Sort::Int);
-  Term Terms[] = {
-      M.mkTrue(),
-      M.mkInt(-42),
-      M.mkAdd({K, M.mkInt(3)}),
-      M.mkIte(M.mkLe(K, M.mkInt(0)), K, M.mkNeg(K)),
-      M.mkForall({T}, M.mkGe(M.mkRead(F, T), M.mkInt(1))),
-      M.mkCard(T, M.mkLt(M.mkRead(F, T), K)),
-      M.mkStore(F, T, M.mkInt(9)),
-  };
-  for (Term X : Terms) {
-    std::string Text = logic::serializeTerm(X);
-    std::string Err;
-    Term Back = logic::deserializeTerm(M, Text, &Err);
-    EXPECT_TRUE(Err.empty()) << Err << " for " << Text;
-    // Hash-consing makes round-trip identity a pointer check.
-    EXPECT_EQ(X, Back) << Text;
-  }
-}
-
-TEST(TermIO, MalformedInputsNeverCrash) {
-  logic::TermManager M;
-  const char *Bad[] = {
-      "",
-      "(",
-      ")",
-      "(and",
-      "(v q \"x\")",         // Bad sort code.
-      "(+ #t #f)",           // Sort mismatch.
-      "(rd (v i \"k\") (v t \"t\"))", // rd of non-array.
-      "(card (v i \"k\") #t)",        // Card binder must be Tid.
-      "(= (v i \"a\"))",              // Arity.
-      "(v t \"t\") trailing",
-      "(unknownop #t #t)",
-  };
-  for (const char *Text : Bad) {
-    std::string Err;
-    Term X = logic::deserializeTerm(M, Text, &Err);
-    EXPECT_TRUE(X.isNull()) << Text;
-    EXPECT_FALSE(Err.empty()) << Text;
-  }
-  // Deep nesting is bounded, not stack-fatal.
-  std::string Deep;
-  for (int I = 0; I < 5000; ++I)
-    Deep += "(not ";
-  Deep += "#t";
-  for (int I = 0; I < 5000; ++I)
-    Deep += ")";
-  std::string Err;
-  EXPECT_TRUE(logic::deserializeTerm(M, Deep, &Err).isNull());
-  EXPECT_FALSE(Err.empty());
-}
-
-TEST(TermIO, NullTermRoundTrips) {
-  logic::TermManager M;
-  EXPECT_EQ("()", logic::serializeTerm(Term()));
-  std::string Err;
-  Term Back = logic::deserializeTerm(M, "()", &Err);
-  EXPECT_TRUE(Back.isNull());
-  EXPECT_TRUE(Err.empty());
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 #     timing line (the warm verdict block is the stored cold one,
 #     byte-exact -- the "identical invariant" acceptance gate);
 #   * the daemon's cache_stats reports exactly one tier-1 hit;
+#   * a local `sharpie --store` cold/warm pair prints what the daemon
+#     printed -- both run the one verify sequence;
 #   * shutdown via --ctl drains the daemon cleanly (exit 0).
 #
 # usage: serve_smoke.sh <sharpied> <sharpie> <protocol.sharpie>
@@ -51,6 +53,25 @@ grep -q '"cache_lookup_seconds"' "$DIR/warm.out"
 "$SHARPIED" --ctl "unix:$SOCK" --op cache_stats > "$DIR/stats.json"
 grep -q '"t1_hits":1' "$DIR/stats.json"
 grep -q '"t1_writes":1' "$DIR/stats.json"
+
+# Local/daemon parity: a local store's cold and warm runs of the same
+# file print the daemon's non-JSON lines (the VERIFIED line's two timings
+# masked), its --json keys, and its counts and ctr_* totals.
+"$SHARPIE" "$PROTO" --store "$DIR/local" --json > "$DIR/local_cold.out"
+"$SHARPIE" "$PROTO" --store "$DIR/local" --json > "$DIR/local_warm.out"
+views() {
+  grep -v '^{' "$1" |
+    sed 's/^VERIFIED in [0-9.]*s (\(.*\); parse [0-9.]*ms)$/VERIFIED (\1)/'
+  grep '^{' "$1" | tr ',' '\n' | sed -n 's/^[ {]*"\([^"]*\)":.*/key \1/p' |
+    sort
+  grep '^{' "$1" | tr ',' '\n' | tr -d ' {}' | sort | grep -E \
+    '^"(ctr_.*|tuples_tried|smt_checks|atoms_.*|explicit_states|workers|cache_hits|cache_misses|retries|fallbacks|faults_injected|tuples_skipped|unknown_.*|.*_exceptions)":'
+}
+for run in cold warm; do
+  views "$DIR/$run.out" > "$DIR/daemon.view"
+  views "$DIR/local_$run.out" > "$DIR/local.view"
+  diff "$DIR/daemon.view" "$DIR/local.view"
+done
 
 "$SHARPIED" --ctl "unix:$SOCK" --op shutdown > /dev/null
 wait "$PID"

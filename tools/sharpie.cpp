@@ -50,16 +50,16 @@
 // each surviving model asserts only the entries it violates (see
 // SynthOptions::RefineBudget and DESIGN.md Sec. 10 and 14).
 //
-// Serving (see src/serve/): --server ADDR turns this binary into a thin
-// client of a running `sharpied` daemon -- the file is parsed locally
-// for fast diagnostics, then its text is shipped; the daemon's response
-// replays here byte-exactly (same output, same exit code), warm results
-// arriving from the daemon's persistent store. --store DIR gives a local
-// (daemonless) run the same persistent cache: warm re-verifications of
-// an already-solved protocol replay the stored verdict without solving,
-// and a solve consults the stored reduce cache (without --store the
-// search makes no reduce-cache lookups).
-// Daemon operations (status, metrics, dump_trace, ...) go through
+// Serving (see src/serve/): the flags fill one serve::VerifyRequest.
+// --server ADDR ships it, with the text of the file that just parsed
+// locally, to a running `sharpied` daemon and replays the response
+// byte-exactly (same output, same exit code). A local run calls the
+// daemon's own verify sequence, serve::verifyBundle, on it. --store DIR
+// gives that run the daemon's persistent cache: a re-verification of a
+// solved protocol replays the stored verdict without solving (the
+// observability flags still write this run's trace and stats), and a
+// solve consults the stored reduce cache (without --store the search
+// makes no reduce-cache lookups). Daemon operations go through
 // `sharpied --ctl ADDR --op ...`.
 //
 // Thin-client resilience: requests are idempotent by content hash, so
@@ -90,9 +90,6 @@
 #include "protocols/Protocols.h"
 #include "resil/Fault.h"
 #include "serve/Client.h"
-#include "serve/Proto.h"
-#include "serve/Store.h"
-#include "synth/Synth.h"
 
 #include "Flags.h"
 
@@ -183,14 +180,8 @@ std::map<std::string, protocols::BundleFactory> builtins() {
 }
 
 int run(int argc, char **argv) {
-  std::string File;
+  serve::VerifyRequest Req; // The knobs, for a local run or the daemon.
   std::string Builtin;
-  bool Json = false;
-  unsigned Workers = 1;
-  double TimeBudget = 0;
-  unsigned MaxTuples = 0;
-  unsigned SmtTimeoutMs = 0; // 0 = keep the SynthOptions default.
-  std::string FaultSpec;
   std::string ServerAddr;
   std::string StoreDir;
   serve::RetryPolicy Retry; // --retries / --retry-base-ms (thin client).
@@ -205,17 +196,17 @@ int run(int argc, char **argv) {
         return ExitError;
       }
     } else if (!std::strcmp(argv[I], "--json"))
-      Json = true;
+      Req.JsonLine = true;
     else if (!std::strcmp(argv[I], "--workers"))
-      ValueOk = tools::numericFlag(argc, argv, I, Workers);
+      ValueOk = tools::numericFlag(argc, argv, I, Req.Workers);
     else if (!std::strcmp(argv[I], "--time-budget"))
-      ValueOk = tools::numericFlag(argc, argv, I, TimeBudget);
+      ValueOk = tools::numericFlag(argc, argv, I, Req.TimeBudget);
     else if (!std::strcmp(argv[I], "--max-tuples"))
-      ValueOk = tools::numericFlag(argc, argv, I, MaxTuples);
+      ValueOk = tools::numericFlag(argc, argv, I, Req.MaxTuples);
     else if (!std::strcmp(argv[I], "--faults"))
-      ValueOk = tools::stringFlag(argc, argv, I, FaultSpec);
+      ValueOk = tools::stringFlag(argc, argv, I, Req.Faults);
     else if (!std::strcmp(argv[I], "--smt-timeout"))
-      ValueOk = tools::numericFlag(argc, argv, I, SmtTimeoutMs);
+      ValueOk = tools::numericFlag(argc, argv, I, Req.SmtTimeoutMs);
     else if (!std::strcmp(argv[I], "--server")) {
       ValueOk = tools::stringFlag(argc, argv, I, ServerAddr);
       // An empty ADDR (typically an unset shell variable) must not
@@ -242,8 +233,8 @@ int run(int argc, char **argv) {
       std::fprintf(stderr, "error: unknown option '%s'\n", argv[I]);
       usage(argv[0]);
       return ExitError;
-    } else if (File.empty())
-      File = argv[I];
+    } else if (Req.File.empty())
+      Req.File = argv[I];
     else {
       std::fprintf(stderr, "error: more than one input file\n");
       usage(argv[0]);
@@ -252,8 +243,8 @@ int run(int argc, char **argv) {
     if (!ValueOk)
       return ExitError;
   }
-  if (File.empty() == Builtin.empty()) {
-    if (!File.empty())
+  if (Req.File.empty() == Builtin.empty()) {
+    if (!Req.File.empty())
       std::fprintf(stderr, "error: give a file or --builtin NAME, not both\n");
     usage(argv[0]);
     return ExitError;
@@ -275,9 +266,9 @@ int run(int argc, char **argv) {
     }
   }
   resil::FaultPlan Faults;
-  if (!FaultSpec.empty()) {
+  if (!Req.Faults.empty()) {
     std::string FErr;
-    if (auto P = resil::FaultPlan::parse(FaultSpec, &FErr))
+    if (auto P = resil::FaultPlan::parse(Req.Faults, &FErr))
       Faults = std::move(*P);
     else {
       std::fprintf(stderr, "error: bad fault plan: %s\n", FErr.c_str());
@@ -285,48 +276,47 @@ int run(int argc, char **argv) {
     }
   }
 
-  // -- Thin-client mode ------------------------------------------------------
-  // Parse locally for fast, identical diagnostics; ship the text. The
-  // daemon's response carries the complete stdout a local run would have
-  // printed, so scripts cannot tell the difference.
-  if (!ServerAddr.empty()) {
-    std::ifstream In(File, std::ios::binary);
+  // Parse locally in both modes, so diagnostics never depend on a
+  // daemon. One clock for all reported times: total_seconds spans parse
+  // (or bundle construction) through synthesis on this clock, so
+  // parse_seconds + synth_seconds <= total_seconds always holds in the
+  // JSON.
+  std::unique_ptr<obs::Tracer> Tracer = Obs.makeTracer();
+  auto T0 = std::chrono::steady_clock::now();
+  logic::TermManager M;
+  front::FrontBundle B;
+  if (!Builtin.empty()) {
+    B = BuiltinIt->second(M);
+    Req.File = "builtin:" + Builtin; // Display name for the --json line.
+  } else {
+    std::ifstream In(Req.File, std::ios::binary);
     std::ostringstream SS;
     SS << In.rdbuf();
-    if (!In || In.bad()) {
-      // Route through the frontend's file loader so the diagnostic text
-      // matches a local run's exactly.
-      logic::TermManager M;
-      front::LoadResult L = front::loadProtocolFile(M, File);
-      std::fprintf(stderr, "%s\n",
-                   L.ok() ? ("error: cannot read '" + File + "'").c_str()
-                          : L.Error->render().c_str());
+    Req.ProtocolText = SS.str();
+    // An unreadable file gets the frontend loader's own diagnostic.
+    front::LoadResult L =
+        In ? front::loadProtocolString(M, Req.ProtocolText, Req.File,
+                                       Tracer->worker(0))
+           : front::loadProtocolFile(M, Req.File);
+    if (!L.ok()) {
+      std::fprintf(stderr, "%s\n", L.Error->render().c_str());
       return ExitError;
     }
-    std::string Text = SS.str();
-    {
-      logic::TermManager M;
-      front::LoadResult L = front::loadProtocolString(M, Text, File);
-      if (!L.ok()) {
-        std::fprintf(stderr, "%s\n", L.Error->render().c_str());
-        return ExitError;
-      }
-    }
+    B = std::move(*L.Bundle);
+  }
+  double ParseSeconds = secondsSince(T0);
+
+  // -- Thin-client mode ------------------------------------------------------
+  // Ship the text that just parsed. The daemon's response carries the
+  // complete stdout a local run would have printed, so scripts cannot
+  // tell the difference.
+  if (!ServerAddr.empty()) {
     std::string Err;
     auto A = serve::parseAddr(ServerAddr, &Err);
     if (!A) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return ExitError;
     }
-    serve::VerifyRequest Req;
-    Req.ProtocolText = std::move(Text);
-    Req.File = File;
-    Req.Workers = Workers;
-    Req.TimeBudget = TimeBudget;
-    Req.MaxTuples = MaxTuples;
-    Req.SmtTimeoutMs = SmtTimeoutMs;
-    Req.Faults = FaultSpec;
-    Req.JsonLine = Json;
     // Verify requests are idempotent by content hash, so connect
     // failures and overload sheds retry with deterministic jitter keyed
     // on the protocol text: the schedule is reproducible per input, and
@@ -360,112 +350,29 @@ int run(int argc, char **argv) {
     return Resp.Exit;
   }
 
-  std::unique_ptr<obs::Tracer> Tracer = Obs.makeTracer();
-
-  // One clock for all reported times: total_seconds spans parse (or
-  // bundle construction) through synthesis on this clock, so
-  // parse_seconds + synth_seconds <= total_seconds always holds in the
-  // JSON.
-  auto T0 = std::chrono::steady_clock::now();
-  logic::TermManager M;
-  front::FrontBundle B;
-  if (!Builtin.empty()) {
-    B = BuiltinIt->second(M);
-    File = "builtin:" + Builtin; // Display name for the --json line.
-  } else {
-    front::LoadResult L = front::loadProtocolFile(
-        M, File, Tracer ? Tracer->worker(0) : nullptr);
-    if (!L.ok()) {
-      std::fprintf(stderr, "%s\n", L.Error->render().c_str());
-      return ExitError;
-    }
-    B = std::move(*L.Bundle);
-  }
-  double ParseSeconds = secondsSince(T0);
-
+  // -- Local mode ------------------------------------------------------------
   std::string Header = serve::renderHeader(B.Sys->name(), B.Property);
   std::fwrite(Header.data(), 1, Header.size(), stdout);
   std::fflush(stdout);
 
-  // -- Persistent store (local mode) -----------------------------------------
-  // Chaos runs bypass the store in both directions, mirroring the
-  // daemon's policy: injected faults must neither read nor feed it.
-  serve::ResultStore Store(Faults.empty() ? StoreDir : std::string());
-  double CacheLookupSeconds = 0;
-  front::CanonicalHash Hash = front::canonicalProblemHash(B);
-  if (Store.enabled()) {
-    auto TL = std::chrono::steady_clock::now();
-    std::optional<serve::ResultStore::T1Entry> Hit = Store.lookup(Hash);
-    CacheLookupSeconds = secondsSince(TL);
-    if (Hit) {
-      if (Json) {
-        std::string JL = serve::renderJsonLine(
-            B.Sys->name(), File, Hit->Exit == front::ExitVerified,
-            Hit->Exit == front::ExitUnsafe, /*Inconclusive=*/false,
-            ParseSeconds, CacheLookupSeconds, /*SynthSeconds=*/0.0,
-            secondsSince(T0), Hit->StatsJson);
-        std::fwrite(JL.data(), 1, JL.size(), stdout);
-      }
-      std::fwrite(Hit->Verdict.data(), 1, Hit->Verdict.size(), stdout);
-      return Hit->Exit;
-    }
-  }
+  // --store DIR: tier 1 answers a re-verification without solving; tier 2
+  // (the reduce cache on disk) is loaded to warm a solve and saved after
+  // a settled verdict. Without a store the search makes no reduce-cache
+  // lookups.
+  serve::ResultStore Store(StoreDir);
   engine::ReduceCache RC;
-  if (Store.enabled())
-    Store.loadReduceCache(RC);
+  serve::VerifyRun Run = serve::verifyBundle(
+      B, Req, Faults, Store, Store.enabled() ? &RC : nullptr,
+      /*LoadTier2=*/true, *Tracer, /*Cancel=*/nullptr, T0, ParseSeconds);
 
-  synth::SynthOptions Opts = synth::optionsFor(B);
-  Opts.Trace = Tracer.get();
-  Opts.NumWorkers = Workers;
-  Opts.TimeBudgetSeconds = TimeBudget;
-  if (MaxTuples)
-    Opts.MaxTuples = MaxTuples;
-  if (SmtTimeoutMs)
-    Opts.SmtTimeoutMs = SmtTimeoutMs;
-  if (!Faults.empty())
-    Opts.Faults = &Faults;
-  if (Store.enabled())
-    Opts.ReuseReduceCache = &RC;
-
-  auto T1 = std::chrono::steady_clock::now();
-  synth::SynthResult Res = synth::synthesize(*B.Sys, Opts);
-  double SynthSeconds = secondsSince(T1);
-  double TotalSeconds = secondsSince(T0);
-  Res.Stats.CacheLookupSeconds = CacheLookupSeconds;
-
-  if (Tracer) {
-    std::string Err;
-    if (!Obs.writeOutputs(*Tracer, Err))
-      std::fprintf(stderr, "warning: %s\n", Err.c_str());
-  }
+  std::string Err;
+  if (!Obs.writeOutputs(*Tracer, Err))
+    std::fprintf(stderr, "warning: %s\n", Err.c_str());
   if (Obs.Stats)
     std::fprintf(stderr, "%s",
-                 synth::renderStatsTable(Res.Stats, SynthSeconds).c_str());
-
-  if (Json) {
-    std::string JL = serve::renderJsonLine(
-        B.Sys->name(), File, Res.Verified, Res.Cex.has_value(),
-        Res.Inconclusive, ParseSeconds, CacheLookupSeconds, SynthSeconds,
-        TotalSeconds, synth::statsJsonFields(Res.Stats));
-    std::fwrite(JL.data(), 1, JL.size(), stdout);
-  }
-
-  serve::RenderedVerdict V = serve::renderVerdict(Res, B.ExpectSafe,
-                                                  ParseSeconds);
-  std::fwrite(V.Text.data(), 1, V.Text.size(), stdout);
-
-  if (Store.enabled() &&
-      (V.Exit == front::ExitVerified || V.Exit == front::ExitUnsafe)) {
-    serve::ResultStore::T1Entry E;
-    E.Exit = V.Exit;
-    E.Protocol = B.Sys->name();
-    E.StatsJson = synth::statsJsonFields(Res.Stats);
-    E.SynthSeconds = SynthSeconds;
-    E.Verdict = V.Text;
-    Store.store(Hash, E);
-    Store.saveReduceCache(RC);
-  }
-  return V.Exit;
+                 synth::renderStatsTable(Run.Stats, Run.SynthSeconds).c_str());
+  std::fwrite(Run.Resp.Output.data(), 1, Run.Resp.Output.size(), stdout);
+  return Run.Resp.Exit;
 }
 
 } // namespace

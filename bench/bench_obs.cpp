@@ -6,8 +6,9 @@
 //     is one null-pointer branch -- no allocation, no lock, no clock read.
 //     BM_DisabledSpan/BM_DisabledLogf should sit within noise of
 //     BM_BareLoop (sub-nanosecond per site);
-//   * enabled metrics without events: counters and samples stay cheap
-//     (thread-local map updates, no event buffering, no lock);
+//   * enabled metrics without events: a span reads the clock twice and
+//     adds its duration to its name's total, counters and samples stay
+//     thread-local map updates -- no event buffering, no lock;
 //   * end to end: a serial increment synthesis with no caller tracer
 //     (metrics only, on synthesize's private quiet tracer) vs. fully
 //     traced.

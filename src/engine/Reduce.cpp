@@ -25,7 +25,6 @@ ReduceResult sharpie::engine::reduceToGround(
     const std::vector<std::pair<Term, Term>> &ExternalCounters,
     const std::vector<Term> &ExtraIndexTerms, obs::TraceBuffer *Trace) {
   obs::Span Sp(Trace, "reduce");
-  auto T0 = std::chrono::steady_clock::now();
   ReduceResult Res;
 
   quant::SkolemResult SK = quant::skolemize(M, Psi);
@@ -265,10 +264,7 @@ ReduceResult sharpie::engine::reduceToGround(
              T.kind() == Kind::Lt;
     });
     Trace->sample("formula_atoms", static_cast<double>(Atoms.size()));
-    Trace->sample("reduce_ms",
-                  std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count());
+    Trace->sample("reduce_ms", Sp.close() * 1e3);
   }
   return Res;
 }

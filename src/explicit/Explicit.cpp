@@ -306,9 +306,10 @@ ExplicitResult sharpie::explct::explore(const ParamSystem &Sys,
                          ? std::string("initial state")
                          : Res.Cex->TransitionNames.back(),
                      static_cast<int64_t>(Res.Cex->TransitionNames.size()));
-    SHARPIE_LOGF(Trace, obs::LogLevel::Debug,
-                 "explicit: %u states, exhausted=%d, safe=%d", Res.NumStates,
-                 Res.Exhausted ? 1 : 0, Res.Safe ? 1 : 0);
+    SHARPIE_LOGF(Trace, obs::LogLevel::Info,
+                 "[explicit] %u states in %.2fs, exhausted=%d, safe=%d",
+                 Res.NumStates, Sp.seconds(), Res.Exhausted ? 1 : 0,
+                 Res.Safe ? 1 : 0);
   }
   return Res;
 }

@@ -107,6 +107,13 @@ const HistSummary *MetricsSummary::hist(std::string_view Name) const {
   return nullptr;
 }
 
+SpanTotal MetricsSummary::span(std::string_view Name) const {
+  for (const auto &[N, S] : Spans)
+    if (N == Name)
+      return S;
+  return {};
+}
+
 // -- TraceBuffer -------------------------------------------------------------
 
 bool TraceBuffer::eventsEnabled() const { return T.Cfg.CollectEvents; }
@@ -121,18 +128,27 @@ bool TraceBuffer::admitEvent() {
   return true;
 }
 
-void TraceBuffer::begin(const char *Name, std::string Detail) {
-  if (!admitEvent())
-    return;
-  Events.push_back({EventKind::SpanBegin, Worker, Name, std::move(Detail), 0,
-                    T.microsSinceEpoch()});
+double TraceBuffer::begin(const char *Name, std::string Detail) {
+  double Now = T.microsSinceEpoch();
+  if (admitEvent())
+    Events.push_back(
+        {EventKind::SpanBegin, Worker, Name, std::move(Detail), 0, Now});
+  return Now;
 }
 
-void TraceBuffer::end(const char *Name) {
-  if (!admitEvent())
-    return;
-  Events.push_back(
-      {EventKind::SpanEnd, Worker, Name, {}, 0, T.microsSinceEpoch()});
+double TraceBuffer::end(const char *Name, double BeganUs) {
+  double Now = T.microsSinceEpoch();
+  double Seconds = (Now - BeganUs) * 1e-6;
+  SpanTotal &S = Spans[Name];
+  ++S.Count;
+  S.Seconds += Seconds;
+  if (admitEvent())
+    Events.push_back({EventKind::SpanEnd, Worker, Name, {}, 0, Now});
+  return Seconds;
+}
+
+double TraceBuffer::secondsSince(double BeganUs) const {
+  return (T.microsSinceEpoch() - BeganUs) * 1e-6;
 }
 
 void TraceBuffer::counter(const char *Name, int64_t Delta) {
@@ -254,9 +270,15 @@ MetricsSummary Tracer::metrics() const {
   std::lock_guard<std::mutex> L(Mu);
   std::map<std::string, int64_t> Counters;
   std::map<std::string, std::vector<double>> Hists;
+  std::map<std::string, SpanTotal> Spans;
   for (const auto &[Rank, B] : Buffers) {
     for (const auto &[N, V] : B->Counters)
       Counters[N] += V;
+    for (const auto &[N, S] : B->Spans) {
+      SpanTotal &Dst = Spans[N];
+      Dst.Count += S.Count;
+      Dst.Seconds += S.Seconds;
+    }
     for (const auto &[N, Samples] : B->Hists) {
       std::vector<double> &Dst = Hists[N];
       Dst.insert(Dst.end(), Samples.begin(), Samples.end());
@@ -267,5 +289,6 @@ MetricsSummary Tracer::metrics() const {
     Out.Counters.emplace_back(N, V);
   for (auto &[N, Samples] : Hists)
     Out.Hists.emplace_back(N, summarize(std::move(Samples)));
+  Out.Spans.assign(Spans.begin(), Spans.end());
   return Out;
 }

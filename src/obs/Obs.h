@@ -20,10 +20,12 @@
 // the deterministic skeleton the golden tests pin (obs/Export.h).
 //
 // Costs: synth::synthesize always records metrics -- without a caller's
-// tracer it runs on a private quiet one, because the counters are the only
-// tally of the counts it reports (synth/Synth.h). Events and log lines stay
-// opt-in: with events off a span is one flag test and its lazy detail is
-// never rendered. Outside a synthesis emission goes through a nullable
+// tracer it runs on a private quiet one, because the counters and span
+// totals are the only tally of the counts and phase times it reports
+// (synth/Synth.h). On any buffer a span times itself into its name's total
+// (two clock reads, one map update). Events and log lines stay opt-in:
+// with events off a span buffers nothing and its lazy detail is never
+// rendered. Outside a synthesis emission goes through a nullable
 // TraceBuffer pointer, and a null pointer makes every span, counter,
 // histogram and log macro one branch -- no allocation, no lock, no clock
 // read (verified by bench/bench_obs.cpp).
@@ -112,14 +114,23 @@ struct HistSummary {
   double percentileFromBuckets(double Q) const;
 };
 
-/// Counters summed and histograms merged over all workers, sorted by name
-/// so the summary itself is deterministic.
+/// The closed spans of one name: how many, and their summed duration.
+struct SpanTotal {
+  uint64_t Count = 0;
+  double Seconds = 0;
+};
+
+/// Counters and span totals summed and histograms merged over all
+/// workers, sorted by name so the summary itself is deterministic.
 struct MetricsSummary {
   std::vector<std::pair<std::string, int64_t>> Counters;
   std::vector<std::pair<std::string, HistSummary>> Hists;
+  std::vector<std::pair<std::string, SpanTotal>> Spans;
 
   const int64_t *counter(std::string_view Name) const;
   const HistSummary *hist(std::string_view Name) const;
+  /// The total of the spans named \p Name; zero when none closed.
+  SpanTotal span(std::string_view Name) const;
 };
 
 class Tracer;
@@ -132,11 +143,16 @@ public:
   unsigned rank() const { return Worker; }
 
   /// True when span/counter/instant events are buffered (a trace or event
-  /// sink is attached). Metrics (counters/histograms) are always recorded.
+  /// sink is attached). Metrics and span totals are always recorded.
   bool eventsEnabled() const;
 
-  void begin(const char *Name, std::string Detail = {});
-  void end(const char *Name);
+  /// Span endpoints, for obs::Span: begin() reads the clock and returns
+  /// the reading; end() reads it again, adds the difference to the span
+  /// total of \p Name and returns it in seconds. Events carry the same
+  /// readings.
+  double begin(const char *Name, std::string Detail = {});
+  double end(const char *Name, double BeganUs);
+  double secondsSince(double BeganUs) const;
   /// Adds \p Delta to counter \p Name; the buffered event carries the
   /// post-update running total (what Chrome's counter track displays).
   void counter(const char *Name, int64_t Delta);
@@ -167,6 +183,8 @@ private:
   uint64_t Dropped = 0; ///< Events discarded by the MaxEvents cap.
   std::map<std::string, int64_t> Counters;
   std::map<std::string, std::vector<double>> Hists;
+  /// Keyed by the name literal's address; metrics() merges by name.
+  std::map<const char *, SpanTotal> Spans;
 };
 
 struct TracerConfig {
@@ -210,7 +228,7 @@ public:
   /// emission order -- the deterministic merge.
   std::vector<Event> mergedEvents() const;
 
-  /// Counters summed and histograms merged over all workers.
+  /// Counters, span totals and histograms merged over all workers.
   MetricsSummary metrics() const;
 
   /// Events discarded because a buffer hit Cfg.MaxEvents, summed over
@@ -231,24 +249,31 @@ private:
   std::map<unsigned, std::unique_ptr<TraceBuffer>> Buffers;
 };
 
-/// RAII span. Null buffer => complete no-op (single branch per endpoint).
-/// The lazy-detail constructor only renders the detail string when events
-/// are actually buffered, keeping the disabled path allocation-free.
+/// RAII span, timing itself into its buffer's total for its name until
+/// close() or destruction. Null buffer => complete no-op (one branch per
+/// endpoint, no clock read). The lazy detail renders only when events are
+/// buffered, keeping the quiet path allocation-free.
 class Span {
 public:
-  Span(TraceBuffer *B, const char *Name) : B(B), Name(Name) {
-    if (B)
-      B->begin(Name);
-  }
+  Span(TraceBuffer *B, const char *Name)
+      : Span(B, Name, [] { return std::string(); }) {}
   template <typename DetailFn>
   Span(TraceBuffer *B, const char *Name, DetailFn &&Detail) : B(B), Name(Name) {
     if (B)
-      B->begin(Name, B->eventsEnabled() ? Detail() : std::string());
+      BeganUs = B->begin(Name, B->eventsEnabled() ? Detail() : std::string());
   }
-  ~Span() {
-    if (B)
-      B->end(Name);
+  ~Span() { close(); }
+
+  /// Ends the span now; returns its duration in seconds (0 if null/closed).
+  double close() {
+    if (!B)
+      return 0;
+    double S = B->end(Name, BeganUs);
+    B = nullptr;
+    return S;
   }
+  /// Seconds since the span opened, for a log line inside it (0 if null).
+  double seconds() const { return B ? B->secondsSince(BeganUs) : 0; }
 
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
@@ -256,6 +281,7 @@ public:
 private:
   TraceBuffer *B;
   const char *Name;
+  double BeganUs = 0;
 };
 
 } // namespace obs

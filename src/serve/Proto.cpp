@@ -107,11 +107,6 @@ std::string sharpie::serve::renderHeader(const std::string &Name,
 
 namespace {
 
-double secondsSince(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-      .count();
-}
-
 /// The machine-readable --json result line (trailing newline included)
 /// for a verdict with exit code \p Exit. \p Protocol and \p File are
 /// JSON-escaped (a file name is outside input); \p StatsJson is
@@ -193,7 +188,7 @@ VerifyRun sharpie::serve::verifyBundle(
     const resil::FaultPlan &Faults, ResultStore &Store,
     engine::ReduceCache *RC, bool LoadTier2, obs::Tracer &Tracer,
     const engine::CancellationToken *Cancel,
-    std::chrono::steady_clock::time_point T0, double ParseSeconds,
+    std::chrono::steady_clock::time_point T0,
     std::atomic<const char *> *Phase) {
   obs::TraceBuffer *TB = Tracer.worker(0);
   auto Enter = [Phase](const char *Name) {
@@ -201,7 +196,6 @@ VerifyRun sharpie::serve::verifyBundle(
       Phase->store(Name);
   };
   VerifyRun Run;
-  Run.ParseSeconds = ParseSeconds;
   VerifyResponse &Resp = Run.Resp;
   bool Cacheable = Req.Faults.empty();
   bool UseT1 = Cacheable && Store.enabled();
@@ -215,16 +209,16 @@ VerifyRun sharpie::serve::verifyBundle(
     H = front::canonicalProblemHash(B);
     Resp.Hash = H.hex();
     if (UseT1) {
-      auto TL = std::chrono::steady_clock::now();
+      obs::Span T1Sp(TB, "t1_lookup");
       V = Store.lookup(H);
-      Resp.CacheLookupSeconds = secondsSince(TL);
+      Resp.CacheLookupSeconds = T1Sp.close();
       TB->counter(V ? "serve_t1_hits" : "serve_t1_misses", 1);
       Resp.Cache = V ? "hit" : "miss";
     }
   }
 
+  double SynthSeconds = 0; // No search on a tier-1 hit.
   if (V) {
-    Run.Stats.CacheLookupSeconds = Resp.CacheLookupSeconds;
     Run.Stats.Metrics = Tracer.metrics();
   } else {
     Enter("synth");
@@ -243,21 +237,17 @@ VerifyRun sharpie::serve::verifyBundle(
     SO.Cancel = Cancel;
     if (Cacheable)
       SO.ReuseReduceCache = RC;
-    auto T1 = std::chrono::steady_clock::now();
-    synth::SynthResult Res;
-    {
-      obs::Span SynthSp(TB, "synth");
-      Res = synth::synthesize(*B.Sys, SO);
-    }
-    Run.SynthSeconds = secondsSince(T1);
-    Res.Stats.CacheLookupSeconds = Resp.CacheLookupSeconds;
+    obs::Span SynthSp(TB, "synth");
+    synth::SynthResult Res = synth::synthesize(*B.Sys, SO);
+    SynthSeconds = SynthSp.close();
 
     Enter("render");
     obs::Span RenderSp(TB, "render");
-    V = renderVerdict(Res, B.ExpectSafe, ParseSeconds);
+    V = renderVerdict(Res, B.ExpectSafe,
+                      Res.Stats.Metrics.span("parse").Seconds);
     V->Protocol = B.Sys->name();
     V->StatsJson = synth::statsJsonFields(Res.Stats);
-    V->SynthSeconds = Run.SynthSeconds;
+    V->SynthSeconds = SynthSeconds;
     // Write back settled verdicts only, and never from a cancelled run (a
     // disconnect mid-solve must not publish a partial result).
     bool Cancelled = Cancel && Cancel->cancelled();
@@ -272,10 +262,13 @@ VerifyRun sharpie::serve::verifyBundle(
 
   Resp.Exit = V->Exit;
   if (Req.JsonLine)
-    Resp.Output = renderJsonLine(B.Sys->name(), Req.File, V->Exit,
-                                 ParseSeconds, Resp.CacheLookupSeconds,
-                                 Run.SynthSeconds, secondsSince(T0),
-                                 V->StatsJson);
+    Resp.Output = renderJsonLine(
+        B.Sys->name(), Req.File, V->Exit,
+        Run.Stats.Metrics.span("parse").Seconds, Resp.CacheLookupSeconds,
+        SynthSeconds,
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+            .count(),
+        V->StatsJson);
   Resp.Output += V->Verdict;
   return Run;
 }

@@ -13,9 +13,10 @@
 //                 "cache_lookup_seconds":F,"server_seconds":F}
 //   status       -> uptime, requests in flight / served, workers,
 //                   cumulative ctr_* sums, store-tier hit/miss traffic
-//                   (t2_hits/t2_misses: the finished requests'
-//                   reduce_cache_* counters, summed)
-//   cache_stats  -> StoreStats + tier-2 entry count and t2_hits/t2_misses
+//                   (t1_/t2_hits and misses: the finished requests'
+//                   serve_t1_* and reduce_cache_* counters, summed)
+//   cache_stats  -> StoreStats, the tier-2 entry count and the same
+//                   t1_/t2_ hits and misses
 //   metrics      {"op":"metrics","format":"json|prom"} -> cumulative
 //                   outcome x cache-tier request counts/seconds, counter
 //                   sums, merged histograms and server gauges; "prom"
@@ -123,17 +124,15 @@ struct VerifyResponse {
 /// of stdout, printed by the caller right after the parse.
 std::string renderHeader(const std::string &Name, const std::string &Property);
 
-/// What one verifyBundle() call produced.
+/// What one verifyBundle() call produced. Its phase times stay on the
+/// request's tracer as span totals (see verifyBundle).
 struct VerifyRun {
   /// Exit, Cache, Hash and CacheLookupSeconds as the wire carries them;
   /// Output is the stdout after the header (the --json line when asked
   /// for, then the verdict block).
   VerifyResponse Resp;
-  double ParseSeconds = 0;
-  double SynthSeconds = 0; ///< 0 when no search ran.
   /// With no search (a tier-1 hit, or a request that failed first) only
-  /// CacheLookupSeconds and the tracer's Metrics are set; NumWorkers and
-  /// WorkerUtilization are 0.
+  /// the tracer's Metrics are set; NumWorkers and WorkerUtilization are 0.
   synth::SynthStats Stats;
 
   VerifyRun() {
@@ -149,16 +148,18 @@ struct VerifyRun {
 /// file into *RC before a solve: a one-shot run reads it only when it
 /// solves, a daemon keeps RC warm from startup on. With \p Store
 /// enabled, a cacheable run counts serve_t1_hits or serve_t1_misses on
-/// \p Tracer. \p T0 clocks the whole request (total_seconds). \p Phase,
-/// when set, receives each phase's name as it starts: hash_lookup,
-/// synth, render -- each also a span on Tracer's worker 0.
+/// \p Tracer, the request's own, which holds the caller's one "parse"
+/// span: parse_seconds, cache_lookup_seconds and synth_seconds are its
+/// "parse", "t1_lookup" (Store.lookup alone) and "synth" spans. \p T0
+/// starts total_seconds. \p Phase, when set, receives each phase's name
+/// as it starts: hash_lookup, synth, render -- each also a span on
+/// Tracer's worker 0.
 VerifyRun verifyBundle(const front::FrontBundle &B, const VerifyRequest &Req,
                        const resil::FaultPlan &Faults, ResultStore &Store,
                        engine::ReduceCache *RC, bool LoadTier2,
                        obs::Tracer &Tracer,
                        const engine::CancellationToken *Cancel,
                        std::chrono::steady_clock::time_point T0,
-                       double ParseSeconds,
                        std::atomic<const char *> *Phase = nullptr);
 
 // -- Addresses ---------------------------------------------------------------

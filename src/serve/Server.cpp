@@ -409,7 +409,8 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
   obs::CacheTier Tier = Resp.Cache == "hit"    ? obs::CacheTier::T1Hit
                         : Run.Stats.CacheHits ? obs::CacheTier::T2Warm
                                               : obs::CacheTier::Cold;
-  Registry.record(O, Tier, Tracer.metrics(), Resp.ServerSeconds);
+  obs::MetricsSummary Metrics = Tracer.metrics();
+  Registry.record(O, Tier, Metrics, Resp.ServerSeconds);
 
   if (CollectEvents) {
     obs::FlightRecord FR;
@@ -429,9 +430,9 @@ VerifyResponse Server::verify(const VerifyRequest &Req,
     L["hash"] = Json(Resp.Hash);
     L["outcome"] = Json(obs::outcomeName(O));
     L["cache_tier"] = Json(obs::cacheTierName(Tier));
-    L["parse_seconds"] = Json(Run.ParseSeconds);
+    L["parse_seconds"] = Json(Metrics.span("parse").Seconds);
     L["cache_lookup_seconds"] = Json(Resp.CacheLookupSeconds);
-    L["synth_seconds"] = Json(Run.SynthSeconds);
+    L["synth_seconds"] = Json(Metrics.span("synth").Seconds);
     L["server_seconds"] = Json(Resp.ServerSeconds);
     L["workers"] = Json(Run.Stats.NumWorkers);
     L["dropped_events"] = Json(Tracer.droppedEvents());
@@ -489,19 +490,16 @@ VerifyRun Server::verifyImpl(const VerifyRequest &Req,
     }
   }
 
+  // The loader opens the request's one "parse" span.
   Live.Phase.store("parse");
-  obs::TraceBuffer *TB = Tracer.worker(0);
   logic::TermManager M;
-  front::LoadResult L = [&] {
-    obs::Span ParseSp(TB, "parse");
-    return front::loadProtocolString(M, Req.ProtocolText, Req.File, TB);
-  }();
+  front::LoadResult L = front::loadProtocolString(M, Req.ProtocolText,
+                                                  Req.File, Tracer.worker(0));
   if (!L.ok()) {
     Resp.Exit = front::ExitError;
     Resp.Error = L.Error->render() + "\n";
     return Run;
   }
-  double ParseSeconds = secondsSince(T0);
   const front::FrontBundle &B = *L.Bundle;
 
   // The daemon's clamps, on a copy of the request: --synth-workers caps
@@ -516,7 +514,7 @@ VerifyRun Server::verifyImpl(const VerifyRequest &Req,
     Eff.TimeBudget = RemainingSeconds;
 
   Run = verifyBundle(B, Eff, Faults, Store, &RC, /*LoadTier2=*/false, Tracer,
-                     Cancel, T0, ParseSeconds, &Live.Phase);
+                     Cancel, T0, &Live.Phase);
   Run.Resp.Output.insert(0, renderHeader(B.Sys->name(), B.Property));
   return Run;
 }
@@ -645,7 +643,6 @@ Json Server::dispatch(const Json &Request, int Fd, bool &ClientGone) {
 }
 
 Json Server::statusJson() const {
-  StoreStats SS = Store.stats();
   Json J;
   J["ok"] = Json(true);
   J["uptime_seconds"] = Json(secondsSince(Start));
@@ -660,8 +657,8 @@ Json Server::statusJson() const {
   J["ctr_retries"] = Json(Registry.counterSum("retries"));
   J["ctr_fallbacks"] = Json(Registry.counterSum("fallbacks"));
   J["ctr_tuples_skipped"] = Json(Registry.counterSum("tuples_skipped"));
-  J["t1_hits"] = Json(SS.T1Hits);
-  J["t1_misses"] = Json(SS.T1Misses);
+  J["t1_hits"] = Json(Registry.counterSum("serve_t1_hits"));
+  J["t1_misses"] = Json(Registry.counterSum("serve_t1_misses"));
   J["t2_hits"] = Json(Registry.counterSum("reduce_cache_hits"));
   J["t2_misses"] = Json(Registry.counterSum("reduce_cache_misses"));
   J["slow_requests"] = Json(SlowRequests.load());
@@ -701,14 +698,14 @@ Json Server::cacheStatsJson() const {
   StoreStats S = Store.stats();
   Json J;
   J["ok"] = Json(true);
-  J["t1_hits"] = Json(S.T1Hits);
-  J["t1_misses"] = Json(S.T1Misses);
+  // Tier-1/2 traffic: the recorded requests' counters, summed.
+  J["t1_hits"] = Json(Registry.counterSum("serve_t1_hits"));
+  J["t1_misses"] = Json(Registry.counterSum("serve_t1_misses"));
   J["t1_writes"] = Json(S.T1Writes);
   J["t1_corrupt"] = Json(S.T1Corrupt);
   J["t2_loaded"] = Json(S.T2Entries);
   J["t2_corrupt"] = Json(S.T2Corrupt);
   J["t2_live_entries"] = Json(static_cast<uint64_t>(RC.size()));
-  // Summed over the recorded requests, like the status op's ctr_* fields.
   J["t2_hits"] = Json(Registry.counterSum("reduce_cache_hits"));
   J["t2_misses"] = Json(Registry.counterSum("reduce_cache_misses"));
   return J;

@@ -110,7 +110,6 @@ ResultStore::lookup(const front::CanonicalHash &H) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     if (breakerBlockedLocked()) {
-      ++S.T1Misses;
       ++S.Bypassed;
       return std::nullopt;
     }
@@ -120,18 +119,15 @@ ResultStore::lookup(const front::CanonicalHash &H) {
       Injected ? std::nullopt : slurp(t1Path(H));
   std::lock_guard<std::mutex> Lock(Mu);
   if (Injected) {
-    ++S.T1Misses;
     ++S.T1Corrupt;
     noteCorruptLocked();
     return std::nullopt;
   }
   if (!Data) {
-    ++S.T1Misses;
     noteOkLocked();
     return std::nullopt;
   }
   auto Corrupt = [&]() -> std::optional<T1Entry> {
-    ++S.T1Misses;
     ++S.T1Corrupt;
     noteCorruptLocked();
     // Self-heal: the file can never parse again, so keep it from taxing
@@ -181,7 +177,6 @@ ResultStore::lookup(const front::CanonicalHash &H) {
   Tail.remove_prefix(static_cast<size_t>(Pos) + NBytes);
   if (Tail.rfind("\nend\n", 0) != 0)
     return Corrupt();
-  ++S.T1Hits;
   noteOkLocked();
   return E;
 }

@@ -71,13 +71,12 @@
 namespace sharpie {
 namespace serve {
 
-/// Store activity counters (cache_stats responses, bench scripts).
+/// Store activity counters (cache_stats responses, bench scripts); tier-1
+/// hits and misses are the request tracers' serve_t1_* counters instead.
 struct StoreStats {
-  uint64_t T1Hits = 0;
-  uint64_t T1Misses = 0;
   uint64_t T1Writes = 0;
-  uint64_t T1Corrupt = 0; ///< Entry files that failed to parse (each also
-                          ///< counted as a miss).
+  uint64_t T1Corrupt = 0; ///< Entry files that failed to parse (each
+                          ///< read as a miss).
   uint64_t T2Entries = 0; ///< Entries merged by the last tier-2 load.
   uint64_t T2Corrupt = 0; ///< Tier-2 loads that hit corruption (the
                           ///< parsed prefix was still merged).
@@ -105,8 +104,8 @@ public:
   bool enabled() const { return !Dir.empty(); }
   const std::string &dir() const { return Dir; }
 
-  /// Tier-1 lookup. Counts a hit or a miss; a malformed entry file counts
-  /// T1Corrupt too and reads as a miss.
+  /// Tier-1 lookup. A malformed entry file counts T1Corrupt and reads as
+  /// a miss.
   std::optional<T1Entry> lookup(const front::CanonicalHash &H);
 
   /// Tier-1 write (atomic temp+rename). Returns false on I/O failure

@@ -14,7 +14,6 @@
 #include "logic/Term.h"
 #include "obs/Obs.h"
 
-#include <chrono>
 #include <memory>
 #include <optional>
 
@@ -105,23 +104,20 @@ std::unique_ptr<SmtSolver> makeMiniSolver(logic::TermManager &M);
 Validity checkValid(SmtSolver &S, logic::TermManager &M, logic::Term T);
 
 /// Instrumented check(): wraps the call in an "smt_check" span on \p Trace
-/// (which must not be null), counts it in "smt_checks", samples the
-/// latency into the global "smt_ms" histogram and, when \p PhaseHist is
+/// (which must not be null), counts it in "smt_checks", samples the span's
+/// duration into the global "smt_ms" histogram and, when \p PhaseHist is
 /// non-null, into that per-phase histogram too (e.g. "smt_ms.houdini").
 /// \p Detail annotates the span.
 inline SatResult checkTraced(SmtSolver &S, obs::TraceBuffer *Trace,
                              const char *PhaseHist = nullptr,
                              const char *Detail = "") {
   obs::Span Sp(Trace, "smt_check", [&] { return std::string(Detail); });
-  auto T0 = std::chrono::steady_clock::now();
   SatResult R = S.check();
-  double Ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count();
+  Trace->counter("smt_checks", 1);
+  double Ms = Sp.close() * 1e3;
   Trace->sample("smt_ms", Ms);
   if (PhaseHist)
     Trace->sample(PhaseHist, Ms);
-  Trace->counter("smt_checks", 1);
   return R;
 }
 
@@ -133,15 +129,12 @@ inline SatResult checkAssumingTraced(SmtSolver &S,
                                      const char *PhaseHist = nullptr,
                                      const char *Detail = "") {
   obs::Span Sp(Trace, "smt_check", [&] { return std::string(Detail); });
-  auto T0 = std::chrono::steady_clock::now();
   SatResult R = S.checkAssuming(A);
-  double Ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count();
+  Trace->counter("smt_checks", 1);
+  double Ms = Sp.close() * 1e3;
   Trace->sample("smt_ms", Ms);
   if (PhaseHist)
     Trace->sample(PhaseHist, Ms);
-  Trace->counter("smt_checks", 1);
   return R;
 }
 

@@ -57,7 +57,7 @@ std::string sharpie::synth::renderStatsTable(const SynthStats &S,
     const char *Name;
     double Seconds;
   } Phases[] = {
-      {"cache_lookup", S.CacheLookupSeconds},
+      {"cache_lookup", S.Metrics.span("t1_lookup").Seconds},
       {"explicit", S.ExplicitSeconds},
       {"enumerate", S.EnumerateSeconds},
       {"prefilter", S.PrefilterSeconds},

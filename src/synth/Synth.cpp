@@ -65,18 +65,23 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-/// Sets the count fields of \p S, each from its counter: the total in
-/// \p After minus the total in \p Before. A tracer shared across runs
-/// keeps counting, so the difference is one run's share; an absent
-/// counter reads as 0. The only writer of these fields.
+/// Sets the count fields of \p S from the counters and the phase times
+/// from the span totals, each as the total in \p After minus the total in
+/// \p Before: a tracer shared across runs keeps counting, so the
+/// difference is one run's share (absent reads as 0). Utilization divides
+/// the busy "tuple" seconds by S.NumWorkers times \p SearchWall (1.0
+/// without a search). The only writer of these fields.
 void deriveCounts(SynthStats &S, const obs::MetricsSummary &Before,
-                  const obs::MetricsSummary &After) {
+                  const obs::MetricsSummary &After, double SearchWall) {
   auto Count = [&](const char *Name) -> uint64_t {
     auto Total = [Name](const obs::MetricsSummary &MS) -> int64_t {
       const int64_t *V = MS.counter(Name);
       return V ? *V : 0;
     };
     return static_cast<uint64_t>(Total(After) - Total(Before));
+  };
+  auto Seconds = [&](const char *Name) {
+    return After.span(Name).Seconds - Before.span(Name).Seconds;
   };
   S.TuplesTried = Count("tuples_tried");
   S.SmtChecks = Count("smt_checks");
@@ -91,6 +96,14 @@ void deriveCounts(SynthStats &S, const obs::MetricsSummary &Before,
   S.SolverExceptions = Count("solver_exceptions");
   S.TuplesSkipped = Count("tuples_skipped");
   S.WorkerExceptions = Count("worker_exceptions");
+  S.ExplicitSeconds = Seconds("explicit");
+  S.EnumerateSeconds = Seconds("enumerate");
+  S.PrefilterSeconds = Seconds("prefilter");
+  S.ReduceSeconds = Seconds("build_clauses");
+  S.HoudiniSeconds = Seconds("houdini") + Seconds("minimize");
+  S.RecheckSeconds = Seconds("recheck");
+  S.WorkerUtilization =
+      SearchWall > 0 ? Seconds("tuple") / (S.NumWorkers * SearchWall) : 1.0;
 }
 
 /// One instantiated occurrence of the unknown inv_0 in a reduced clause.
@@ -146,6 +159,7 @@ struct TupleOutcome {
   bool HasPartial = false;
   std::vector<Term> PartialAtoms;
   std::string FailedOn;
+  unsigned AtomsAfterPrefilter = 0; ///< Left by the explicit pre-filter.
 };
 
 /// The per-tuple pipeline (prefilter -> reduce -> Houdini -> recheck) of
@@ -156,15 +170,15 @@ class Synthesizer {
 public:
   /// \p TB is the attempt's worker buffer (trace rank W+1 on worker W),
   /// \p FaultRank the rank a `worker=N` fault trigger compares against
-  /// (the same W+1), \p Superseded tells a tuple that a lower rank already
-  /// won, and \p Stats receives the phase seconds and the prefilter count.
+  /// (the same W+1), and \p Superseded tells a tuple that a lower rank
+  /// already won.
   Synthesizer(sys::ParamSystem &Sys, const SynthOptions &Opts,
               std::chrono::steady_clock::time_point Deadline,
               obs::TraceBuffer *TB, unsigned FaultRank,
-              std::function<bool()> Superseded, SynthStats &Stats)
+              std::function<bool()> Superseded)
       : Sys(Sys), M(Sys.manager()), Opts(Opts),
-        F(makeFormals(M, Opts.Shape)), Stats(Stats), Deadline(Deadline),
-        TB(TB), Superseded(std::move(Superseded)) {
+        F(makeFormals(M, Opts.Shape)), Deadline(Deadline), TB(TB),
+        Superseded(std::move(Superseded)) {
     if (Opts.Supervise.Enabled && Opts.Faults && !Opts.Faults->empty()) {
       Faults.emplace(*Opts.Faults);
       Faults->setWorker(FaultRank);
@@ -346,7 +360,6 @@ private:
   TermManager &M;
   const SynthOptions &Opts; ///< With QGuard translated into the world.
   Formals F;
-  SynthStats &Stats;
   /// The merged per-tuple Houdini context.
   IncCtx Inc;
   std::chrono::steady_clock::time_point Deadline;
@@ -400,22 +413,23 @@ private:
                     const std::vector<sys::ParamSystem::State> &States,
                     SynthResult &Res);
 
-  /// One tuple attempt on worker \p W: builds the world \p Wd (the clone,
-  /// and the pool, states and set bodies translated into it) and runs the
+  /// One tuple attempt on worker \p W, inside its "tuple" span (the
+  /// worker's busy time): builds the world \p Wd (the clone, and the
+  /// pool, states and set bodies translated into it) and runs the
   /// pipeline there, all inside the exception containment -- a throw
   /// anywhere, world construction included, marks the tuple skipped (with
-  /// the reason recorded) and the search continues. \p Phases receives
-  /// the attempt's phase seconds.
+  /// the reason recorded) and the search continues.
   TupleOutcome attempt(unsigned W, size_t Rank,
                        const std::vector<Term> &SetBodies,
                        const std::vector<Term> &Pool,
                        const std::vector<sys::ParamSystem::State> &States,
                        std::function<bool()> Superseded,
-                       std::unique_ptr<World> &Wd, SynthStats &Phases);
+                       std::unique_ptr<World> &Wd);
 
-  /// Fills \p Res.Stats at the end of the run: the phase stats, the wall
-  /// time since \p Start, the tracer's metrics, and the counts derived
-  /// from them against \p Before (the metrics when the run began).
+  /// Fills \p Res.Stats at the end of the run: the search's stats, the
+  /// wall time since \p Start, the tracer's metrics, and the counts and
+  /// phase seconds derived from them against \p Before (the metrics when
+  /// the run began).
   void finish(SynthResult &Res, const obs::MetricsSummary &Before,
               std::chrono::steady_clock::time_point Start);
 
@@ -425,6 +439,8 @@ private:
   Formals F;
   std::chrono::steady_clock::time_point Deadline;
   SynthStats Stats;
+  /// Wall time of the rank-cursor search; 0 when the run ended before it.
+  double SearchWall = 0;
   /// The driver's trace buffer, rank 0.
   obs::TraceBuffer *TB = nullptr;
 };
@@ -1363,79 +1379,52 @@ Synthesizer::tryTuple(size_t Rank, const std::vector<Term> &SetBodies,
       }
     }
   }
-  obs::Span TupleSp(TB, "tuple", [&] {
-    std::string D;
-    for (Term SB : SetBodies)
-      D += (D.empty() ? "" : " ") + ("#{t | " + logic::toString(SB) + "}");
-    return D;
-  });
   TB->counter("tuples_tried", 1);
 
   std::vector<Term> Cand = Pool;
-  auto TPre = std::chrono::steady_clock::now();
   if (Opts.ExplicitPrefilter && !States.empty()) {
     obs::Span Sp(TB, "prefilter");
     Cand = prefilterAtoms(Pool, SetBodies, States);
+    SHARPIE_LOGF(TB, obs::LogLevel::Debug,
+                 "atoms: %zu of %zu survive the explicit pre-filter (%.2fs)",
+                 Cand.size(), Pool.size(), Sp.seconds());
   }
-  double PreSec = secondsSince(TPre);
-  Stats.PrefilterSeconds += PreSec;
-  Stats.AtomsAfterPrefilter = static_cast<unsigned>(Cand.size());
-  SHARPIE_LOGF(TB, obs::LogLevel::Debug,
-               "atoms: %zu of %zu survive the explicit pre-filter (%.2fs)",
-               Cand.size(), Pool.size(), PreSec);
+  Out.AtomsAfterPrefilter = static_cast<unsigned>(Cand.size());
 
-  // The build timer starts before the oracle is created: per-tuple solver
-  // setup is part of the clause-building cost, and keeping the phase
-  // timers contiguous lets --stats account (nearly) all of the wall time.
-  auto TBuild = std::chrono::steady_clock::now();
+  // Per-tuple solver setup is part of the clause-building cost.
+  obs::Span BuildSp(TB, "build_clauses");
   std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce");
-  std::vector<ReducedClause> Clauses;
-  {
-    obs::Span Sp(TB, "build_clauses");
-    Clauses = buildClauses(SetBodies, Oracle.get());
-  }
-  Stats.ReduceSeconds += secondsSince(TBuild);
-  auto THou = std::chrono::steady_clock::now();
+  std::vector<ReducedClause> Clauses = buildClauses(SetBodies, Oracle.get());
   SHARPIE_LOGF(TB, obs::LogLevel::Debug, "clauses built in %.2fs",
-               secondsSince(TBuild));
+               BuildSp.seconds());
+  BuildSp.close();
 
-  bool HoudiniOk;
-  {
-    obs::Span Sp(TB, "houdini");
-    incSetup(Clauses, Cand);
-    HoudiniOk = houdini(Clauses, Cand, Out);
-  }
-  SHARPIE_LOGF(TB, obs::LogLevel::Debug, "houdini %s in %.2fs",
-               HoudiniOk ? "ok" : "failed", secondsSince(THou));
-  if (!HoudiniOk) {
-    Stats.HoudiniSeconds += secondsSince(THou);
-    SHARPIE_LOGF(TB, obs::LogLevel::Debug, "houdini failed: %s",
-                 Out.Why.c_str());
+  obs::Span HoudiniSp(TB, "houdini");
+  incSetup(Clauses, Cand);
+  bool HoudiniOk = houdini(Clauses, Cand, Out);
+  SHARPIE_LOGF(TB, obs::LogLevel::Debug, "houdini %s in %.2fs%s%s",
+               HoudiniOk ? "ok" : "failed", HoudiniSp.seconds(),
+               HoudiniOk ? "" : ": ", Out.Why.c_str());
+  HoudiniSp.close();
+  if (!HoudiniOk)
     return Out;
-  }
-  {
-    obs::Span Sp(TB, "minimize");
-    auto TMin = std::chrono::steady_clock::now();
-    size_t Before = Cand.size();
-    minimizeAtoms(Clauses, Cand);
-    SHARPIE_LOGF(TB, obs::LogLevel::Debug, "minimized %zu -> %zu atoms in %.2fs",
-                 Before, Cand.size(), secondsSince(TMin));
-  }
+
+  obs::Span MinimizeSp(TB, "minimize");
+  size_t Before = Cand.size();
+  minimizeAtoms(Clauses, Cand);
   // Free the merged context before the recheck: the invariant is fixed
   // now, and the recheck builds its own solver.
   Inc = IncCtx();
-  Stats.HoudiniSeconds += secondsSince(THou);
+  SHARPIE_LOGF(TB, obs::LogLevel::Debug, "minimized %zu -> %zu atoms in %.2fs",
+               Before, Cand.size(), MinimizeSp.seconds());
+  MinimizeSp.close();
 
   Term Inv = closedInvariant(SetBodies, Cand);
-  auto TRe = std::chrono::steady_clock::now();
-  bool RecheckOk;
-  {
-    obs::Span Sp(TB, "recheck");
-    RecheckOk = recheck(Inv, States, Out.Why);
-  }
-  Stats.RecheckSeconds += secondsSince(TRe);
+  obs::Span RecheckSp(TB, "recheck");
+  bool RecheckOk = recheck(Inv, States, Out.Why);
   SHARPIE_LOGF(TB, obs::LogLevel::Debug, "recheck %s in %.2fs",
-               RecheckOk ? "ok" : "failed", secondsSince(TRe));
+               RecheckOk ? "ok" : "failed", RecheckSp.seconds());
+  RecheckSp.close();
   if (!RecheckOk)
     return Out;
 
@@ -1452,16 +1441,19 @@ TupleOutcome Search::attempt(unsigned W, size_t Rank,
                              const std::vector<Term> &Pool,
                              const std::vector<sys::ParamSystem::State> &States,
                              std::function<bool()> Superseded,
-                             std::unique_ptr<World> &Wd, SynthStats &Phases) {
+                             std::unique_ptr<World> &Wd) {
   // Worker W owns trace rank W+1 (rank 0 is the driver); registration is
   // the one mutex-guarded step, the buffer itself is thread-local.
   obs::TraceBuffer *WTB = Opts.Trace->worker(W + 1);
-  if (WTB->logEnabled(obs::LogLevel::Debug)) {
-    std::string Bodies;
+  auto Bodies = [&] {
+    std::string D;
     for (Term SB : SetBodies)
-      Bodies += " #{t | " + logic::toString(SB) + "}";
-    WTB->logf(obs::LogLevel::Debug, "[tuple %zu]%s", Rank + 1, Bodies.c_str());
-  }
+      D += (D.empty() ? "" : " ") + ("#{t | " + logic::toString(SB) + "}");
+    return D;
+  };
+  obs::Span TupleSp(WTB, "tuple", Bodies);
+  SHARPIE_LOGF(WTB, obs::LogLevel::Debug, "[tuple %zu] %s", Rank + 1,
+               Bodies().c_str());
   try {
     Wd = std::make_unique<World>();
     Wd->Sys = Sys.cloneInto(Wd->M);
@@ -1470,7 +1462,7 @@ TupleOutcome Search::attempt(unsigned W, size_t Rank,
     WOpts.QGuard = Tr(Opts.QGuard);
     // Fault rules with a worker=N trigger key on the trace rank, W+1.
     Synthesizer Synth(*Wd->Sys, WOpts, Deadline, WTB, W + 1,
-                      std::move(Superseded), Phases);
+                      std::move(Superseded));
     std::vector<Term> WPool;
     WPool.reserve(Pool.size());
     for (Term A : Pool)
@@ -1530,7 +1522,6 @@ void Search::searchTuples(unsigned Workers,
   };
   std::vector<RankSlot> Slots(TupleBodies.size());
   std::mutex SlotsMu;
-  double BusySeconds = 0; ///< Guarded by SlotsMu, like Stats.
   std::atomic<size_t> Cursor{0};
   std::atomic<size_t> BestVerified{SIZE_MAX};
   std::atomic<bool> BudgetStopped{false};
@@ -1547,16 +1538,13 @@ void Search::searchTuples(unsigned Workers,
       }
       if (Rank > BestVerified.load())
         continue; // A lower rank already verified: this one cannot win.
-      auto T0 = std::chrono::steady_clock::now();
       std::unique_ptr<World> Wd;
-      SynthStats Phases;
       TupleOutcome O = attempt(
           W, Rank, TupleBodies[Rank], Pool, States,
           [&BestVerified, &Decided, Rank] {
             return BestVerified.load() < Rank || Decided.cancelled();
           },
-          Wd, Phases);
-      double Busy = secondsSince(T0);
+          Wd);
       if (O.Verified) {
         size_t Cur = BestVerified.load();
         while (Rank < Cur &&
@@ -1566,16 +1554,11 @@ void Search::searchTuples(unsigned Workers,
       bool AllBelowBestDone = false;
       {
         std::lock_guard<std::mutex> L(SlotsMu);
-        Stats.PrefilterSeconds += Phases.PrefilterSeconds;
-        Stats.ReduceSeconds += Phases.ReduceSeconds;
-        Stats.HoudiniSeconds += Phases.HoudiniSeconds;
-        Stats.RecheckSeconds += Phases.RecheckSeconds;
-        BusySeconds += Busy;
         RankSlot &S = Slots[Rank];
         S.Done = true;
         S.Verified = O.Verified;
         S.Why = std::move(O.Why);
-        S.AtomsAfterPrefilter = Phases.AtomsAfterPrefilter;
+        S.AtomsAfterPrefilter = O.AtomsAfterPrefilter;
         if (O.Verified) {
           S.Wd = std::move(Wd);
           S.Atoms = std::move(O.Atoms);
@@ -1665,9 +1648,7 @@ void Search::searchTuples(unsigned Workers,
       }
   }
 
-  double Wall = secondsSince(SearchStart);
-  Stats.WorkerUtilization =
-      Wall > 0 ? BusySeconds / (static_cast<double>(Workers) * Wall) : 1.0;
+  SearchWall = secondsSince(SearchStart);
 }
 
 // -- Driver ---------------------------------------------------------------------------------
@@ -1677,7 +1658,7 @@ void Search::finish(SynthResult &Res, const obs::MetricsSummary &Before,
   Res.Stats = Stats;
   Res.Stats.Seconds = secondsSince(Start);
   Res.Stats.Metrics = Opts.Trace->metrics();
-  deriveCounts(Res.Stats, Before, Res.Stats.Metrics);
+  deriveCounts(Res.Stats, Before, Res.Stats.Metrics, SearchWall);
 }
 
 SynthResult Search::run() {
@@ -1691,11 +1672,7 @@ SynthResult Search::run() {
   // Scoped so the unsampled states are freed before the search.
   std::vector<sys::ParamSystem::State> States;
   {
-    auto T0 = std::chrono::steady_clock::now();
     explct::ExplicitResult ER = explct::explore(Sys, Opts.Explicit, TB);
-    Stats.ExplicitSeconds = secondsSince(T0);
-    SHARPIE_LOGF(TB, obs::LogLevel::Info, "[explicit] %u states in %.2fs",
-                 ER.NumStates, secondsSince(T0));
     if (!ER.Safe) {
       Res.Cex = ER.Cex;
       Res.Note = "explicit counterexample with N=" +
@@ -1711,7 +1688,7 @@ SynthResult Search::run() {
       States.push_back(std::move(ER.States[I]));
   }
 
-  auto TEnum = std::chrono::steady_clock::now();
+  obs::Span EnumSp(TB, "enumerate");
   std::vector<SetCandidate> Cands = enumerateSetBodies(Sys, F);
   std::vector<Term> Pool = enumerateInvAtoms(Sys, F);
   Stats.AtomsInPool = static_cast<unsigned>(Pool.size());
@@ -1729,7 +1706,7 @@ SynthResult Search::run() {
       TupleBodies.push_back(std::move(Bodies));
     }
   }
-  Stats.EnumerateSeconds = secondsSince(TEnum);
+  EnumSp.close();
 
   unsigned Workers = engine::ThreadPool::effectiveWorkers(Opts.NumWorkers);
   Workers = static_cast<unsigned>(
@@ -1757,12 +1734,12 @@ SynthResult Search::run() {
   // An unverified, unrefuted run is "inconclusive" (not merely UNKNOWN)
   // exactly when some failure could have hidden a proof: the verdict
   // "no invariant in this search space" would be unsound to report.
-  const SynthStats &S = Res.Stats;
+  uint64_t Failures = Res.Stats.TuplesSkipped + Res.Stats.UnknownTimeouts +
+                      Res.Stats.UnknownIncomplete +
+                      Res.Stats.WorkerExceptions +
+                      Res.Stats.SolverExceptions + Res.Stats.FaultsInjected;
   Res.Inconclusive =
-      !Res.Verified && !Res.Cex &&
-      (outOfTime() || S.TuplesSkipped > 0 || S.UnknownTimeouts > 0 ||
-       S.UnknownIncomplete > 0 || S.WorkerExceptions > 0 ||
-       S.SolverExceptions > 0 || S.FaultsInjected > 0);
+      !Res.Verified && !Res.Cex && (outOfTime() || Failures > 0);
   return Res;
 }
 

@@ -118,11 +118,11 @@ struct SynthOptions {
   /// histograms and leveled log lines into it: the driver (explicit
   /// exploration, enumeration, the merge) uses rank 0 and search worker W
   /// uses rank W+1 at every width.
-  /// Its counters are the only tally of the SynthStats counts, so when
-  /// null the run records into a private quiet tracer instead (counters
-  /// and samples, no events, no log). A tracer may be shared across runs;
-  /// each run's counts are its own share. Not owned; must outlive the
-  /// call.
+  /// Its counters and span totals are the only tally of the SynthStats
+  /// counts and phase times, so when null the run records into a private
+  /// quiet tracer instead (counters, span totals and samples, no events,
+  /// no log). A tracer may be shared across runs; each run's counts and
+  /// phase times are its own share. Not owned; must outlive the call.
   obs::Tracer *Trace = nullptr;
   /// Solver supervision (retry, cross-back-end fallback, per-check
   /// deadline clamping; see resil/Resil.h). Supervise.Enabled = false
@@ -153,12 +153,12 @@ struct SynthOptions {
   const engine::CancellationToken *Cancel = nullptr;
 };
 
-/// What a run reports about itself. The count fields -- TuplesTried,
-/// SmtChecks, ExplicitStates, CacheHits, CacheMisses, and the resilience
-/// counts from Retries to WorkerExceptions -- are not tallied anywhere:
-/// synthesize() reads each off its tracer counter once, at the end of the
-/// run (the counter names are DESIGN.md Sec. 12's). The rest are set by
-/// the search itself.
+/// What a run reports about itself. The counts -- TuplesTried, SmtChecks,
+/// ExplicitStates, CacheHits, CacheMisses, Retries to WorkerExceptions --
+/// and the phase times -- ExplicitSeconds to RecheckSeconds and
+/// WorkerUtilization -- are not tallied anywhere: synthesize() reads each
+/// off its tracer counter or span total at the end of the run (DESIGN.md
+/// Sec. 8 and 12 name them). The search sets the rest.
 struct SynthStats {
   unsigned TuplesTried = 0;
   unsigned SmtChecks = 0;
@@ -187,13 +187,9 @@ struct SynthStats {
   double ReduceSeconds = 0;
   double HoudiniSeconds = 0;
   double RecheckSeconds = 0;
-  /// Result-store lookup time, set by the drivers (the store sits above
-  /// the synthesis; synthesize() leaves this 0) so the phase table
-  /// accounts for cache-tier latency next to the engine phases.
-  double CacheLookupSeconds = 0;
-  /// Busy worker-seconds divided by workers * search wall time, at every
-  /// width; 1.0 means every worker was processing tuples (world building
-  /// included) the whole search.
+  /// Busy worker-seconds (the "tuple" spans) divided by workers * search
+  /// wall time, at every width; 1.0 means every worker was processing
+  /// tuples (world building included) the whole search.
   double WorkerUtilization = 1.0;
 
   // -- Resilience observability (see resil/Resil.h) --------------------------
@@ -266,10 +262,10 @@ SynthOptions optionsFor(const front::FrontBundle &B);
 SynthResult synthesize(sys::ParamSystem &Sys, const SynthOptions &Opts);
 
 /// Renders \p S as an aligned human-readable table (multi-line string,
-/// trailing newline): search counters, per-phase busy seconds with their
-/// share of \p WallSeconds, and the histogram five-number summaries from
-/// S.Metrics. Returned as a string so drivers outside src/ decide where it
-/// goes (src/ itself never prints).
+/// trailing newline): search counters, per-phase busy seconds (cache_lookup
+/// is S.Metrics' "t1_lookup" span) with their share of \p WallSeconds, and
+/// the histogram five-number summaries from S.Metrics. Returned as a string
+/// so drivers outside src/ decide where it goes (src/ itself never prints).
 std::string renderStatsTable(const SynthStats &S, double WallSeconds);
 
 /// Renders the inconclusive-outcome report: per-failure-class tallies and

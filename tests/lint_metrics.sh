@@ -18,12 +18,14 @@
 # comment-only lines are ignored so prose mentioning a histogram does not
 # count as an emission.
 #
-# Last, one tally per count: src/synth and src/resil must not keep a
-# second tally beside the counters -- no ++/+=/= on a SynthStats count
-# field outside deriveCounts() in src/synth/Synth.cpp (which reads each
-# one off its counter), and no resilience tally sink (the retired sink's
-# type and member names are matched below, bracketed so that grepping
-# the tree for them finds only real uses).
+# Last, one tally per count and one clock per phase: src/synth and
+# src/resil must not keep a second tally beside the counters and span
+# totals -- no ++/+=/= on a SynthStats count field or derived phase time
+# (the *Seconds phases and WorkerUtilization) outside deriveCounts() in
+# src/synth/Synth.cpp (which reads each one off its counter or span), and
+# no resilience tally sink (the retired sink's type and member names are
+# matched below, bracketed so that grepping the tree for them finds only
+# real uses).
 ROOT=${1:?usage: lint_metrics.sh repo-root}
 DESIGN="$ROOT/DESIGN.md"
 
@@ -80,7 +82,9 @@ for R in requests_shed drain_cancelled breaker_trips serve_faults_injected; do
   }
 done
 
-FIELDS='TuplesTried|SmtChecks|ExplicitStates|CacheHits|CacheMisses|Retries|Fallbacks|FaultsInjected|UnknownTimeouts|UnknownIncomplete|SolverExceptions|TuplesSkipped|WorkerExceptions'
+COUNTS='TuplesTried|SmtChecks|ExplicitStates|CacheHits|CacheMisses|Retries|Fallbacks|FaultsInjected|UnknownTimeouts|UnknownIncomplete|SolverExceptions|TuplesSkipped|WorkerExceptions'
+PHASES='ExplicitSeconds|EnumerateSeconds|PrefilterSeconds|ReduceSeconds|HoudiniSeconds|RecheckSeconds|WorkerUtilization'
+FIELDS="$COUNTS|$PHASES"
 TALLIES=$(find "$ROOT/src/synth" "$ROOT/src/resil" -name '*.cpp' -o -name '*.h' \
           | sort | while read -r F; do
   awk -v F="$F" -v FIELDS="$FIELDS" '
@@ -95,8 +99,9 @@ TALLIES=$(find "$ROOT/src/synth" "$ROOT/src/resil" -name '*.cpp' -o -name '*.h' 
 done)
 
 if [ -n "$TALLIES" ]; then
-  echo "a SynthStats count is tallied outside its derivation from the"
-  echo "counters (deriveCounts in src/synth/Synth.cpp); emit a counter:"
+  echo "a SynthStats count or phase time is tallied outside its derivation"
+  echo "from the counters and span totals (deriveCounts in"
+  echo "src/synth/Synth.cpp); emit a counter or open a span:"
   echo "$TALLIES"
   exit 1
 fi

@@ -240,10 +240,10 @@ TEST(ObsTracer, MergeOrdersByRankThenEmission) {
   // Register and emit out of rank order; the merge must not care.
   obs::TraceBuffer *W2 = T.worker(2);
   obs::TraceBuffer *W0 = T.worker(0);
-  W2->begin("b");
-  W0->begin("a");
-  W2->end("b");
-  W0->end("a");
+  double B = W2->begin("b");
+  double A = W0->begin("a");
+  W2->end("b", B);
+  W0->end("a", A);
   std::vector<std::string> Lines = obs::eventSkeleton(T);
   std::vector<std::string> Want = {"B w0 a", "E w0 a", "B w2 b", "E w2 b"};
   EXPECT_EQ(Lines, Want);
@@ -321,17 +321,55 @@ TEST(ObsTracer, NullBufferSpanAndLogAreNoOps) {
   SHARPIE_LOGF(B, obs::LogLevel::Info, "unreachable %d", 1);
 }
 
+// Spans time themselves on every buffer, events or not: a quiet tracer
+// reports each name's count and seconds summed over its ranks, a nested
+// span's total is at most its parent's, and a null buffer records
+// nothing.
+TEST(ObsTracer, QuietSpansTotalTheirTime) {
+  obs::Tracer T; // CollectEvents defaults to false.
+  obs::TraceBuffer *B = T.worker(0);
+  double Closed = 0;
+  for (int I = 0; I < 3; ++I) {
+    obs::Span Outer(B, "outer");
+    obs::Span Inner(B, "inner");
+    volatile unsigned Sink = 0;
+    for (unsigned J = 0; J < 100000; ++J)
+      Sink = Sink + J;
+    Closed += Inner.close();
+    EXPECT_EQ(Inner.close(), 0.0) << "a span closes once";
+  }
+  { obs::Span OnRank1(T.worker(1), "outer"); }
+  obs::Span Null(nullptr, "never");
+  EXPECT_EQ(Null.seconds(), 0.0);
+  EXPECT_EQ(Null.close(), 0.0);
+  EXPECT_TRUE(T.mergedEvents().empty());
+
+  obs::MetricsSummary MS = T.metrics();
+  obs::SpanTotal Outer = MS.span("outer"), Inner = MS.span("inner");
+  EXPECT_EQ(Outer.Count, 4u);
+  EXPECT_EQ(Inner.Count, 3u);
+  EXPECT_GT(Outer.Seconds, 0.0);
+  EXPECT_GT(Inner.Seconds, 0.0);
+  EXPECT_DOUBLE_EQ(Inner.Seconds, Closed);
+  EXPECT_LE(Inner.Seconds, Outer.Seconds);
+  EXPECT_EQ(MS.span("never").Count, 0u);
+  EXPECT_EQ(MS.Spans.size(), 2u);
+}
+
 // A tracer shared across runs keeps counting, and each run's SynthStats
-// counts are that run's share: the second of two runs on one tracer
-// reports exactly what a run on a fresh tracer reports.
+// counts and phase seconds are that run's share: the second of two runs
+// on one tracer reports exactly the counts a run on a fresh tracer
+// reports, and its phases fit in its own wall time.
 TEST(ObsTracer, SharedTracerCountsArePerRun) {
-  auto Counts = [](obs::Tracer &T) {
+  auto Run = [](obs::Tracer &T) {
     logic::TermManager M;
     ProtocolBundle B = makeIncrement(M);
     synth::SynthOptions Opts = synth::optionsFor(B);
     Opts.NumWorkers = 1;
     Opts.Trace = &T;
-    synth::SynthStats S = synth::synthesize(*B.Sys, Opts).Stats;
+    return synth::synthesize(*B.Sys, Opts).Stats;
+  };
+  auto Counts = [](const synth::SynthStats &S) {
     return std::vector<uint64_t>{
         S.TuplesTried,     S.SmtChecks,        S.ExplicitStates,
         S.CacheHits,       S.CacheMisses,      S.Retries,
@@ -340,10 +378,17 @@ TEST(ObsTracer, SharedTracerCountsArePerRun) {
         S.WorkerExceptions};
   };
   obs::Tracer Shared, Fresh;
-  Counts(Shared);
-  std::vector<uint64_t> Second = Counts(Shared);
-  EXPECT_EQ(Second, Counts(Fresh));
-  EXPECT_GT(Second[1], 0u) << "no SMT checks counted";
+  Run(Shared);
+  synth::SynthStats Second = Run(Shared);
+  EXPECT_EQ(Counts(Second), Counts(Run(Fresh)));
+  EXPECT_GT(Second.SmtChecks, 0u) << "no SMT checks counted";
+  // At 1 worker the phase spans run one after another inside the run, so
+  // a cumulative read of the shared tracer (both runs) would overshoot.
+  double Phases = Second.ExplicitSeconds + Second.EnumerateSeconds +
+                  Second.PrefilterSeconds + Second.ReduceSeconds +
+                  Second.HoudiniSeconds + Second.RecheckSeconds;
+  EXPECT_GT(Phases, 0.0);
+  EXPECT_LE(Phases, Second.Seconds);
 }
 
 TEST(ObsTracer, ParseLogLevel) {

@@ -33,7 +33,12 @@
 // Perfetto JSON with one track per trace rank (rank 0 the driver, rank
 // W+1 search worker W); --events-out a JSONL event stream; --log-level
 // sets the human log (debug shows the pipeline's progress); --stats
-// prints a per-phase stats table to stderr after the run.
+// prints a per-phase stats table to stderr after the run. Every phase
+// time printed (the table, the --json line's *_seconds but
+// total_seconds) is a span total of the run's tracer. With --server the
+// run happens in the daemon, so --trace-out, --events-out and --stats
+// are usage errors there: the daemon's `dump_trace` and `metrics`
+// operations serve them.
 //
 // Resilience (see src/resil/): solver checks always run supervised
 // (per-check deadlines, retry with backoff, Z3<->MiniSolver fallback).
@@ -118,11 +123,6 @@ void usage(const char *Argv0) {
                "exit codes: 0 safe, 1 unsafe, 2 unknown, 3 error,"
                " 4 inconclusive, 5 overloaded\n",
                Argv0, obs::CliObs::usageFragment(), Argv0);
-}
-
-double secondsSince(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-      .count();
 }
 
 /// The hand-built bundles --builtin NAME selects.
@@ -249,6 +249,21 @@ int run(int argc, char **argv) {
     usage(argv[0]);
     return ExitError;
   }
+  if (!ServerAddr.empty()) {
+    // The daemon runs the request, so no trace or stats exist here.
+    const char *Local = !Obs.TraceOut.empty()    ? "--trace-out"
+                        : !Obs.EventsOut.empty() ? "--events-out"
+                        : Obs.Stats              ? "--stats"
+                                                 : nullptr;
+    if (Local) {
+      std::fprintf(stderr,
+                   "error: %s has nothing to write with --server: the "
+                   "daemon keeps each request's trace and metrics (sharpied "
+                   "--ctl ADDR --op dump_trace|metrics)\n",
+                   Local);
+      return ExitError;
+    }
+  }
   std::map<std::string, protocols::BundleFactory> Builtins = builtins();
   auto BuiltinIt = Builtins.find(Builtin);
   if (!Builtin.empty()) {
@@ -277,17 +292,18 @@ int run(int argc, char **argv) {
   }
 
   // Parse locally in both modes, so diagnostics never depend on a
-  // daemon. One clock for all reported times: total_seconds spans parse
-  // (or bundle construction) through synthesis on this clock, so
-  // parse_seconds + synth_seconds <= total_seconds always holds in the
-  // JSON.
+  // daemon. parse_seconds is the run's one "parse" span (the loader's, or
+  // the bundle construction's); total_seconds is the wall clock from
+  // here, so parse_seconds + synth_seconds <= total_seconds always holds
+  // in the JSON.
   std::unique_ptr<obs::Tracer> Tracer = Obs.makeTracer();
   auto T0 = std::chrono::steady_clock::now();
   logic::TermManager M;
   front::FrontBundle B;
   if (!Builtin.empty()) {
-    B = BuiltinIt->second(M);
     Req.File = "builtin:" + Builtin; // Display name for the --json line.
+    obs::Span ParseSp(Tracer->worker(0), "parse", [&] { return Req.File; });
+    B = BuiltinIt->second(M);
   } else {
     std::ifstream In(Req.File, std::ios::binary);
     std::ostringstream SS;
@@ -304,7 +320,6 @@ int run(int argc, char **argv) {
     }
     B = std::move(*L.Bundle);
   }
-  double ParseSeconds = secondsSince(T0);
 
   // -- Thin-client mode ------------------------------------------------------
   // Ship the text that just parsed. The daemon's response carries the
@@ -363,14 +378,17 @@ int run(int argc, char **argv) {
   engine::ReduceCache RC;
   serve::VerifyRun Run = serve::verifyBundle(
       B, Req, Faults, Store, Store.enabled() ? &RC : nullptr,
-      /*LoadTier2=*/true, *Tracer, /*Cancel=*/nullptr, T0, ParseSeconds);
+      /*LoadTier2=*/true, *Tracer, /*Cancel=*/nullptr, T0);
 
   std::string Err;
   if (!Obs.writeOutputs(*Tracer, Err))
     std::fprintf(stderr, "warning: %s\n", Err.c_str());
-  if (Obs.Stats)
+  if (Obs.Stats) {
+    // The phase shares are of the synthesis' own span (0 on a tier-1 hit).
+    double SynthSeconds = Tracer->metrics().span("synth").Seconds;
     std::fprintf(stderr, "%s",
-                 synth::renderStatsTable(Run.Stats, Run.SynthSeconds).c_str());
+                 synth::renderStatsTable(Run.Stats, SynthSeconds).c_str());
+  }
   std::fwrite(Run.Resp.Output.data(), 1, Run.Resp.Output.size(), stdout);
   return Run.Resp.Exit;
 }

@@ -1,11 +1,13 @@
 //===- bench/BenchSupport.h - Table harness for the evaluation -*- C++ -*-===//
 //
 // Part of sharpie. Shared driver for the figure-reproduction benchmarks:
-// runs #Pi on each protocol bundle of a table and prints the rows the
-// paper reports (program, property, inferred cardinalities, time) with the
-// paper's numbers alongside. Absolute timings are machine-dependent; the
-// shape (which rows verify, which rows are buggy, relative effort) is the
-// reproduction target (see EXPERIMENTS.md).
+// runs #Pi on each protocol of a table (an examples/protocols/ file or a
+// C++ bundle) and prints the rows the paper reports (program, verdict,
+// inferred cardinalities, time) beside the paper's own columns, which
+// each table's rows carry. Absolute timings are machine-dependent;
+// the shape (which rows verify, which rows are buggy, relative effort) is
+// the reproduction target (see EXPERIMENTS.md). A table's binary exits 1
+// when any row's verdict differs from the paper's.
 //
 // Two environment variables configure the harness (tools/sweep.sh sets
 // both):
@@ -20,6 +22,7 @@
 #ifndef SHARPIE_BENCH_BENCHSUPPORT_H
 #define SHARPIE_BENCH_BENCHSUPPORT_H
 
+#include "front/Front.h"
 #include "logic/TermOps.h"
 #include "obs/Export.h"
 #include "protocols/Protocols.h"
@@ -30,8 +33,24 @@
 #include <string>
 #include <vector>
 
+#ifndef SHARPIE_REPO_ROOT
+#error "SHARPIE_REPO_ROOT must be defined by the build"
+#endif
+
 namespace sharpie {
 namespace bench {
+
+/// The paper's reference columns for one row of its table.
+struct PaperColumns {
+  std::string Time;       ///< #Pi column ("TO" = timeout).
+  std::string Comparator; ///< Competitor column, if the table has one.
+  std::string Cards;      ///< "Inferred cardinalities" column, if given.
+
+  PaperColumns(std::string Time = "", std::string Comparator = "",
+               std::string Cards = "")
+      : Time(std::move(Time)), Comparator(std::move(Comparator)),
+        Cards(std::move(Cards)) {}
+};
 
 struct RowResult {
   std::string Name;
@@ -41,10 +60,24 @@ struct RowResult {
   double Seconds = 0;
   std::string Cards;      ///< Inferred cardinalities (ours).
   std::vector<std::string> Atoms; ///< Invariant atoms, rendered, in order.
-  std::string PaperTime;
-  std::string ComparatorTime;
+  PaperColumns Paper;
   synth::SynthStats Stats;
 };
+
+/// Loads examples/protocols/STEM.sharpie; a file that does not load ends
+/// the table with its diagnostic (exit 3, as the sharpie CLI).
+inline protocols::BundleFactory exampleFile(const std::string &Stem) {
+  return [Stem](logic::TermManager &M) {
+    front::LoadResult L = front::loadProtocolFile(
+        M, std::string(SHARPIE_REPO_ROOT) + "/examples/protocols/" + Stem +
+               ".sharpie");
+    if (!L.ok()) {
+      std::fprintf(stderr, "%s\n", L.Error->render().c_str());
+      std::exit(3);
+    }
+    return std::move(*L.Bundle);
+  };
+}
 
 /// Worker count for bench runs: SHARPIE_WORKERS (number, or "max" for one
 /// per hardware thread). Defaults to 1 so timing baselines stay at one
@@ -93,6 +126,7 @@ inline void emitJsonRow(const RowResult &Row) {
 
 inline RowResult runBundle(const std::string &Name,
                            const protocols::BundleFactory &Make,
+                           PaperColumns Paper,
                            double TimeBudgetSeconds = 180) {
   logic::TermManager M;
   protocols::ProtocolBundle B = Make(M);
@@ -107,8 +141,7 @@ inline RowResult runBundle(const std::string &Name,
   Row.Verified = R.Verified;
   Row.FoundCex = R.Cex.has_value();
   Row.Seconds = R.Stats.Seconds;
-  Row.PaperTime = B.PaperTime;
-  Row.ComparatorTime = B.ComparatorTime;
+  Row.Paper = std::move(Paper);
   Row.Stats = R.Stats;
   for (size_t I = 0; I < R.SetBodies.size(); ++I) {
     if (I)
@@ -123,7 +156,8 @@ inline RowResult runBundle(const std::string &Name,
   return Row;
 }
 
-inline void printTable(const std::string &Title,
+/// Prints the table; true when every row matches the paper's verdict.
+inline bool printTable(const std::string &Title,
                        const std::vector<RowResult> &Rows,
                        const char *ComparatorLabel = nullptr) {
   std::printf("\n== %s ==\n", Title.c_str());
@@ -141,13 +175,18 @@ inline void printTable(const std::string &Title,
     std::snprintf(Time, sizeof(Time), "%.2fs", R.Seconds);
     std::printf("%-22s %-9s %-8s %-9s %-9s", R.Name.c_str(), Result,
                 AsExpected ? "yes" : "NO", Time,
-                R.PaperTime.empty() ? "-" : R.PaperTime.c_str());
+                R.Paper.Time.empty() ? "-" : R.Paper.Time.c_str());
     if (ComparatorLabel)
-      std::printf(" %-18s",
-                  R.ComparatorTime.empty() ? "-" : R.ComparatorTime.c_str());
-    std::printf("  %s\n", R.Cards.c_str());
+      std::printf(" %-18s", R.Paper.Comparator.empty()
+                                ? "-"
+                                : R.Paper.Comparator.c_str());
+    std::printf("  %s", R.Cards.c_str());
+    if (!R.Paper.Cards.empty())
+      std::printf("  (paper: %s)", R.Paper.Cards.c_str());
+    std::printf("\n");
   }
   std::printf("%u/%zu rows match the paper's verdict\n", Ok, Rows.size());
+  return Ok == Rows.size();
 }
 
 } // namespace bench

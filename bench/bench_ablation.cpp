@@ -42,7 +42,7 @@ int main() {
     protocols::BundleFactory Make;
   };
   std::vector<Named> Benchmarks = {
-      {"filter lock", protocols::makeFilterLock},
+      {"filter lock", exampleFile("filter_lock")},
       {"one-third rule", protocols::makeOneThird},
       {"parent/child",
        [](logic::TermManager &M) { return protocols::makeParentChild(M, true); }},

@@ -10,13 +10,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
 #include "baselines/CounterAbs.h"
 #include "baselines/IntervalAI.h"
-#include "protocols/Protocols.h"
 
 #include <cstdio>
 
 using namespace sharpie;
+using bench::exampleFile;
 using protocols::ProtocolBundle;
 
 int main() {
@@ -26,17 +27,14 @@ int main() {
     protocols::BundleFactory Make;
   };
   std::vector<Row> Fig7 = {
-      {"max", [](TermManager &M) { return protocols::makeMax(M, true); }},
-      {"reader/writer",
-       [](TermManager &M) { return protocols::makeReaderWriter(M, true); }},
+      {"max", exampleFile("max")},
+      {"reader/writer", exampleFile("reader_writer")},
       {"parent/child",
        [](TermManager &M) { return protocols::makeParentChild(M, true); }},
       {"simp-bar",
        [](TermManager &M) { return protocols::makeSimpBar(M, true); }},
-      {"dyn-barrier",
-       [](TermManager &M) { return protocols::makeDynBarrier(M, true); }},
-      {"as-many",
-       [](TermManager &M) { return protocols::makeAsMany(M, true); }},
+      {"dyn-barrier", exampleFile("dyn_barrier")},
+      {"as-many", exampleFile("as_many")},
   };
   std::printf("== Counter-abstraction baseline (Fig. 7 comparator) ==\n");
   std::printf("%-18s %-12s %-10s %-8s %s\n", "Program", "Verdict", "AbsStates",
@@ -57,9 +55,9 @@ int main() {
   std::vector<Row> Fig9 = {
       {"barrier", protocols::makeBarrier},
       {"central barrier", protocols::makeCentralBarrier},
-      {"work stealing", protocols::makeWorkStealing},
+      {"work stealing", exampleFile("work_stealing")},
       {"dining philosophers", protocols::makeDiningPhilosophers},
-      {"tree traverse", protocols::makeTreeTraverse},
+      {"tree traverse", exampleFile("tree_traverse")},
   };
   std::printf("\n== Interval-AI baseline (Fig. 9 I-column stand-in) ==\n");
   std::printf("%-20s %-12s %-8s %-6s %s\n", "Program", "Verdict", "Classes",

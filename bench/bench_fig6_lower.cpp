@@ -13,9 +13,13 @@ using namespace sharpie::bench;
 
 int main() {
   std::vector<RowResult> Rows;
-  Rows.push_back(runBundle("ticket lock", protocols::makeTicketLock));
-  Rows.push_back(runBundle("filter lock", protocols::makeFilterLock));
-  Rows.push_back(runBundle("one-third rule", protocols::makeOneThird));
-  printTable("Figure 6 (lower): case studies", Rows);
-  return 0;
+  Rows.push_back(runBundle(
+      "ticket lock", exampleFile("ticket_lock"),
+      {"20.9s", "",
+       "#{t | m(t) <= s /\\ pc(t) = 2}, #{t | pc(t) = 3}, #{t | m(t) = q}"}));
+  Rows.push_back(runBundle("filter lock", exampleFile("filter_lock"),
+                           {"27.5s", "", "#{t | lv(t) >= q}"}));
+  Rows.push_back(runBundle("one-third rule", protocols::makeOneThird,
+                           {"0.8s", "", "#{t | x(t) = x(q)}"}));
+  return printTable("Figure 6 (lower): case studies", Rows) ? 0 : 1;
 }

@@ -13,12 +13,18 @@ using namespace sharpie::bench;
 
 int main() {
   std::vector<RowResult> Rows;
-  Rows.push_back(runBundle("intro", protocols::makeIntro));
-  Rows.push_back(runBundle("bluetooth", protocols::makeBluetooth));
-  Rows.push_back(runBundle("tree traverse", protocols::makeTreeTraverse));
-  Rows.push_back(runBundle("cache", protocols::makeCache));
-  Rows.push_back(
-      runBundle("garbage collection", protocols::makeGarbageCollection));
-  printTable("Figure 6 (upper): cardinality-based reasoning", Rows);
-  return 0;
+  Rows.push_back(runBundle("intro", exampleFile("intro"),
+                           {"1.2s", "", "#{t | pc(t) = 2}"}));
+  Rows.push_back(runBundle("bluetooth", exampleFile("bluetooth"),
+                           {"1.6s", "", "#{t | pc(t) = 2}"}));
+  Rows.push_back(runBundle("tree traverse", exampleFile("tree_traverse"),
+                           {"4.2s", "", "- (cardinality-free)"}));
+  Rows.push_back(runBundle("cache", exampleFile("cache"),
+                           {"0.7s", "", "#{t | pc(t) >= 3}"}));
+  Rows.push_back(runBundle("garbage collection",
+                           exampleFile("garbage_collection"),
+                           {"10.1s", "", "#{t | 2 <= pc(t) <= 4}"}));
+  return printTable("Figure 6 (upper): cardinality-based reasoning", Rows)
+             ? 0
+             : 1;
 }

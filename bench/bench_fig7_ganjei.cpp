@@ -15,24 +15,43 @@ using namespace sharpie::bench;
 int main() {
   using logic::TermManager;
   std::vector<RowResult> Rows;
-  auto Run = [&](const char *Name, bool Flag,
-                 protocols::ProtocolBundle (*Make)(TermManager &, bool)) {
-    Rows.push_back(runBundle(
-        Name, [&](TermManager &M) { return Make(M, Flag); }));
+  auto Builder = [](protocols::ProtocolBundle (*Make)(TermManager &, bool),
+                    bool Barrier) {
+    return [=](TermManager &M) { return Make(M, Barrier); };
   };
-  Run("max", true, protocols::makeMax);
-  Run("max-nobar", false, protocols::makeMax);
-  Run("reader/writer", true, protocols::makeReaderWriter);
-  Run("reader/writer-bug", false, protocols::makeReaderWriter);
-  Run("parent/child", true, protocols::makeParentChild);
-  Run("parent/child-nobar", false, protocols::makeParentChild);
-  Run("simp-bar", true, protocols::makeSimpBar);
-  Run("simp-nobar", false, protocols::makeSimpBar);
-  Run("dyn-barrier", true, protocols::makeDynBarrier);
-  Run("dyn-barrier-nobar", false, protocols::makeDynBarrier);
-  Run("as-many", true, protocols::makeAsMany);
-  Run("as-many-bug", false, protocols::makeAsMany);
-  printTable("Figure 7: comparison with [Ganjei et al. 2015]", Rows,
-             "PACMAN (paper)");
-  return 0;
+  Rows.push_back(
+      runBundle("max", exampleFile("max"),
+                {"4.2s", "192s",
+                 "#{t|pc(t)<=2}, #{t|pc(t)<=3}, #{t|pc(t)>=5}"}));
+  Rows.push_back(
+      runBundle("max-nobar", exampleFile("max_nobar"), {"7.2s", "24s"}));
+  Rows.push_back(runBundle("reader/writer", exampleFile("reader_writer"),
+                           {"0.4s", "38s"}));
+  Rows.push_back(runBundle("reader/writer-bug",
+                           exampleFile("reader_writer_bug"), {"0.5s", "11s"}));
+  Rows.push_back(runBundle("parent/child",
+                           Builder(protocols::makeParentChild, true),
+                           {"1.2s", "73s", "#{t | 2 <= pc(t) <= 3}"}));
+  Rows.push_back(runBundle("parent/child-nobar",
+                           Builder(protocols::makeParentChild, false),
+                           {"1.8s", "3s"}));
+  Rows.push_back(
+      runBundle("simp-bar", Builder(protocols::makeSimpBar, true),
+                {"26.7s", "93s",
+                 "#{t|pc(t)<=3}, #{t|pc(t)<=2}, #{t|pc(t)=5}"}));
+  Rows.push_back(runBundle("simp-nobar",
+                           Builder(protocols::makeSimpBar, false),
+                           {"4.2s", "13s"}));
+  Rows.push_back(runBundle("dyn-barrier", exampleFile("dyn_barrier"),
+                           {"1.3s", "8s", "#{t|pc(t)<=2}, #{t|pc(t)>=4}"}));
+  Rows.push_back(runBundle("dyn-barrier-nobar",
+                           exampleFile("dyn_barrier_nobar"), {"1.4s", "3s"}));
+  Rows.push_back(runBundle("as-many", exampleFile("as_many"),
+                           {"0.5s", "62s", "#{t | pc(t) >= 2}"}));
+  Rows.push_back(
+      runBundle("as-many-bug", exampleFile("as_many_bug"), {"0.7s", "2s"}));
+  return printTable("Figure 7: comparison with [Ganjei et al. 2015]", Rows,
+                    "PACMAN (paper)")
+             ? 0
+             : 1;
 }

@@ -15,21 +15,32 @@ using namespace sharpie::bench;
 int main() {
   using logic::TermManager;
   std::vector<RowResult> Rows;
-  Rows.push_back(runBundle("barrier", protocols::makeBarrier));
-  Rows.push_back(runBundle("central barrier", protocols::makeCentralBarrier));
-  Rows.push_back(runBundle("work stealing", protocols::makeWorkStealing));
-  Rows.push_back(
-      runBundle("dining philosophers", protocols::makeDiningPhilosophers));
-  for (auto [R, C] : {std::pair<int, int>{2, 2}, {2, 3}, {3, 3}, {4, 4}}) {
+  Rows.push_back(runBundle("barrier", protocols::makeBarrier,
+                           {"0.4s", "I 0.1s / P 0.1s / O 0.1s"}));
+  Rows.push_back(runBundle("central barrier", protocols::makeCentralBarrier,
+                           {"0.4s", "I 0.1s / P 1.1s / O 6.2s"}));
+  Rows.push_back(runBundle("work stealing", exampleFile("work_stealing"),
+                           {"0.5s", "I 0.1s / P 0.1s / O 6.2s"}));
+  Rows.push_back(runBundle("dining philosophers",
+                           protocols::makeDiningPhilosophers,
+                           {"8.2s", "I 0.1s / P 6.3s / O 20s"}));
+  struct Grid {
+    int R, C;
+    const char *PaperTime;
+  };
+  const Grid Grids[] = {
+      {2, 2, "2.8s"}, {2, 3, "16.1s"}, {3, 3, "34.0s"}, {4, 4, "TO"}};
+  for (const Grid &G : Grids) {
     std::string Name =
-        "robot " + std::to_string(R) + "x" + std::to_string(C);
+        "robot " + std::to_string(G.R) + "x" + std::to_string(G.C);
     Rows.push_back(runBundle(Name,
-                             [R = R, C = C](TermManager &M) {
-                               return protocols::makeRobot(M, R, C);
+                             [G](TermManager &M) {
+                               return protocols::makeRobot(M, G.R, G.C);
                              },
-                             /*TimeBudgetSeconds=*/120));
+                             {G.PaperTime}, /*TimeBudgetSeconds=*/120));
   }
-  printTable("Figure 9 (lower): comparison with [Sanchez et al. 2012]", Rows,
-             "I/P/O (paper)");
-  return 0;
+  return printTable("Figure 9 (lower): comparison with [Sanchez et al. 2012]",
+                    Rows, "I/P/O (paper)")
+             ? 0
+             : 1;
 }

@@ -9,8 +9,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "explicit/Explicit.h"
+#include "front/Front.h"
 #include "logic/TermOps.h"
-#include "protocols/Protocols.h"
+#include "synth/Synth.h"
 
 #include <cstdio>
 
@@ -18,7 +19,13 @@ using namespace sharpie;
 
 int main() {
   logic::TermManager M;
-  protocols::ProtocolBundle B = protocols::makeGarbageCollection(M);
+  front::LoadResult L = front::loadProtocolFile(
+      M, SHARPIE_REPO_ROOT "/examples/protocols/garbage_collection.sharpie");
+  if (!L.ok()) {
+    std::fprintf(stderr, "%s\n", L.Error->render().c_str());
+    return 3;
+  }
+  front::FrontBundle &B = *L.Bundle;
   std::printf("garbage collection (paper Fig. 8)\nproperty: %s\n",
               B.Property.c_str());
 
@@ -40,7 +47,7 @@ int main() {
   }
   std::printf("\nVERIFIED for any number of mutators, in %.2fs.\n",
               R.Stats.Seconds);
-  std::printf("inferred cardinality (paper: %s):\n", B.PaperCards.c_str());
+  std::printf("inferred cardinality (paper: #{t | 2 <= pc(t) <= 4}):\n");
   for (logic::Term S : R.SetBodies)
     std::printf("  #{t | %s}\n", logic::toString(S).c_str());
   std::printf("invariant atoms:\n");

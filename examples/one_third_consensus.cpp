@@ -40,7 +40,7 @@ int main() {
   }
   std::printf("\nVERIFIED for every number of processes, in %.2fs.\n",
               R.Stats.Seconds);
-  std::printf("inferred cardinality (paper: %s):\n", B.PaperCards.c_str());
+  std::printf("inferred cardinality (paper: #{t | x(t) = x(q)}):\n");
   for (logic::Term S : R.SetBodies)
     std::printf("  #{t | %s}\n", logic::toString(S).c_str());
   std::printf("invariant atoms:\n");

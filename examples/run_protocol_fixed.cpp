@@ -1,19 +1,23 @@
 //===- examples/run_protocol_fixed.cpp - #Pi with a pinned template ---------------===//
 //
-// Part of sharpie. Like `sharpie --builtin`, but hands #Pi the exact set
-// bodies the paper's tables report (the paper's shape templates made
-// fully concrete). Useful to separate the set-search cost from the
-// solving cost and for debugging individual benchmarks:
+// Part of sharpie. Runs one Fig. 6 (lower) case study like `sharpie`,
+// but hands #Pi the exact set bodies the paper's table reports (the
+// paper's shape template made fully concrete). Useful to separate the
+// set-search cost from the solving cost and for debugging individual
+// benchmarks:
 //
-//   example_run_protocol_fixed ticket [--log-level debug] [--stats]
+//   example_run_protocol_fixed ticket|filter|one-third
+//                              [--log-level debug] [--stats]
 //
 //===----------------------------------------------------------------------===//
 
+#include "front/Front.h"
 #include "logic/TermOps.h"
 #include "obs/Cli.h"
 #include "protocols/Protocols.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 using namespace sharpie;
@@ -37,9 +41,19 @@ int main(int argc, char **argv) {
 
   logic::TermManager M;
   ProtocolBundle B;
+  auto Load = [&](const char *Stem) {
+    front::LoadResult L = front::loadProtocolFile(
+        M, std::string(SHARPIE_REPO_ROOT) + "/examples/protocols/" + Stem +
+               ".sharpie");
+    if (!L.ok()) {
+      std::fprintf(stderr, "%s\n", L.Error->render().c_str());
+      std::exit(3);
+    }
+    B = std::move(*L.Bundle);
+  };
   std::vector<Term> Fixed;
   if (Name == "ticket") {
-    B = makeTicketLock(M);
+    Load("ticket_lock");
     synth::Formals F = synth::formalsFor(M, B.Shape);
     Term PC = M.mkVar("pc", Sort::Array);
     Term Mv = M.mkVar("m", Sort::Array);
@@ -50,7 +64,7 @@ int main(int argc, char **argv) {
              M.mkEq(M.mkRead(PC, T), M.mkInt(3)),
              M.mkEq(M.mkRead(Mv, T), F.Q[0])};
   } else if (Name == "filter") {
-    B = makeFilterLock(M);
+    Load("filter_lock");
     synth::Formals F = synth::formalsFor(M, B.Shape);
     Term Lv = M.mkVar("lv", Sort::Array);
     Fixed = {M.mkGe(M.mkRead(Lv, F.BoundVar), F.Q[0])};

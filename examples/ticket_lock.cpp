@@ -9,8 +9,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "explicit/Explicit.h"
+#include "front/Front.h"
 #include "logic/TermOps.h"
-#include "protocols/Protocols.h"
+#include "synth/Synth.h"
 
 #include <cstdio>
 
@@ -18,7 +19,13 @@ using namespace sharpie;
 
 int main() {
   logic::TermManager M;
-  protocols::ProtocolBundle B = protocols::makeTicketLock(M);
+  front::LoadResult L = front::loadProtocolFile(
+      M, SHARPIE_REPO_ROOT "/examples/protocols/ticket_lock.sharpie");
+  if (!L.ok()) {
+    std::fprintf(stderr, "%s\n", L.Error->render().c_str());
+    return 3;
+  }
+  front::FrontBundle &B = *L.Bundle;
   std::printf("ticket lock (paper Fig. 1)\nproperty: %s\n",
               B.Property.c_str());
 
@@ -45,7 +52,8 @@ int main() {
   }
   std::printf("\nVERIFIED for every number of threads, in %.2fs.\n",
               R.Stats.Seconds);
-  std::printf("inferred cardinalities (paper: %s):\n", B.PaperCards.c_str());
+  std::printf("inferred cardinalities (paper: #{t | m(t) <= s /\\ pc(t) = 2}, "
+              "#{t | pc(t) = 3}, #{t | m(t) = q}):\n");
   for (logic::Term S : R.SetBodies)
     std::printf("  #{t | %s}\n", logic::toString(S).c_str());
   std::printf("invariant atoms:\n");

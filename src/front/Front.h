@@ -1,11 +1,11 @@
 //===- front/Front.h - Textual protocol frontend ----------------*- C++ -*-===//
 //
 // Part of sharpie. Public entry points of the `.sharpie` protocol language:
-// a textual format covering everything protocols/Protocols.h expresses in
-// C++ — globals, thread-local arrays, async guarded commands and sync
-// rounds, nondeterministic choices, point-wise array writes, cardinality
-// guards #{t | phi}, a shape template with quantifier guard, and the
-// explicit-check instance — elaborated into a sys::ParamSystem plus
+// a textual format for parameterized protocols — globals, thread-local
+// arrays, async guarded commands and sync rounds, nondeterministic
+// choices, point-wise array writes, cardinality guards #{t | phi}, a shape
+// template with quantifier guard, and the explicit-check instance —
+// elaborated into a sys::ParamSystem plus
 // synth::ShapeTemplate ready for synth::synthesize().
 //
 // Error handling contract: every frontend failure — lexical, syntactic,
@@ -62,11 +62,10 @@ private:
 
 /// A protocol ready for #Pi: the system, its shape template, a suggested
 /// explicit-check instance and the expected verdict. The frontend
-/// elaborates `.sharpie` files into one; the built-in C++ models
-/// (protocols/Protocols.h, where the struct is also called
-/// protocols::ProtocolBundle) fill the same fields plus the paper's
-/// reference columns. synth::optionsFor() turns a bundle into
-/// SynthOptions.
+/// elaborates `.sharpie` files into one; the C++ models left in
+/// protocols/Protocols.h (where the struct is also called
+/// protocols::ProtocolBundle) fill the same fields. synth::optionsFor()
+/// turns a bundle into SynthOptions.
 struct FrontBundle {
   std::unique_ptr<sys::ParamSystem> Sys;
   synth::ShapeTemplate Shape;
@@ -75,9 +74,6 @@ struct FrontBundle {
   bool ExpectSafe = true;           ///< `expect unsafe;` flips this.
   bool NeedsVenn = false;           ///< `venn;` (paper Sec. 5.2 examples).
   std::string Property;             ///< `property "...";`, if any.
-  std::string PaperTime;      ///< #Pi column of the paper's table.
-  std::string ComparatorTime; ///< Competitor column, if any.
-  std::string PaperCards;     ///< "Inferred cardinalities" column.
 };
 
 /// Parses and elaborates \p Source into \p M. Throws FrontError.

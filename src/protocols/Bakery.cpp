@@ -2,10 +2,12 @@
 //
 // Part of sharpie. Cardinality-free mutual exclusion protocols compared
 // against [Abdulla et al., CAV 2007] in the paper's Fig. 9 (upper table):
-// Simplified Bakery, Lamport's Bakery, Bogus Bakery (a buggy variant), and
-// Ticket Mutex in the universally-guarded formulation (a thread enters when
-// its ticket is minimal). All use templates with two Tid quantifiers and no
-// cardinalities.
+// Lamport's Bakery, Bogus Bakery (a buggy variant), and Ticket Mutex in
+// the universally-guarded formulation (a thread enters when its ticket is
+// minimal). All use templates with two Tid quantifiers and no
+// cardinalities. The fourth row, Simplified Bakery, is
+// examples/protocols/simplified_bakery.sharpie (Protocols.h says why these
+// three stay C++).
 //
 // Abdulla et al.'s models use global (universally quantified) transition
 // guards; our ParamSystem guards admit arbitrary quantified formulas, so
@@ -39,62 +41,6 @@ sys::ParamSystem::State baseState(const ParamSystem &S, int64_t N, Term PC) {
 }
 
 } // namespace
-
-// -- Simplified Bakery -----------------------------------------------------------
-
-ProtocolBundle protocols::makeSimplifiedBakery(TermManager &M) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(M, "simplified-bakery");
-  ParamSystem &S = *B.Sys;
-  Term PC = S.addLocal("pc");
-  Term Num = S.addLocal("num");
-  Term T = M.mkVar("ti", Sort::Tid);
-  Term U = M.mkVar("u", Sort::Tid);
-
-  // 1 idle (num = 0), 2 competing, 3 critical section.
-  S.setInit(M.mkForall({T}, M.mkAnd(M.mkEq(M.mkRead(PC, T), M.mkInt(1)),
-                                    M.mkEq(M.mkRead(Num, T), M.mkInt(0)))));
-  Transition &Take = S.addTransition("take", M.mkEq(S.my(PC), M.mkInt(1)));
-  Term C = S.addChoice(Take, "num");
-  Take.Guard = M.mkAnd(
-      Take.Guard,
-      M.mkForall({U}, M.mkLt(M.mkRead(Num, U), C)));
-  Take.LocalUpd[Num] = C;
-  Take.LocalUpd[PC] = M.mkInt(2);
-  // Enter when every other thread is idle or holds a larger number.
-  Transition &Enter = S.addTransition(
-      "enter",
-      M.mkAnd(M.mkEq(S.my(PC), M.mkInt(2)),
-              M.mkForall({U}, M.mkImplies(
-                                  M.mkNe(U, S.self()),
-                                  M.mkOr(M.mkEq(M.mkRead(PC, U), M.mkInt(1)),
-                                         M.mkLt(S.my(Num),
-                                                M.mkRead(Num, U)))))));
-  Enter.LocalUpd[PC] = M.mkInt(3);
-  Transition &Leave = S.addTransition("leave", M.mkEq(S.my(PC), M.mkInt(3)));
-  Leave.LocalUpd[PC] = M.mkInt(1);
-  Leave.LocalUpd[Num] = M.mkInt(0);
-
-  Term Q1 = M.mkVar("p1", Sort::Tid), Q2 = M.mkVar("p2", Sort::Tid);
-  S.setSafe(M.mkForall(
-      {Q1, Q2},
-      M.mkImplies(M.mkNe(Q1, Q2),
-                  M.mkNot(M.mkAnd(M.mkEq(M.mkRead(PC, Q1), M.mkInt(3)),
-                                  M.mkEq(M.mkRead(PC, Q2), M.mkInt(3)))))));
-
-  S.CustomInit = [&S, PC](int64_t N) {
-    return std::vector<sys::ParamSystem::State>{baseState(S, N, PC)};
-  };
-  S.ChoiceLo = 1;
-  S.ChoiceHi = 4;
-  B.Shape = {0, {Sort::Tid, Sort::Tid}};
-  B.Explicit.NumThreads = 3;
-  B.Explicit.MaxStates = 4000;
-  B.Property = "mutual exclusion of location 3";
-  B.PaperTime = "0.4s";
-  B.ComparatorTime = "0.8s (real) / 0.3s (int)";
-  return B;
-}
 
 // -- Lamport's Bakery (with the choosing flag) -----------------------------------------
 
@@ -187,9 +133,6 @@ ProtocolBundle makeBakeryVariant(TermManager &M, bool Bogus) {
   B.Explicit.MaxStates = 60000;
   B.ExpectSafe = !Bogus;
   B.Property = "mutual exclusion of location 5";
-  B.PaperTime = Bogus ? "0.6s" : "0.5s";
-  B.ComparatorTime =
-      Bogus ? "0.8s (real) / 11s (int)" : "2.1s (real) / 2s (int)";
   return B;
 }
 
@@ -255,7 +198,5 @@ ProtocolBundle protocols::makeTicketMutex(TermManager &M) {
   B.Explicit.NumThreads = 3;
   B.Explicit.MaxStates = 4000;
   B.Property = "mutual exclusion of location 3";
-  B.PaperTime = "0.5s";
-  B.ComparatorTime = "0.3s (real) / 1.6s (int)";
   return B;
 }

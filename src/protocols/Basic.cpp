@@ -1,9 +1,8 @@
-//===- protocols/Basic.cpp - Sec. 3 + Figure 6 upper-table protocols ----------===//
+//===- protocols/Basic.cpp - The Sec. 3 increment program ---------------------===//
 //
-// Part of sharpie. Models: the increment program (paper Sec. 3), and the
-// Figure 6 upper-table benchmarks intro, bluetooth, cache. (tree traverse,
-// garbage collection live in their own files; the lower table is in
-// CaseStudies.cpp.)
+// Part of sharpie. The increment program of paper Sec. 3. Its twin
+// examples/protocols/increment.sharpie is what the drivers load; this
+// builder stays for the benchmark harness, which warms up on it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,28 +15,6 @@ using logic::Term;
 using logic::TermManager;
 using sys::ParamSystem;
 using sys::Transition;
-
-namespace {
-
-/// Builds the canonical initial state: every thread at location \p Pc0,
-/// every other local at \p LocalDefault, all globals zero unless overridden.
-sys::ParamSystem::State
-uniformState(const ParamSystem &S, int64_t N, int64_t Pc0, Term PcArr,
-             int64_t LocalDefault = 0,
-             const std::map<Term, int64_t> &GlobalOverride = {}) {
-  sys::ParamSystem::State St;
-  St.DomainSize = N;
-  for (Term G : S.globals()) {
-    auto It = GlobalOverride.find(G);
-    St.Scalars[G] = It != GlobalOverride.end() ? It->second : 0;
-  }
-  for (Term L : S.locals())
-    St.Arrays[L] = std::vector<int64_t>(
-        static_cast<size_t>(N), L == PcArr ? Pc0 : LocalDefault);
-  return St;
-}
-
-} // namespace
 
 // -- Increment (paper Sec. 3) ------------------------------------------------------
 
@@ -59,133 +36,15 @@ ProtocolBundle protocols::makeIncrement(TermManager &M) {
       {T}, M.mkImplies(M.mkGe(M.mkRead(PC, T), M.mkInt(2)),
                        M.mkGt(A, M.mkInt(0)))));
 
-  S.CustomInit = [&S, PC](int64_t N) {
-    return std::vector<sys::ParamSystem::State>{uniformState(S, N, 1, PC)};
+  S.CustomInit = [A, PC](int64_t N) {
+    sys::ParamSystem::State St;
+    St.DomainSize = N;
+    St.Scalars[A] = 0;
+    St.Arrays[PC] = std::vector<int64_t>(static_cast<size_t>(N), 1);
+    return std::vector<sys::ParamSystem::State>{St};
   };
   B.Shape = {1, {}};
   B.Explicit.NumThreads = 3;
   B.Property = "(exists t: pc(t) >= 2) -> a > 0";
-  B.PaperCards = "#{t | pc(t) >= 2}";
-  return B;
-}
-
-// -- intro [Farzan et al. 2014] ------------------------------------------------------
-
-ProtocolBundle protocols::makeIntro(TermManager &M) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(M, "intro");
-  ParamSystem &S = *B.Sys;
-  Term A = S.addGlobal("a");
-  Term Bv = S.addGlobal("b");
-  Term PC = S.addLocal("pc");
-  Term T = M.mkVar("ti", Sort::Tid);
-
-  // Each thread: 1: a++; 2: b++; 3: done. A thread sitting at 2 witnesses
-  // strictly more a-increments than b-increments.
-  S.setInit(M.mkAnd({M.mkEq(A, M.mkInt(0)), M.mkEq(Bv, M.mkInt(0)),
-                     M.mkForall({T}, M.mkEq(M.mkRead(PC, T), M.mkInt(1)))}));
-  Transition &T1 = S.addTransition("incA", M.mkEq(S.my(PC), M.mkInt(1)));
-  T1.GlobalUpd[A] = M.mkAdd(A, M.mkInt(1));
-  T1.LocalUpd[PC] = M.mkInt(2);
-  Transition &T2 = S.addTransition("incB", M.mkEq(S.my(PC), M.mkInt(2)));
-  T2.GlobalUpd[Bv] = M.mkAdd(Bv, M.mkInt(1));
-  T2.LocalUpd[PC] = M.mkInt(3);
-  S.setSafe(M.mkForall(
-      {T}, M.mkImplies(M.mkEq(M.mkRead(PC, T), M.mkInt(2)),
-                       M.mkLt(Bv, A))));
-
-  S.CustomInit = [&S, PC](int64_t N) {
-    return std::vector<sys::ParamSystem::State>{uniformState(S, N, 1, PC)};
-  };
-  B.Shape = {1, {}};
-  B.Explicit.NumThreads = 3;
-  B.Property = "(exists t: pc(t) = 2) -> b < a";
-  B.PaperCards = "#{t | pc(t) = 2}";
-  B.PaperTime = "1.2s";
-  return B;
-}
-
-// -- bluetooth [Farzan et al. 2014] -----------------------------------------------------
-
-ProtocolBundle protocols::makeBluetooth(TermManager &M) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(M, "bluetooth");
-  ParamSystem &S = *B.Sys;
-  // st: 0 = driver running, 1 = stopped. The single stopping thread is
-  // folded into the globals; workers are the parameterized processes.
-  Term St = S.addGlobal("st");
-  Term PC = S.addLocal("pc");
-  Term T = M.mkVar("ti", Sort::Tid);
-
-  S.setInit(M.mkAnd(M.mkEq(St, M.mkInt(0)),
-                    M.mkForall({T}, M.mkEq(M.mkRead(PC, T), M.mkInt(1)))));
-  // Worker enters the driver only while it is running.
-  Transition &Enter = S.addTransition(
-      "enter", M.mkAnd(M.mkEq(S.my(PC), M.mkInt(1)),
-                       M.mkEq(St, M.mkInt(0))));
-  Enter.LocalUpd[PC] = M.mkInt(2);
-  // Worker leaves the driver.
-  Transition &Leave = S.addTransition("leave", M.mkEq(S.my(PC), M.mkInt(2)));
-  Leave.LocalUpd[PC] = M.mkInt(3);
-  // The stopper completes the stop only when no worker is active.
-  Term U = M.mkVar("u", Sort::Tid);
-  Transition &Stop = S.addTransition(
-      "stop", M.mkAnd(M.mkEq(St, M.mkInt(0)),
-                      M.mkEq(M.mkCard(U, M.mkEq(M.mkRead(PC, U), M.mkInt(2))),
-                             M.mkInt(0))));
-  Stop.GlobalUpd[St] = M.mkInt(1);
-  S.setSafe(M.mkForall(
-      {T}, M.mkImplies(M.mkEq(M.mkRead(PC, T), M.mkInt(2)),
-                       M.mkEq(St, M.mkInt(0)))));
-
-  S.CustomInit = [&S, PC](int64_t N) {
-    return std::vector<sys::ParamSystem::State>{uniformState(S, N, 1, PC)};
-  };
-  B.Shape = {1, {}};
-  B.Explicit.NumThreads = 3;
-  B.Property = "(exists t: pc(t) = 2) -> st = 0";
-  B.PaperCards = "#{t | pc(t) = 2}";
-  B.PaperTime = "1.6s";
-  return B;
-}
-
-// -- cache [Yongjian] -------------------------------------------------------------------
-
-ProtocolBundle protocols::makeCache(TermManager &M) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(M, "cache");
-  ParamSystem &S = *B.Sys;
-  // Locations: 1 invalid, 2 shared (requested), 3 exclusive. Exclusive
-  // access is granted atomically when no other cache holds the line
-  // exclusively; mutual exclusion of location 3 is the coherence property.
-  // (The cited tech report is unavailable; this is a faithful-in-spirit
-  // reconstruction, see DESIGN.md.)
-  Term PC = S.addLocal("pc");
-  Term T = M.mkVar("ti", Sort::Tid);
-  Term U = M.mkVar("u", Sort::Tid);
-
-  S.setInit(M.mkForall({T}, M.mkEq(M.mkRead(PC, T), M.mkInt(1))));
-  Transition &Req = S.addTransition("request", M.mkEq(S.my(PC), M.mkInt(1)));
-  Req.LocalUpd[PC] = M.mkInt(2);
-  Transition &Grant = S.addTransition(
-      "grant",
-      M.mkAnd(M.mkEq(S.my(PC), M.mkInt(2)),
-              M.mkEq(M.mkCard(U, M.mkGe(M.mkRead(PC, U), M.mkInt(3))),
-                     M.mkInt(0))));
-  Grant.LocalUpd[PC] = M.mkInt(3);
-  Transition &Drop = S.addTransition("invalidate",
-                                     M.mkEq(S.my(PC), M.mkInt(3)));
-  Drop.LocalUpd[PC] = M.mkInt(1);
-  S.setSafe(M.mkLe(M.mkCard(T, M.mkEq(M.mkRead(PC, T), M.mkInt(3))),
-                   M.mkInt(1)));
-
-  S.CustomInit = [&S, PC](int64_t N) {
-    return std::vector<sys::ParamSystem::State>{uniformState(S, N, 1, PC)};
-  };
-  B.Shape = {1, {}};
-  B.Explicit.NumThreads = 3;
-  B.Property = "#{t | pc(t) = 3} <= 1";
-  B.PaperCards = "#{t | pc(t) >= 3}";
-  B.PaperTime = "0.7s";
   return B;
 }

@@ -1,9 +1,12 @@
-//===- protocols/CaseStudies.cpp - Figure 6 lower-table case studies ----------===//
+//===- protocols/CaseStudies.cpp - The one-third rule (paper Fig. 3) ----------===//
 //
-// Part of sharpie. The three flagship case studies of paper Sec. 2:
-// the ticket lock (Fig. 1), the filter lock (Fig. 2), and the one-third
-// rule consensus protocol in the heard-of model (Fig. 3). All three need
-// the Venn decomposition (paper Sec. 5.2).
+// Part of sharpie. The one-third rule consensus protocol in the heard-of
+// model (paper Fig. 3), the third case study of Sec. 2 and of the Fig. 6
+// lower table; it needs the Venn decomposition (paper Sec. 5.2). The other
+// two, the ticket lock (Fig. 1) and the filter lock (Fig. 2), are
+// examples/protocols/ticket_lock.sharpie and filter_lock.sharpie. This
+// one stays C++ for its CustomStepper, the synchronous round semantics
+// below.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,116 +22,6 @@ using logic::Term;
 using logic::TermManager;
 using sys::ParamSystem;
 using sys::Transition;
-
-// -- Ticket lock (paper Fig. 1) -----------------------------------------------------
-
-ProtocolBundle protocols::makeTicketLock(TermManager &M) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(M, "ticket");
-  ParamSystem &S = *B.Sys;
-  Term Tick = S.addGlobal("tick"); // the ticket dispenser t of Fig. 1
-  Term Serv = S.addGlobal("serv"); // the service counter s of Fig. 1
-  Term PC = S.addLocal("pc");
-  Term Mv = S.addLocal("m");
-  Term T = M.mkVar("ti", Sort::Tid);
-
-  // Locations: 1 before lock(), 2 spinning on m > s, 3 critical section.
-  S.setInit(M.mkAnd(
-      {M.mkEq(Tick, M.mkInt(0)), M.mkEq(Serv, M.mkInt(0)),
-       M.mkForall({T}, M.mkAnd(M.mkEq(M.mkRead(PC, T), M.mkInt(1)),
-                               M.mkEq(M.mkRead(Mv, T), M.mkInt(-1))))}));
-
-  Transition &Draw = S.addTransition("draw", M.mkEq(S.my(PC), M.mkInt(1)));
-  Draw.LocalUpd[Mv] = Tick;
-  Draw.LocalUpd[PC] = M.mkInt(2);
-  Draw.GlobalUpd[Tick] = M.mkAdd(Tick, M.mkInt(1));
-
-  Transition &Enter = S.addTransition(
-      "enter", M.mkAnd(M.mkEq(S.my(PC), M.mkInt(2)),
-                       M.mkLe(S.my(Mv), Serv)));
-  Enter.LocalUpd[PC] = M.mkInt(3);
-
-  Transition &Leave = S.addTransition("leave", M.mkEq(S.my(PC), M.mkInt(3)));
-  Leave.LocalUpd[PC] = M.mkInt(1);
-  Leave.GlobalUpd[Serv] = M.mkAdd(Serv, M.mkInt(1));
-
-  S.setSafe(M.mkLe(M.mkCard(T, M.mkEq(M.mkRead(PC, T), M.mkInt(3))),
-                   M.mkInt(1)));
-
-  S.CustomInit = [&S, PC, Mv](int64_t N) {
-    sys::ParamSystem::State St;
-    St.DomainSize = N;
-    for (Term G : S.globals())
-      St.Scalars[G] = 0;
-    St.Arrays[PC] = std::vector<int64_t>(static_cast<size_t>(N), 1);
-    St.Arrays[Mv] = std::vector<int64_t>(static_cast<size_t>(N), -1);
-    return std::vector<sys::ParamSystem::State>{St};
-  };
-
-  B.Shape = {3, {Sort::Int}};
-  synth::Formals F = synth::formalsFor(M, B.Shape);
-  B.QGuard = M.mkGe(F.Q[0], M.mkInt(0)); // Tickets are non-negative.
-  B.Explicit.NumThreads = 3;
-  B.Explicit.MaxStates = 6000; // Counters grow without bound; prefix only.
-  B.NeedsVenn = true;
-  B.Property = "#{t | pc(t) = 3} <= 1";
-  B.PaperCards =
-      "#{t | m(t) <= s /\\ pc(t) = 2}, #{t | pc(t) = 3}, #{t | m(t) = q}";
-  B.PaperTime = "20.9s";
-  return B;
-}
-
-// -- Filter lock (paper Fig. 2) ---------------------------------------------------------
-
-ProtocolBundle protocols::makeFilterLock(TermManager &M) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(M, "filter");
-  ParamSystem &S = *B.Sys;
-  Term N = S.addGlobal("n");
-  Term Lv = S.addLocal("lv"); // Current level of each thread.
-  Term T = M.mkVar("ti", Sort::Tid);
-  Term U = M.mkVar("u", Sort::Tid);
-  S.setSizeVar(N);
-
-  S.setInit(M.mkAnd(M.mkGe(N, M.mkInt(2)),
-                    M.mkForall({T}, M.mkEq(M.mkRead(Lv, T), M.mkInt(0)))));
-
-  // Fig. 2 line 5: a thread at level i < n-1 may advance to i+1 when either
-  // nobody is above i, or at least two threads sit at i. (The thread's
-  // level variable lv doubles as its loop counter i.)
-  Term I = S.my(Lv);
-  Term NoneAbove =
-      M.mkEq(M.mkCard(U, M.mkGt(M.mkRead(Lv, U), I)), M.mkInt(0));
-  Term TwoHere =
-      M.mkGe(M.mkCard(U, M.mkEq(M.mkRead(Lv, U), I)), M.mkInt(2));
-  Transition &Adv = S.addTransition(
-      "advance", M.mkAnd(M.mkLt(I, M.mkSub(N, M.mkInt(1))),
-                         M.mkOr(NoneAbove, TwoHere)));
-  Adv.LocalUpd[Lv] = M.mkAdd(I, M.mkInt(1));
-
-  S.setSafe(M.mkLe(
-      M.mkCard(T, M.mkEq(M.mkRead(Lv, T), M.mkSub(N, M.mkInt(1)))),
-      M.mkInt(1)));
-
-  S.CustomInit = [&S, Lv, N](int64_t Nv) {
-    sys::ParamSystem::State St;
-    St.DomainSize = Nv;
-    St.Scalars[N] = Nv;
-    St.Arrays[Lv] = std::vector<int64_t>(static_cast<size_t>(Nv), 0);
-    return std::vector<sys::ParamSystem::State>{St};
-  };
-
-  B.Shape = {1, {Sort::Int}};
-  synth::Formals F = synth::formalsFor(M, B.Shape);
-  B.QGuard = M.mkAnd(M.mkGe(F.Q[0], M.mkInt(0)),
-                     M.mkLe(F.Q[0], M.mkSub(N, M.mkInt(1))));
-  B.Explicit.NumThreads = 4;
-  B.NeedsVenn = true;
-  B.Property = "#{t | lv(t) = n-1} <= 1";
-  B.PaperCards = "#{t | lv(t) >= q}";
-  B.PaperTime = "27.5s";
-  return B;
-}
 
 // -- One-third rule (paper Fig. 3) ----------------------------------------------------------
 
@@ -267,7 +160,5 @@ ProtocolBundle protocols::makeOneThird(TermManager &M) {
   B.Explicit.MaxStates = 20000;
   B.NeedsVenn = true;
   B.Property = "agreement (+ validity, irrevocability via the invariant)";
-  B.PaperCards = "#{t | x(t) = x(q)}";
-  B.PaperTime = "0.8s";
   return B;
 }

@@ -1,8 +1,10 @@
 //===- protocols/Ganjei.cpp - Figure 7 benchmarks (vs. Ganjei et al.) ----------===//
 //
-// Part of sharpie. The twelve barrier/lock benchmarks of the comparison
-// with [Ganjei et al., VMCAI 2015] (paper Fig. 7), each in a correct and a
-// buggy ("-nobar"/"-bug") variant run with the same template.
+// Part of sharpie. Two of the twelve barrier/lock benchmarks of the
+// comparison with [Ganjei et al., VMCAI 2015] (paper Fig. 7),
+// parent/child and simp-bar, each in a correct and a buggy ("-nobar")
+// variant run with the same template. The benchmark harness builds both
+// from here; the other eight rows are examples/protocols/ files.
 //
 // The PACMAN tool's benchmark sources are not distributed with the paper;
 // the models here are reconstructions that preserve each benchmark's name,
@@ -44,110 +46,6 @@ Term noneAtOrBefore(TermManager &M, Term PC, int64_t Loc) {
 }
 
 } // namespace
-
-// -- max: two counting phases separated by barriers ---------------------------------
-//
-// Phase 1 counts arrivals into prev, phase 2 into max. With both barriers,
-// a thread reaching location 5 witnesses that every thread finished phase 2,
-// so prev (bounded by the number of threads) cannot exceed max. Without the
-// barriers a fast thread reaches 5 while max is still behind prev.
-
-ProtocolBundle protocols::makeMax(TermManager &M, bool Barrier) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(
-      M, Barrier ? "max" : "max-nobar");
-  ParamSystem &S = *B.Sys;
-  Term Prev = S.addGlobal("prev");
-  Term Max = S.addGlobal("max");
-  Term PC = S.addLocal("pc");
-  Term T = M.mkVar("ti", Sort::Tid);
-
-  S.setInit(M.mkAnd({M.mkEq(Prev, M.mkInt(0)), M.mkEq(Max, M.mkInt(0)),
-                     M.mkForall({T}, M.mkEq(M.mkRead(PC, T), M.mkInt(1)))}));
-  Transition &P1 = S.addTransition("phase1", M.mkEq(S.my(PC), M.mkInt(1)));
-  P1.GlobalUpd[Prev] = M.mkAdd(Prev, M.mkInt(1));
-  P1.LocalUpd[PC] = M.mkInt(2);
-  Transition &Bar1 = S.addTransition(
-      "barrier1", Barrier ? M.mkAnd(M.mkEq(S.my(PC), M.mkInt(2)),
-                                    noneAtOrBefore(M, PC, 1))
-                          : M.mkEq(S.my(PC), M.mkInt(2)));
-  Bar1.LocalUpd[PC] = M.mkInt(3);
-  Transition &P2 = S.addTransition("phase2", M.mkEq(S.my(PC), M.mkInt(3)));
-  P2.GlobalUpd[Max] = M.mkAdd(Max, M.mkInt(1));
-  P2.LocalUpd[PC] = M.mkInt(4);
-  Transition &Bar2 = S.addTransition(
-      "barrier2", Barrier ? M.mkAnd(M.mkEq(S.my(PC), M.mkInt(4)),
-                                    noneAtOrBefore(M, PC, 3))
-                          : M.mkEq(S.my(PC), M.mkInt(4)));
-  Bar2.LocalUpd[PC] = M.mkInt(5);
-  S.setSafe(M.mkForall(
-      {T}, M.mkImplies(M.mkEq(M.mkRead(PC, T), M.mkInt(5)),
-                       M.mkLe(Prev, Max))));
-
-  S.CustomInit = [&S, PC](int64_t N) {
-    return std::vector<sys::ParamSystem::State>{zeroState(S, N, PC, 1)};
-  };
-  B.Shape = {3, {Sort::Tid}};
-  B.Explicit.NumThreads = 3;
-  B.ExpectSafe = Barrier;
-  B.Property = "exists t: pc(t) = 5 -> prev <= max";
-  B.PaperTime = Barrier ? "4.2s" : "7.2s";
-  B.ComparatorTime = Barrier ? "192s" : "24s";
-  B.PaperCards =
-      Barrier ? "#{t|pc(t)<=2}, #{t|pc(t)<=3}, #{t|pc(t)>=5}" : "";
-  return B;
-}
-
-// -- reader/writer: a cardinality-free lock ---------------------------------------------
-
-ProtocolBundle protocols::makeReaderWriter(TermManager &M, bool Correct) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(
-      M, Correct ? "reader/writer" : "reader/writer-bug");
-  ParamSystem &S = *B.Sys;
-  Term RC = S.addGlobal("readcount");
-  Term Wr = S.addGlobal("writing"); // -1 idle, 1 writer active.
-  Term PC = S.addLocal("pc");
-  Term T = M.mkVar("ti", Sort::Tid);
-
-  // Locations: 1 idle, 2 reading, 3 writing.
-  S.setInit(M.mkAnd({M.mkEq(RC, M.mkInt(0)), M.mkEq(Wr, M.mkInt(-1)),
-                     M.mkForall({T}, M.mkEq(M.mkRead(PC, T), M.mkInt(1)))}));
-  Transition &RAcq = S.addTransition(
-      "read-acquire",
-      Correct ? M.mkAnd(M.mkEq(S.my(PC), M.mkInt(1)), M.mkEq(Wr, M.mkInt(-1)))
-              : M.mkEq(S.my(PC), M.mkInt(1))); // Bug: ignores the writer.
-  RAcq.GlobalUpd[RC] = M.mkAdd(RC, M.mkInt(1));
-  RAcq.LocalUpd[PC] = M.mkInt(2);
-  Transition &RRel = S.addTransition("read-release",
-                                     M.mkEq(S.my(PC), M.mkInt(2)));
-  RRel.GlobalUpd[RC] = M.mkSub(RC, M.mkInt(1));
-  RRel.LocalUpd[PC] = M.mkInt(1);
-  Transition &WAcq = S.addTransition(
-      "write-acquire", M.mkAnd({M.mkEq(S.my(PC), M.mkInt(1)),
-                                M.mkEq(RC, M.mkInt(0)),
-                                M.mkEq(Wr, M.mkInt(-1))}));
-  WAcq.GlobalUpd[Wr] = M.mkInt(1);
-  WAcq.LocalUpd[PC] = M.mkInt(3);
-  Transition &WRel = S.addTransition("write-release",
-                                     M.mkEq(S.my(PC), M.mkInt(3)));
-  WRel.GlobalUpd[Wr] = M.mkInt(-1);
-  WRel.LocalUpd[PC] = M.mkInt(1);
-  S.setSafe(M.mkImplies(M.mkGt(RC, M.mkInt(0)), M.mkEq(Wr, M.mkInt(-1))));
-
-  S.CustomInit = [&S, PC, Wr](int64_t N) {
-    sys::ParamSystem::State St = zeroState(S, N, PC, 1);
-    St.Scalars[Wr] = -1;
-    return std::vector<sys::ParamSystem::State>{St};
-  };
-  B.Shape = {0, {}};
-  B.Explicit.NumThreads = 3;
-  B.ExpectSafe = Correct;
-  B.Property = "readcount > 0 -> writing = -1";
-  B.PaperTime = Correct ? "0.4s" : "0.5s";
-  B.ComparatorTime = Correct ? "38s" : "11s";
-  return B;
-}
 
 // -- parent/child: allocation protected by a counting barrier ----------------------------
 
@@ -198,9 +96,6 @@ ProtocolBundle protocols::makeParentChild(TermManager &M, bool Barrier) {
   B.Explicit.NumThreads = 3;
   B.ExpectSafe = Barrier;
   B.Property = "exists t: pc(t) = 3 -> alloc = 1";
-  B.PaperTime = Barrier ? "1.2s" : "1.8s";
-  B.ComparatorTime = Barrier ? "73s" : "3s";
-  B.PaperCards = Barrier ? "#{t | 2 <= pc(t) <= 3}" : "";
   return B;
 }
 
@@ -244,96 +139,5 @@ ProtocolBundle protocols::makeSimpBar(TermManager &M, bool Barrier) {
   B.Explicit.NumThreads = 3;
   B.ExpectSafe = Barrier;
   B.Property = "exists t: pc(t) = 5 -> fl = 1";
-  B.PaperTime = Barrier ? "26.7s" : "4.2s";
-  B.ComparatorTime = Barrier ? "93s" : "13s";
-  B.PaperCards =
-      Barrier ? "#{t|pc(t)<=3}, #{t|pc(t)<=2}, #{t|pc(t)=5}" : "";
-  return B;
-}
-
-// -- dyn-barrier: dynamic arrival counting --------------------------------------------------
-
-ProtocolBundle protocols::makeDynBarrier(TermManager &M, bool Barrier) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(
-      M, Barrier ? "dyn-barrier" : "dyn-barrier-nobar");
-  ParamSystem &S = *B.Sys;
-  Term Rel = S.addGlobal("rel");
-  Term PC = S.addLocal("pc");
-  Term T = M.mkVar("ti", Sort::Tid);
-
-  // 1: work, 2: arrive, 3: wait for release, 4: past the barrier. The
-  // release fires only when every thread has arrived (no thread at <= 2).
-  S.setInit(M.mkAnd(M.mkEq(Rel, M.mkInt(0)),
-                    M.mkForall({T}, M.mkEq(M.mkRead(PC, T), M.mkInt(1)))));
-  Transition &Work = S.addTransition("work", M.mkEq(S.my(PC), M.mkInt(1)));
-  Work.LocalUpd[PC] = M.mkInt(2);
-  Transition &Arrive = S.addTransition("arrive",
-                                       M.mkEq(S.my(PC), M.mkInt(2)));
-  Arrive.LocalUpd[PC] = M.mkInt(3);
-  Transition &Release = S.addTransition(
-      "release", Barrier ? M.mkAnd(M.mkEq(Rel, M.mkInt(0)),
-                                   noneAtOrBefore(M, PC, 2))
-                         : M.mkEq(Rel, M.mkInt(0)));
-  Release.GlobalUpd[Rel] = M.mkInt(1);
-  Transition &Pass = S.addTransition(
-      "pass", M.mkAnd(M.mkEq(S.my(PC), M.mkInt(3)), M.mkEq(Rel, M.mkInt(1))));
-  Pass.LocalUpd[PC] = M.mkInt(4);
-  // Property (paper table): once released, no thread is still early.
-  S.setSafe(M.mkImplies(
-      M.mkEq(Rel, M.mkInt(1)),
-      M.mkLe(M.mkCard(T, M.mkLe(M.mkRead(PC, T), M.mkInt(2))),
-             M.mkInt(0))));
-
-  S.CustomInit = [&S, PC](int64_t N) {
-    return std::vector<sys::ParamSystem::State>{zeroState(S, N, PC, 1)};
-  };
-  B.Shape = {2, {}};
-  B.Explicit.NumThreads = 3;
-  B.ExpectSafe = Barrier;
-  B.Property = "rel = 1 -> #{t | pc(t) <= 2} <= 0";
-  B.PaperTime = Barrier ? "1.3s" : "1.4s";
-  B.ComparatorTime = Barrier ? "8s" : "3s";
-  B.PaperCards = Barrier ? "#{t|pc(t)<=2}, #{t|pc(t)>=4}" : "";
-  return B;
-}
-
-// -- as-many: two counters advanced in lock step per thread -----------------------------------
-
-ProtocolBundle protocols::makeAsMany(TermManager &M, bool Correct) {
-  ProtocolBundle B;
-  B.Sys = std::make_unique<ParamSystem>(
-      M, Correct ? "as-many" : "as-many-bug");
-  ParamSystem &S = *B.Sys;
-  Term C1 = S.addGlobal("c1");
-  Term C2 = S.addGlobal("c2");
-  Term PC = S.addLocal("pc");
-  Term T = M.mkVar("ti", Sort::Tid);
-
-  // 1: c1++; 2: c2++ (the bug bumps c1 again); 3: done. The counters agree
-  // whenever no thread is between its two increments.
-  S.setInit(M.mkAnd({M.mkEq(C1, M.mkInt(0)), M.mkEq(C2, M.mkInt(0)),
-                     M.mkForall({T}, M.mkEq(M.mkRead(PC, T), M.mkInt(1)))}));
-  Transition &S1 = S.addTransition("first", M.mkEq(S.my(PC), M.mkInt(1)));
-  S1.GlobalUpd[C1] = M.mkAdd(C1, M.mkInt(1));
-  S1.LocalUpd[PC] = M.mkInt(2);
-  Transition &S2 = S.addTransition("second", M.mkEq(S.my(PC), M.mkInt(2)));
-  S2.GlobalUpd[Correct ? C2 : C1] =
-      M.mkAdd(Correct ? C2 : C1, M.mkInt(1));
-  S2.LocalUpd[PC] = M.mkInt(3);
-  S.setSafe(M.mkImplies(
-      M.mkEq(M.mkCard(T, M.mkEq(M.mkRead(PC, T), M.mkInt(2))), M.mkInt(0)),
-      M.mkEq(C1, C2)));
-
-  S.CustomInit = [&S, PC](int64_t N) {
-    return std::vector<sys::ParamSystem::State>{zeroState(S, N, PC, 1)};
-  };
-  B.Shape = {1, {}};
-  B.Explicit.NumThreads = 3;
-  B.ExpectSafe = Correct;
-  B.Property = "#{t | pc(t) = 2} = 0 -> c1 = c2";
-  B.PaperTime = Correct ? "0.5s" : "0.7s";
-  B.ComparatorTime = Correct ? "62s" : "2s";
-  B.PaperCards = Correct ? "#{t | pc(t) >= 2}" : "";
   return B;
 }

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExampleProtocols.h"
 #include "explicit/Explicit.h"
 #include "front/Front.h"
 #include "protocols/Protocols.h"
@@ -17,6 +18,7 @@
 
 using namespace sharpie;
 using namespace sharpie::protocols;
+using test::loadExample;
 
 namespace {
 
@@ -33,14 +35,12 @@ void expectCex(ProtocolBundle B) {
   EXPECT_FALSE(R.Cex->TransitionNames.empty()) << B.Sys->name();
 }
 
+// The Fig. 7 models: eight examples/protocols/ files and the two C++
+// bundles in each variant.
 TEST(Explicit, CorrectModelsAreSafe) {
-  {
+  for (const char *Stem : {"max", "reader_writer", "dyn_barrier", "as_many"}) {
     logic::TermManager M;
-    expectSafe(makeMax(M, true));
-  }
-  {
-    logic::TermManager M;
-    expectSafe(makeReaderWriter(M, true));
+    expectSafe(loadExample(M, Stem));
   }
   {
     logic::TermManager M;
@@ -50,24 +50,13 @@ TEST(Explicit, CorrectModelsAreSafe) {
     logic::TermManager M;
     expectSafe(makeSimpBar(M, true));
   }
-  {
-    logic::TermManager M;
-    expectSafe(makeDynBarrier(M, true));
-  }
-  {
-    logic::TermManager M;
-    expectSafe(makeAsMany(M, true));
-  }
 }
 
 TEST(Explicit, BuggyVariantsHaveCounterexamples) {
-  {
+  for (const char *Stem :
+       {"max_nobar", "reader_writer_bug", "dyn_barrier_nobar", "as_many_bug"}) {
     logic::TermManager M;
-    expectCex(makeMax(M, false));
-  }
-  {
-    logic::TermManager M;
-    expectCex(makeReaderWriter(M, false));
+    expectCex(loadExample(M, Stem));
   }
   {
     logic::TermManager M;
@@ -77,20 +66,12 @@ TEST(Explicit, BuggyVariantsHaveCounterexamples) {
     logic::TermManager M;
     expectCex(makeSimpBar(M, false));
   }
-  {
-    logic::TermManager M;
-    expectCex(makeDynBarrier(M, false));
-  }
-  {
-    logic::TermManager M;
-    expectCex(makeAsMany(M, false));
-  }
 }
 
 TEST(Explicit, BogusBakeryIsBuggyAndOthersAreNot) {
   {
     logic::TermManager M;
-    expectSafe(makeSimplifiedBakery(M));
+    expectSafe(loadExample(M, "simplified_bakery"));
   }
   {
     logic::TermManager M;
@@ -117,7 +98,7 @@ TEST(Explicit, SanchezModelsAreSafe) {
   }
   {
     logic::TermManager M;
-    expectSafe(makeWorkStealing(M));
+    expectSafe(loadExample(M, "work_stealing"));
   }
   {
     logic::TermManager M;
@@ -129,11 +110,11 @@ TEST(Explicit, SanchezModelsAreSafe) {
   }
   {
     logic::TermManager M;
-    expectSafe(makeTreeTraverse(M));
+    expectSafe(loadExample(M, "tree_traverse"));
   }
   {
     logic::TermManager M;
-    expectSafe(makeGarbageCollection(M));
+    expectSafe(loadExample(M, "garbage_collection"));
   }
 }
 
@@ -141,7 +122,7 @@ TEST(Explicit, CexTraceReplaysToViolation) {
   // The counterexample trace of reader/writer-bug must be executable: its
   // length bounds the BFS depth of the violation.
   logic::TermManager M;
-  ProtocolBundle B = makeReaderWriter(M, false);
+  ProtocolBundle B = loadExample(M, "reader_writer_bug");
   explct::ExplicitResult R = explct::explore(*B.Sys, B.Explicit);
   ASSERT_TRUE(R.Cex.has_value());
   // Reader acquires while a writer writes: at least two steps.
@@ -152,7 +133,7 @@ TEST(Explicit, CexTraceReplaysToViolation) {
 
 TEST(Explicit, HoldsInAllDetectsViolations) {
   logic::TermManager M;
-  ProtocolBundle B = makeCache(M);
+  ProtocolBundle B = loadExample(M, "cache");
   explct::ExplicitResult R = explct::explore(*B.Sys, B.Explicit);
   ASSERT_TRUE(R.Safe);
   // The property holds in all reachable states; its negation in none.

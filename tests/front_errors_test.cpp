@@ -7,7 +7,8 @@
 //
 // and must fail to load with exactly that diagnostic. The same walk doubles
 // as the sanitizer corpus (this source is rebuilt under ASan/UBSan by
-// tests/CMakeLists.txt), and a prefix-truncation sweep checks that no
+// tests/CMakeLists.txt), together with every examples/protocols/ file,
+// which must load, and a prefix-truncation sweep that checks that no
 // chopped input can make the frontend throw instead of reporting.
 //
 //===----------------------------------------------------------------------===//
@@ -82,8 +83,25 @@ TEST(FrontErrors, MissingFileIsADiagnosticNotAThrow) {
   EXPECT_NE(R.Error->Message.find("cannot open file"), std::string::npos);
 }
 
-// The small-fix satellite: no truncation of a valid protocol may escape as an
-// exception - every prefix either loads or yields a Diagnostic.
+// Every shipped protocol parses and lowers; in the sanitizer build this runs
+// the whole examples/protocols/ corpus under ASan/UBSan.
+TEST(FrontErrors, EveryExampleProtocolLoads) {
+  fs::path Dir = fs::path(SHARPIE_REPO_ROOT) / "examples" / "protocols";
+  size_t Count = 0;
+  for (const auto &Entry : fs::directory_iterator(Dir)) {
+    if (Entry.path().extension() != ".sharpie")
+      continue;
+    SCOPED_TRACE(Entry.path().filename().string());
+    logic::TermManager M;
+    front::LoadResult R = front::loadProtocolFile(M, Entry.path().string());
+    EXPECT_TRUE(R.ok()) << (R.Error ? R.Error->render() : "");
+    ++Count;
+  }
+  EXPECT_GE(Count, 19u) << "protocols missing under " << Dir;
+}
+
+// No truncation of a valid protocol may escape as an exception - every
+// prefix either loads or yields a Diagnostic.
 TEST(FrontErrors, EveryPrefixOfAValidFileLoadsOrDiagnoses) {
   fs::path Good = fs::path(SHARPIE_REPO_ROOT) / "examples" / "protocols" /
                   "ticket_lock.sharpie";

@@ -7,14 +7,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "synth/Grammar.h"
+#include "ExampleProtocols.h"
 #include "logic/TermOps.h"
-#include "protocols/Protocols.h"
 
 #include <gtest/gtest.h>
 
 using namespace sharpie;
 using namespace sharpie::logic;
 using namespace sharpie::synth;
+using test::loadExample;
 
 namespace {
 
@@ -27,7 +28,7 @@ bool containsBody(const std::vector<SetCandidate> &Cands, Term Body) {
 
 TEST(Grammar, TicketLockCandidatesIncludeThePaperSets) {
   TermManager M;
-  protocols::ProtocolBundle B = protocols::makeTicketLock(M);
+  front::FrontBundle B = loadExample(M, "ticket_lock");
   Formals F = makeFormals(M, B.Shape);
   std::vector<SetCandidate> Cands = enumerateSetBodies(*B.Sys, F);
   Term PC = M.mkVar("pc", Sort::Array);
@@ -47,7 +48,7 @@ TEST(Grammar, TicketLockCandidatesIncludeThePaperSets) {
 
 TEST(Grammar, FilterLockCandidatesIncludeThePaperSet) {
   TermManager M;
-  protocols::ProtocolBundle B = protocols::makeFilterLock(M);
+  front::FrontBundle B = loadExample(M, "filter_lock");
   Formals F = makeFormals(M, B.Shape);
   std::vector<SetCandidate> Cands = enumerateSetBodies(*B.Sys, F);
   Term Lv = M.mkVar("lv", Sort::Array);
@@ -57,7 +58,7 @@ TEST(Grammar, FilterLockCandidatesIncludeThePaperSet) {
 
 TEST(Grammar, PerLocalConstantsDoNotLeakAcrossLocals) {
   TermManager M;
-  protocols::ProtocolBundle B = protocols::makeTicketLock(M);
+  front::FrontBundle B = loadExample(M, "ticket_lock");
   std::map<Term, std::vector<int64_t>> Cs = perLocalConstants(*B.Sys);
   Term PC = M.mkVar("pc", Sort::Array);
   Term Mv = M.mkVar("m", Sort::Array);
@@ -72,7 +73,7 @@ TEST(Grammar, PerLocalConstantsDoNotLeakAcrossLocals) {
 
 TEST(Grammar, AtomPoolCoversThePaperInvariants) {
   TermManager M;
-  protocols::ProtocolBundle B = protocols::makeTicketLock(M);
+  front::FrontBundle B = loadExample(M, "ticket_lock");
   Formals F = makeFormals(M, B.Shape);
   std::vector<Term> Pool = enumerateInvAtoms(*B.Sys, F);
   Term Tick = M.mkVar("tick", Sort::Int);
@@ -95,7 +96,7 @@ TEST(Grammar, AtomPoolCoversThePaperInvariants) {
 
 TEST(Grammar, SystemConstantsAreSortedAndDeduped) {
   TermManager M;
-  protocols::ProtocolBundle B = protocols::makeCache(M);
+  front::FrontBundle B = loadExample(M, "cache");
   std::vector<int64_t> Cs = systemConstants(*B.Sys);
   EXPECT_TRUE(std::is_sorted(Cs.begin(), Cs.end()));
   EXPECT_EQ(std::adjacent_find(Cs.begin(), Cs.end()), Cs.end());

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExampleProtocols.h"
 #include "engine/Reduce.h"
 #include "logic/TermOps.h"
 #include "obs/Export.h"
@@ -76,7 +77,11 @@ TEST(SynthParallel, TicketMutexIdenticalInvariant) {
 }
 
 TEST(SynthParallel, TicketLockIdenticalInvariant) {
-  expectIdentical(makeTicketLock, "ticket_lock");
+  expectIdentical(
+      [](logic::TermManager &M) {
+        return test::loadExample(M, "ticket_lock");
+      },
+      "ticket_lock");
 }
 
 TEST(SynthParallel, OneThirdIdenticalInvariant) {

@@ -14,6 +14,13 @@
 // below), plus the one-third and ticket-mutex bundles, which have no
 // .sharpie file.
 //
+// The same default-budget run of each file is also its golden answer
+// (ticket_lock's with the pinned template): name, property, verdict, set
+// bodies and atoms (or the counterexample's steps) must equal
+// tests/golden/protocols.golden. Set
+// SHARPIE_UPDATE_GOLDEN=1 to regenerate it, and review the diff like
+// source: a changed line is a changed answer.
+//
 // Why agreement is not an accident (and what a failure here means): the
 // merged per-tuple context reaches the *greatest* inductive subset of the
 // candidate atoms, which is unique, so the drop order cannot change the
@@ -38,7 +45,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -68,11 +78,14 @@ struct Input {
 /// What one run produced, rendered to strings so runs over distinct
 /// TermManagers compare structurally.
 struct RunOutput {
+  std::string Name;     ///< The protocol's name.
+  std::string Property; ///< Its `property "..."` text.
   bool Verified = false;
   bool Inconclusive = false;
   bool HasCex = false;
   std::vector<std::string> SetBodies;
   std::vector<std::string> Atoms;
+  std::vector<std::string> CexSteps;
   /// 0 also when the run stopped before the search (an explicit
   /// counterexample); obs_trace_test pins the counter's name.
   int64_t BudgetExhausted = 0;
@@ -117,9 +130,13 @@ RunOutput run(const Input &In, unsigned RefineBudget, unsigned Workers) {
   Opts.Trace = &T;
   synth::SynthResult R = synth::synthesize(*B.Sys, Opts);
   RunOutput Out;
+  Out.Name = B.Sys->name();
+  Out.Property = B.Property;
   Out.Verified = R.Verified;
   Out.Inconclusive = R.Inconclusive;
   Out.HasCex = R.Cex.has_value();
+  if (R.Cex)
+    Out.CexSteps = R.Cex->TransitionNames;
   for (Term S : R.SetBodies)
     Out.SetBodies.push_back(logic::toString(S));
   for (Term A : R.Atoms)
@@ -139,14 +156,37 @@ void expectSameAnswer(const RunOutput &Got, const RunOutput &Oracle) {
   EXPECT_EQ(Got.Atoms, Oracle.Atoms);
 }
 
-/// The serial default loop against the serial budget-0 oracle.
-void expectMatchesOracle(const Input &In) {
+/// The serial default loop against the serial budget-0 oracle; returns
+/// the default run.
+RunOutput expectMatchesOracle(const Input &In) {
   SCOPED_TRACE(In.Name);
   RunOutput Oracle = run(In, /*RefineBudget=*/0, /*Workers=*/1);
   RunOutput Default =
       run(In, synth::SynthOptions().RefineBudget, /*Workers=*/1);
   expectSameAnswer(Default, Oracle);
   EXPECT_EQ(Default.BudgetExhausted, 0) << "refinement budget exhausted";
+  return Default;
+}
+
+/// One file's answer as golden lines.
+std::string goldenEntry(const std::string &Stem, const RunOutput &Out) {
+  std::ostringstream SS;
+  SS << "== " << Stem << "\n"
+     << "name: " << Out.Name << "\n"
+     << "property: " << Out.Property << "\n"
+     << "verdict: "
+     << (Out.Verified       ? "verified"
+         : Out.HasCex       ? "unsafe"
+         : Out.Inconclusive ? "inconclusive"
+                            : "unknown")
+     << "\n";
+  for (const std::string &S : Out.SetBodies)
+    SS << "set: " << S << "\n";
+  for (const std::string &A : Out.Atoms)
+    SS << "atom: " << A << "\n";
+  for (const std::string &T : Out.CexSteps)
+    SS << "step: " << T << "\n";
+  return SS.str();
 }
 
 Input fileInput(const std::string &Stem) {
@@ -172,9 +212,25 @@ TEST(SynthRefineOracle, EveryProtocolMatchesTheEagerOracle) {
   std::sort(Stems.begin(), Stems.end());
   // The corpus this suite was written against; growth is welcome,
   // silent shrinkage is not.
-  ASSERT_GE(Stems.size(), 9u) << "protocols missing under " << protoDir();
+  ASSERT_GE(Stems.size(), 19u) << "protocols missing under " << protoDir();
+  std::string Got;
   for (const std::string &S : Stems)
-    expectMatchesOracle(fileInput(S));
+    Got += goldenEntry(S, expectMatchesOracle(fileInput(S)));
+
+  std::string Path =
+      std::string(SHARPIE_REPO_ROOT) + "/tests/golden/protocols.golden";
+  if (std::getenv("SHARPIE_UPDATE_GOLDEN")) {
+    std::ofstream Out(Path);
+    ASSERT_TRUE(Out.good()) << "cannot write " << Path;
+    Out << Got;
+    GTEST_SKIP() << "golden file regenerated: " << Path;
+  }
+  std::ifstream In(Path);
+  ASSERT_TRUE(In.good()) << "missing golden file " << Path
+                         << " (run with SHARPIE_UPDATE_GOLDEN=1)";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str()) << "answers differ from " << Path;
 }
 
 TEST(SynthRefineOracle, BundlesWithoutSharpieFilesMatchTheEagerOracle) {

@@ -16,9 +16,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExampleProtocols.h"
 #include "engine/Reduce.h"
 #include "logic/TermOps.h"
-#include "protocols/Protocols.h"
 
 #include <gtest/gtest.h>
 
@@ -30,7 +30,7 @@ namespace {
 
 TEST(TicketManual, PaperInvariantIsInductive) {
   logic::TermManager M;
-  protocols::ProtocolBundle B = protocols::makeTicketLock(M);
+  front::FrontBundle B = test::loadExample(M, "ticket_lock");
   sys::ParamSystem &S = *B.Sys;
 
   Term PC = M.mkVar("pc", Sort::Array);

@@ -1,7 +1,7 @@
 //===- tools/sharpie.cpp - The sharpie CLI --------------------------------===//
 //
 // Part of sharpie. The one verify driver: loads a `.sharpie` protocol
-// file (or, with --builtin, one of the hand-built C++ bundles of
+// file (or, with --builtin, one of the C++ bundles left in
 // protocols/Protocols.h), runs the full #Pi pipeline on it, and prints
 // the synthesized invariant or the explicit-state counterexample trace.
 //
@@ -14,10 +14,11 @@
 //           [--retries N] [--retry-base-ms MS]
 //   sharpie --builtin NAME [same flags, except --server]
 //
-// Built-in bundles take the same local path as files: canonical hash,
-// --store, the same verdict text and --json line, the same exit codes.
-// An unknown NAME exits 3 and lists the valid names on stderr. (The
-// bundles leave with src/protocols/ once they exist as .sharpie files.)
+// --builtin names the 13 protocols that have no .sharpie file yet; every
+// other protocol is a file under examples/protocols/. Built-in bundles
+// take the same local path as files: canonical hash, --store, the same
+// verdict text and --json line, the same exit codes. An unknown NAME
+// exits 3, lists the valid names on stderr and points to the files.
 //
 // Every numeric flag value must be a non-negative number; anything else
 // (missing, non-numeric, trailing garbage, negative) exits 3 naming the
@@ -125,57 +126,27 @@ void usage(const char *Argv0) {
                Argv0, obs::CliObs::usageFragment(), Argv0);
 }
 
-/// The hand-built bundles --builtin NAME selects.
+/// The hand-built bundles --builtin NAME selects: the protocols that have
+/// no examples/protocols/ file (protocols/Protocols.h says why).
 std::map<std::string, protocols::BundleFactory> builtins() {
   using namespace protocols;
+  using logic::TermManager;
   std::map<std::string, BundleFactory> R;
-  R["increment"] = makeIncrement;
-  R["intro"] = makeIntro;
-  R["bluetooth"] = makeBluetooth;
-  R["cache"] = makeCache;
-  R["ticket"] = makeTicketLock;
-  R["filter"] = makeFilterLock;
   R["one-third"] = makeOneThird;
-  R["max"] = [](logic::TermManager &M) { return makeMax(M, true); };
-  R["max-nobar"] = [](logic::TermManager &M) { return makeMax(M, false); };
-  R["reader-writer"] = [](logic::TermManager &M) {
-    return makeReaderWriter(M, true);
-  };
-  R["reader-writer-bug"] = [](logic::TermManager &M) {
-    return makeReaderWriter(M, false);
-  };
-  R["parent-child"] = [](logic::TermManager &M) {
-    return makeParentChild(M, true);
-  };
-  R["parent-child-nobar"] = [](logic::TermManager &M) {
+  R["parent-child"] = [](TermManager &M) { return makeParentChild(M, true); };
+  R["parent-child-nobar"] = [](TermManager &M) {
     return makeParentChild(M, false);
   };
-  R["simp-bar"] = [](logic::TermManager &M) { return makeSimpBar(M, true); };
-  R["simp-nobar"] = [](logic::TermManager &M) {
-    return makeSimpBar(M, false);
-  };
-  R["dyn-barrier"] = [](logic::TermManager &M) {
-    return makeDynBarrier(M, true);
-  };
-  R["dyn-barrier-nobar"] = [](logic::TermManager &M) {
-    return makeDynBarrier(M, false);
-  };
-  R["as-many"] = [](logic::TermManager &M) { return makeAsMany(M, true); };
-  R["as-many-bug"] = [](logic::TermManager &M) {
-    return makeAsMany(M, false);
-  };
-  R["tree-traverse"] = makeTreeTraverse;
-  R["garbage-collection"] = makeGarbageCollection;
-  R["simplified-bakery"] = makeSimplifiedBakery;
+  R["simp-bar"] = [](TermManager &M) { return makeSimpBar(M, true); };
+  R["simp-nobar"] = [](TermManager &M) { return makeSimpBar(M, false); };
   R["lamport-bakery"] = makeLamportBakery;
   R["bogus-bakery"] = makeBogusBakery;
   R["ticket-mutex"] = makeTicketMutex;
   R["barrier"] = makeBarrier;
   R["central-barrier"] = makeCentralBarrier;
-  R["work-stealing"] = makeWorkStealing;
   R["dining-philosophers"] = makeDiningPhilosophers;
-  R["robot-2x2"] = [](logic::TermManager &M) { return makeRobot(M, 2, 2); };
-  R["robot-3x3"] = [](logic::TermManager &M) { return makeRobot(M, 3, 3); };
+  R["robot-2x2"] = [](TermManager &M) { return makeRobot(M, 2, 2); };
+  R["robot-3x3"] = [](TermManager &M) { return makeRobot(M, 3, 3); };
   return R;
 }
 
@@ -272,6 +243,8 @@ int run(int argc, char **argv) {
                    Builtin.c_str());
       for (const auto &[Name, Make] : Builtins)
         std::fprintf(stderr, "  %s\n", Name.c_str());
+      std::fprintf(stderr, "every other protocol is a file under "
+                           "examples/protocols/\n");
       return ExitError;
     }
     if (!ServerAddr.empty()) {

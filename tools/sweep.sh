@@ -14,7 +14,8 @@
 # row's own "workers" field is the effective count (a single-tuple search
 # clamps to 1), so the sweep prefixes every row with the requested count
 # as "sweep_workers". The tables' human-readable output goes to stdout.
-# Exits 1 if any table fails or times out.
+# Exits 1 if any table fails or times out; a table fails when one of its
+# rows' verdicts differs from the paper's.
 set -u
 
 OUT=${1:-sweep.jsonl}

@@ -2,7 +2,8 @@
 //
 // Part of sharpie. The increment program of paper Sec. 3. Its twin
 // examples/protocols/increment.sharpie is what the drivers load; this
-// builder stays for the benchmark harness, which warms up on it.
+// builder stays for the benchmark harness, which warms up on it. Also the
+// name table of the built-in bundles.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,4 +48,24 @@ ProtocolBundle protocols::makeIncrement(TermManager &M) {
   B.Explicit.NumThreads = 3;
   B.Property = "(exists t: pc(t) >= 2) -> a > 0";
   return B;
+}
+
+std::map<std::string, BundleFactory> protocols::builtins() {
+  std::map<std::string, BundleFactory> R;
+  R["one-third"] = makeOneThird;
+  R["parent-child"] = [](TermManager &M) { return makeParentChild(M, true); };
+  R["parent-child-nobar"] = [](TermManager &M) {
+    return makeParentChild(M, false);
+  };
+  R["simp-bar"] = [](TermManager &M) { return makeSimpBar(M, true); };
+  R["simp-nobar"] = [](TermManager &M) { return makeSimpBar(M, false); };
+  R["lamport-bakery"] = makeLamportBakery;
+  R["bogus-bakery"] = makeBogusBakery;
+  R["ticket-mutex"] = makeTicketMutex;
+  R["barrier"] = makeBarrier;
+  R["central-barrier"] = makeCentralBarrier;
+  R["dining-philosophers"] = makeDiningPhilosophers;
+  R["robot-2x2"] = [](TermManager &M) { return makeRobot(M, 2, 2); };
+  R["robot-3x3"] = [](TermManager &M) { return makeRobot(M, 3, 3); };
+  return R;
 }

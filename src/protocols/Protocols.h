@@ -28,6 +28,8 @@
 #include "synth/Synth.h"
 
 #include <functional>
+#include <map>
+#include <string>
 
 namespace sharpie {
 namespace protocols {
@@ -67,6 +69,10 @@ ProtocolBundle makeBarrier(logic::TermManager &M);
 ProtocolBundle makeCentralBarrier(logic::TermManager &M);
 ProtocolBundle makeDiningPhilosophers(logic::TermManager &M);
 ProtocolBundle makeRobot(logic::TermManager &M, int Rows, int Cols);
+
+/// The bundles `sharpie --builtin NAME` selects, by NAME: the protocols
+/// above that have no examples/protocols/ file (increment has one).
+std::map<std::string, BundleFactory> builtins();
 
 } // namespace protocols
 } // namespace sharpie

@@ -12,6 +12,7 @@
 #include "logic/TermOps.h"
 
 #include <map>
+#include <unordered_map>
 #include <z3++.h>
 
 using namespace sharpie;
@@ -226,7 +227,6 @@ public:
   SatResult checkAssuming(const std::vector<Term> &A) override {
     ++NumChecks;
     LastReason.clear();
-    LastAssumptions = A;
     LastCore.clear();
     try {
       z3::expr_vector V(Ctx);
@@ -234,17 +234,18 @@ public:
         V.push_back(Tr->toZ3(T));
       z3::check_result R = Solver.check(V);
       if (R == z3::unsat) {
-        // Map the core literals back to Terms by AST identity: toZ3 is
-        // cached, so re-translating an assumption yields the exact ast Z3
-        // reported in the core.
+        // Map the core literals back to Terms by AST identity: V holds the
+        // exact asts Z3 reports in the core. A repeated assumption maps to
+        // its first occurrence (emplace keeps the first).
+        std::unordered_map<Z3_ast, Term> ByAst;
+        ByAst.reserve(A.size());
+        for (unsigned I = 0; I < V.size(); ++I)
+          ByAst.emplace(static_cast<Z3_ast>(V[static_cast<int>(I)]), A[I]);
         z3::expr_vector Core = Solver.unsat_core();
         for (unsigned I = 0; I < Core.size(); ++I) {
-          Z3_ast CA = static_cast<Z3_ast>(Core[static_cast<int>(I)]);
-          for (Term T : A)
-            if (static_cast<Z3_ast>(Tr->toZ3(T)) == CA) {
-              LastCore.push_back(T);
-              break;
-            }
+          auto It = ByAst.find(static_cast<Z3_ast>(Core[static_cast<int>(I)]));
+          if (It != ByAst.end())
+            LastCore.push_back(It->second);
         }
         return SatResult::Unsat;
       }

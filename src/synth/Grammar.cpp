@@ -154,6 +154,38 @@ void addCandidate(std::vector<SetCandidate> &Out, std::set<Term> &Seen,
   Out.push_back({Body, Rank, Origin});
 }
 
+/// True when \p A is an implication its own guard makes valid. The guard's
+/// equality conjuncts L(q) = c pin their reads: if the consequent folds to
+/// true with the pins substituted, the atom is valid. A guard L(q) >= c
+/// decides the consequents L(q) >= d for d <= c and L(q) != d for d < c.
+bool guardMakesValid(TermManager &M, Term A) {
+  if (A.kind() != Kind::Implies)
+    return false;
+  Term G = A->kid(0), Phi = A->kid(1);
+  std::map<Term, Term> Pins;
+  for (Term C : G.kind() == Kind::And ? G->kids() : std::vector<Term>{G})
+    if (C.kind() == Kind::Eq && C->kid(0).kind() == Kind::Read &&
+        C->kid(1).kind() == Kind::IntConst)
+      Pins.emplace(C->kid(0), C->kid(1));
+  if (!Pins.empty())
+    return logic::replaceAll(M, Phi, Pins) == M.mkTrue();
+  // L(q) >= c is built as c <= L(q).
+  if (G.kind() != Kind::Le || G->kid(0).kind() != Kind::IntConst ||
+      G->kid(1).kind() != Kind::Read)
+    return false;
+  Term Rd = G->kid(1);
+  int64_t C = G->kid(0)->value();
+  if (Phi.kind() == Kind::Le && Phi->kid(1) == Rd &&
+      Phi->kid(0).kind() == Kind::IntConst)
+    return Phi->kid(0)->value() <= C;
+  if (Phi.kind() == Kind::Not && Phi->kid(0).kind() == Kind::Eq) {
+    Term E = Phi->kid(0);
+    return E->kid(0) == Rd && E->kid(1).kind() == Kind::IntConst &&
+           E->kid(1)->value() < C;
+  }
+  return false;
+}
+
 } // namespace
 
 std::vector<SetCandidate>
@@ -335,8 +367,12 @@ sharpie::synth::enumerateInvAtoms(const sys::ParamSystem &Sys,
   TermManager &M = Sys.manager();
   std::vector<Term> Out;
   std::set<Term> Seen;
+  // No atom in the pool is valid: a valid atom survives every Houdini round
+  // and passes every minimization trial without changing any trial's
+  // answer, so it only makes each check dearer. The builders fold the
+  // constant ones; guardMakesValid catches the guarded ones.
   auto Add = [&](Term A) {
-    if (A.isNull() || A.kind() == Kind::BoolConst)
+    if (A.isNull() || A.kind() == Kind::BoolConst || guardMakesValid(M, A))
       return;
     if (Seen.insert(A).second)
       Out.push_back(A);
@@ -607,11 +643,8 @@ sharpie::synth::enumerateInvAtoms(const sys::ParamSystem &Sys,
       Add(A);
     std::vector<Term> Guards = GuardsFor(Q);
     for (Term G : Guards)
-      for (Term A : Base) {
-        if (G == A)
-          continue;
+      for (Term A : Base)
         Add(M.mkImplies(G, A));
-      }
     // Guarded counter atoms (one-third: res(q) >= 0 -> 3k > 2n; barriers:
     // a thread past the last barrier implies nobody before it).
     for (Term G : Guards)

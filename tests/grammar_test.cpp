@@ -2,14 +2,18 @@
 //
 // Part of sharpie. The grammars must produce the paper's inferred
 // cardinality sets among their candidates, with safety-derived sets ranked
-// first, and keep per-local constants separated.
+// first, and keep per-local constants separated. No atom of the pool may
+// be valid, checked by Z3 on every protocol.
 //
 //===----------------------------------------------------------------------===//
 
 #include "synth/Grammar.h"
 #include "ExampleProtocols.h"
 #include "logic/TermOps.h"
+#include "protocols/Protocols.h"
+#include "smt/SmtSolver.h"
 
+#include <filesystem>
 #include <gtest/gtest.h>
 
 using namespace sharpie;
@@ -101,6 +105,67 @@ TEST(Grammar, SystemConstantsAreSortedAndDeduped) {
   EXPECT_TRUE(std::is_sorted(Cs.begin(), Cs.end()));
   EXPECT_EQ(std::adjacent_find(Cs.begin(), Cs.end()), Cs.end());
   EXPECT_TRUE(std::find(Cs.begin(), Cs.end(), 3) != Cs.end());
+}
+
+/// The atoms of \p B's pool that Z3 proves valid, printed.
+std::vector<std::string> validAtoms(TermManager &M,
+                                    const front::FrontBundle &B) {
+  Formals F = makeFormals(M, B.Shape);
+  std::unique_ptr<smt::SmtSolver> S = smt::makeZ3Solver(M);
+  std::vector<std::string> Valid;
+  for (Term A : enumerateInvAtoms(*B.Sys, F))
+    if (smt::checkValid(*S, M, A) != smt::Validity::Invalid)
+      Valid.push_back(toString(A));
+  return Valid;
+}
+
+// A valid atom survives every Houdini round and every minimization trial
+// without changing any answer, so the grammar must not emit one: not
+// `pc(q) = 1 -> pc(q) <= 3`, not `pc(q) >= 2 -> pc(q) != 1`, not
+// `(q0 != q1 /\ pc(q0) = 1 /\ pc(q1) = 2) -> pc(q0) < pc(q1)`.
+TEST(Grammar, NoPoolAtomIsValidInAnyBuiltin) {
+  for (const auto &[Name, Make] : protocols::builtins()) {
+    TermManager M;
+    protocols::ProtocolBundle B = Make(M);
+    for (const std::string &A : validAtoms(M, B))
+      ADD_FAILURE() << Name << ": valid atom " << A;
+  }
+}
+
+TEST(Grammar, NoPoolAtomIsValidInAnyExampleFile) {
+  std::vector<std::string> Stems;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::string(SHARPIE_REPO_ROOT) + "/examples/protocols"))
+    if (E.path().extension() == ".sharpie")
+      Stems.push_back(E.path().stem().string());
+  std::sort(Stems.begin(), Stems.end());
+  ASSERT_GE(Stems.size(), 19u);
+  for (const std::string &Stem : Stems) {
+    TermManager M;
+    front::FrontBundle B = loadExample(M, Stem);
+    for (const std::string &A : validAtoms(M, B))
+      ADD_FAILURE() << Stem << ": valid atom " << A;
+  }
+}
+
+// The pool sizes of the benchmark's one-tuple inputs and of increment,
+// pinned so that a filter that also drops a non-valid atom fails here.
+TEST(Grammar, PoolSizesOfTheOneTupleInputs) {
+  const std::pair<const char *, size_t> Want[] = {{"lamport-bakery", 2839},
+                                                  {"robot-2x2", 557},
+                                                  {"ticket-mutex", 357},
+                                                  {"one-third", 208}};
+  std::map<std::string, protocols::BundleFactory> Builtins =
+      protocols::builtins();
+  for (const auto &[Name, Size] : Want) {
+    TermManager M;
+    protocols::ProtocolBundle B = Builtins.at(Name)(M);
+    EXPECT_EQ(enumerateInvAtoms(*B.Sys, makeFormals(M, B.Shape)).size(), Size)
+        << Name;
+  }
+  TermManager M;
+  front::FrontBundle B = loadExample(M, "increment");
+  EXPECT_EQ(enumerateInvAtoms(*B.Sys, makeFormals(M, B.Shape)).size(), 31u);
 }
 
 } // namespace

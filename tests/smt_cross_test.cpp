@@ -5,15 +5,18 @@
 // formulas over linear integer arithmetic, booleans and array reads are
 // generated; whenever MiniSolver answers Sat/Unsat, Z3's answer must
 // match, and Sat answers must come with a model that evaluates the
-// formula to true.
+// formula to true. Z3's unsat cores must come back as the very
+// assumption Terms passed in.
 //
 //===----------------------------------------------------------------------===//
 
 #include "logic/TermOps.h"
 #include "smt/SmtSolver.h"
 
+#include <algorithm>
 #include <gtest/gtest.h>
 #include <random>
+#include <set>
 
 using namespace sharpie;
 using namespace sharpie::logic;
@@ -157,6 +160,44 @@ TEST(SmtCross, PushPopScoping) {
   EXPECT_EQ(S->check(), SatResult::Unsat);
   S->pop();
   EXPECT_EQ(S->check(), SatResult::Sat);
+}
+
+// About a thousand indicator literals of mixed polarity, with one planted
+// three-literal conflict in the context: Z3's core must hand back the
+// assumption Terms themselves (polarity included), contain every planted
+// literal, and be unsatisfiable on its own.
+TEST(SmtCross, Z3CoreIsTheAssumptionTerms) {
+  TermManager M;
+  std::vector<Term> A;
+  for (int I = 0; I < 1000; ++I) {
+    Term B = M.mkVar("ind" + std::to_string(I), Sort::Bool);
+    A.push_back(I % 3 == 0 ? M.mkNot(B) : B);
+  }
+  Term X = M.mkVar("x", Sort::Int);
+  std::unique_ptr<smt::SmtSolver> S = smt::makeZ3Solver(M);
+  // Each literal constrains x loosely; none of these clash.
+  for (int I = 0; I < 1000; ++I)
+    S->add(M.mkImplies(A[I], M.mkLe(X, M.mkInt(2000 - I))));
+  const std::vector<Term> Planted = {A[123], A[457], A[791]};
+  ASSERT_EQ(A[123].kind(), Kind::Not);
+  ASSERT_EQ(A[457].kind(), Kind::Var);
+  S->add(M.mkNot(M.mkAnd(Planted)));
+
+  ASSERT_EQ(S->checkAssuming(A), SatResult::Unsat);
+  std::vector<Term> Core = S->unsatCore();
+  std::set<Term> Passed(A.begin(), A.end());
+  for (Term T : Core)
+    EXPECT_TRUE(Passed.count(T)) << toString(T) << " is not an assumption";
+  for (Term P : Planted)
+    EXPECT_NE(std::find(Core.begin(), Core.end(), P), Core.end())
+        << toString(P) << " missing from the core";
+  EXPECT_EQ(std::set<Term>(Core.begin(), Core.end()).size(), Core.size());
+
+  EXPECT_EQ(S->checkAssuming(Core), SatResult::Unsat);
+  // Dropping any assumption of the planted conflict restores Sat.
+  std::vector<Term> Rest(A.begin(), A.end());
+  Rest.erase(std::find(Rest.begin(), Rest.end(), A[457]));
+  EXPECT_EQ(S->checkAssuming(Rest), SatResult::Sat);
 }
 
 } // namespace

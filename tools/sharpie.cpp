@@ -126,30 +126,6 @@ void usage(const char *Argv0) {
                Argv0, obs::CliObs::usageFragment(), Argv0);
 }
 
-/// The hand-built bundles --builtin NAME selects: the protocols that have
-/// no examples/protocols/ file (protocols/Protocols.h says why).
-std::map<std::string, protocols::BundleFactory> builtins() {
-  using namespace protocols;
-  using logic::TermManager;
-  std::map<std::string, BundleFactory> R;
-  R["one-third"] = makeOneThird;
-  R["parent-child"] = [](TermManager &M) { return makeParentChild(M, true); };
-  R["parent-child-nobar"] = [](TermManager &M) {
-    return makeParentChild(M, false);
-  };
-  R["simp-bar"] = [](TermManager &M) { return makeSimpBar(M, true); };
-  R["simp-nobar"] = [](TermManager &M) { return makeSimpBar(M, false); };
-  R["lamport-bakery"] = makeLamportBakery;
-  R["bogus-bakery"] = makeBogusBakery;
-  R["ticket-mutex"] = makeTicketMutex;
-  R["barrier"] = makeBarrier;
-  R["central-barrier"] = makeCentralBarrier;
-  R["dining-philosophers"] = makeDiningPhilosophers;
-  R["robot-2x2"] = [](TermManager &M) { return makeRobot(M, 2, 2); };
-  R["robot-3x3"] = [](TermManager &M) { return makeRobot(M, 3, 3); };
-  return R;
-}
-
 int run(int argc, char **argv) {
   serve::VerifyRequest Req; // The knobs, for a local run or the daemon.
   std::string Builtin;
@@ -235,7 +211,8 @@ int run(int argc, char **argv) {
       return ExitError;
     }
   }
-  std::map<std::string, protocols::BundleFactory> Builtins = builtins();
+  std::map<std::string, protocols::BundleFactory> Builtins =
+      protocols::builtins();
   auto BuiltinIt = Builtins.find(Builtin);
   if (!Builtin.empty()) {
     if (BuiltinIt == Builtins.end()) {

@@ -144,7 +144,6 @@ std::vector<Term>
 AxiomEngine::emitNew(const std::vector<Term> &UpdateEqs,
                      std::vector<Term> *Deferred) {
   std::vector<Term> Out;
-  PartitionAll = Deferred != nullptr;
   size_t D0 = Deferred ? Deferred->size() : 0;
   size_t N = Reg.defs().size();
   if (N > MaxDefs) {
@@ -195,8 +194,6 @@ AxiomEngine::emitNew(const std::vector<Term> &UpdateEqs,
     emitVenn(Out);
     Stats.NumVennAxioms += static_cast<unsigned>(Out.size() - B0);
   }
-  Stats.NumAxioms += static_cast<unsigned>(
-      Out.size() + (Deferred ? Deferred->size() - D0 : 0));
   if (Deferred)
     Stats.NumDeferred += static_cast<unsigned>(Deferred->size() - D0);
   return Out;
@@ -373,7 +370,6 @@ void AxiomEngine::emitUpdate(const CardDef &A, const CardDef &B,
                         indicator(M, A.at(M, J), DMinus),
                         M.mkEq(B.K, M.mkAdd({A.K, DPlus, M.mkNeg(DMinus)}))});
     Out.push_back(M.mkImplies(M.mkAnd(Guards), Rel));
-    ++Stats.NumUpdateMatches;
     ++Stats.NumUpdate;
   }
 }
@@ -480,8 +476,6 @@ void AxiomEngine::emitVenn(std::vector<Term> &Out) {
     Stats.Complete = false;
     return;
   }
-  Stats.VennApplied = true;
-  Stats.NumVennRegions = static_cast<unsigned>(Regions.size());
   // One fresh non-negative counter per region; each definition's k is the
   // sum of the regions below its conjunct set. The universal set (empty
   // conjunct list, e.g. the external Def(n) = #{t | true}) sums them all.

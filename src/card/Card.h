@@ -99,35 +99,21 @@ private:
 struct AxiomOptions {
   bool Update = true;       ///< CARD-UPD against store equations.
   bool Venn = false;        ///< Venn decomposition (paper Sec. 5.2).
-  /// Lazy instantiation: emit axioms only for definitions whose counter
-  /// was marked relevant via AxiomEngine::setRelevant (typically the
-  /// cardinalities occurring in the obligation itself, as opposed to the
-  /// store-variant and witness definitions minted during axiom emission).
-  /// Skipped instances are tallied in AxiomStats::NumDeferred. Dropping
-  /// axioms only weakens the reduction, so a filtered Unsat is still a
-  /// proof; a filtered Sat may be spurious and must be confirmed against
-  /// the full axiom set (the synthesizer's recheck does so).
-  bool RelevancyFilter = false;
 };
 
 struct AxiomStats {
-  unsigned NumAxioms = 0;
-  unsigned NumUpdateMatches = 0;
-  unsigned NumVennRegions = 0;
-  bool VennApplied = false;
   bool Complete = true; ///< False if MaxDefs or MaxVennRegions truncated.
 
-  // Per-rule instance counts (sum <= NumAxioms only because NumAxioms also
-  // counts Venn sum equations): exported as obs counters so a trace shows
+  // Per-rule instance counts: exported as obs counters so a trace shows
   // which CARD schema dominates an obligation's reduction.
   unsigned NumUnary = 0;    ///< CARD>=0 / CARD_0 / CARD>0.
   unsigned NumPairwise = 0; ///< CARD<= / CARD< / CARD-DISJOINT.
   unsigned NumUpdate = 0;   ///< CARD-UPD.
   unsigned NumCover = 0;    ///< CARD-COVER.
-  unsigned NumVennAxioms = 0; ///< Venn region variables' sum equations.
-  /// Emission slots skipped by AxiomOptions::RelevancyFilter (one per
-  /// suppressed unary batch / pair), or, in partition mode, the number of
-  /// axiom instances routed into the deferred manifest. The
+  unsigned NumVennAxioms = 0; ///< Venn region variables and sum equations.
+  /// Emission slots skipped by the relevancy filter (one per suppressed
+  /// unary batch / pair), or, in partition mode, the number of axiom
+  /// instances routed into the deferred manifest. The
   /// "axioms_lazy_deferred" counter.
   unsigned NumDeferred = 0;
 };
@@ -150,11 +136,17 @@ public:
   /// bridge pre- and post-state set bodies.
   void setContext(logic::Term Facts);
 
-  /// Marks the counters (CardDef::K ids) the relevancy filter keeps. Only
-  /// consulted when AxiomOptions::RelevancyFilter is set; must be called
-  /// before the first emitNew(). Definitions minted later (axiom
-  /// witnesses, store variants) are irrelevant unless their K id is in
-  /// \p Ks, which is the point of the filter.
+  /// Turns on the relevancy filter: from now on axioms are emitted only
+  /// for definitions whose counter (CardDef::K id) is in \p Ks --
+  /// typically the cardinalities occurring in the obligation itself, as
+  /// opposed to the store-variant and witness definitions minted during
+  /// axiom emission, which is the point of the filter. Must be called
+  /// before the first emitNew(); an engine that never sees it emits for
+  /// every definition. Skipped slots are tallied in
+  /// AxiomStats::NumDeferred. Dropping axioms only weakens the reduction,
+  /// so a filtered Unsat is still a proof; a filtered Sat may be spurious
+  /// and must be confirmed against the full axiom set (the synthesizer's
+  /// recheck does so).
   void setRelevant(std::set<uint32_t> Ks) { RelevantKs = std::move(Ks); }
 
   /// Emits axioms for all current definitions against the update equations
@@ -163,9 +155,8 @@ public:
   /// equations harvested from below disjunctions stay sound).
   ///
   /// With \p Deferred non-null the engine runs in *partition mode* (the
-  /// model-guided refinement path, engine/Reduce.cpp): every axiom family
-  /// is materialized individually instead of all-or-nothing, the relevancy
-  /// filter is ignored, and each instance is routed by shape -- ground
+  /// model-guided refinement path, engine/Reduce.cpp, which never sets a
+  /// relevancy filter): every instance is routed by shape -- ground
   /// axioms (CARD>=0, CARD-UPD, CARD-DISJOINT, Venn regions and sums) into
   /// the returned vector, witness-bearing ones (CARD_0, CARD>0, CARD<=,
   /// CARD<, CARD-COVER; the instance-bloat source, each minting a fresh
@@ -196,11 +187,8 @@ private:
   void emitCover(const CardDef &A, const CardDef &B,
                  std::vector<logic::Term> &Out);
   void emitVenn(std::vector<logic::Term> &Out);
-  /// True when partition mode (see emitNew) treats every def as relevant.
-  bool PartitionAll = false;
   bool relevant(const CardDef &D) const {
-    return PartitionAll || !Opts.RelevancyFilter ||
-           RelevantKs.count(D.K.id()) != 0;
+    return !RelevantKs || RelevantKs->count(D.K.id()) != 0;
   }
 
   logic::TermManager &M;
@@ -211,7 +199,7 @@ private:
   /// Variable pairs equated by top-level context facts (frame conditions).
   std::vector<std::pair<logic::Term, logic::Term>> ContextVarEqs;
   AxiomStats Stats;
-  std::set<uint32_t> RelevantKs; ///< See setRelevant().
+  std::optional<std::set<uint32_t>> RelevantKs; ///< See setRelevant().
   std::set<std::pair<uint32_t, uint32_t>> EmittedPairs; ///< by K ids.
   std::set<uint32_t> EmittedUnary;
   std::set<std::tuple<uint32_t, uint32_t, uint32_t>> EmittedUpdates;

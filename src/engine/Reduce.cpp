@@ -8,6 +8,7 @@
 
 #include "logic/TermIO.h"
 #include "logic/TermOps.h"
+#include "quant/Quant.h"
 
 #include <cassert>
 #include <cstdio>
@@ -26,6 +27,7 @@ ReduceResult sharpie::engine::reduceToGround(
     const std::vector<Term> &ExtraIndexTerms, obs::TraceBuffer *Trace) {
   obs::Span Sp(Trace, "reduce");
   ReduceResult Res;
+  const bool Manifest = Opts.Mode == ReduceMode::Manifest;
 
   quant::SkolemResult SK = quant::skolemize(M, Psi);
   Res.Complete &= SK.Complete;
@@ -91,22 +93,21 @@ ReduceResult sharpie::engine::reduceToGround(
       IntSet.insert(Sk);
   std::vector<Term> IntTerms(IntSet.begin(), IntSet.end());
 
-  // Manifest mode (Opts.DeferManifest) runs the same fixed-point loop as
-  // the full reduction -- same axiom emission order, same witness cascade,
-  // same (full) instantiation domains -- but splits every conjunct stream
-  // in two: CoreAxioms/Expanded go into Ground, DefAxioms and the
-  // witness-binding obligation instances into the manifest. The per-round
-  // state is recomputed from scratch exactly like Expanded is today, so
-  // core AND manifest stays the full expansion at every round.
+  // Manifest mode runs the same fixed-point loop as the full reduction --
+  // same axiom emission order, same witness cascade, same (full)
+  // instantiation domains -- but splits every conjunct stream in two:
+  // CoreAxioms/Expanded go into Ground, DefAxioms and the witness-binding
+  // obligation instances (those binding a Tid outside Primary) into the
+  // manifest. The per-round state is recomputed from scratch exactly like
+  // Expanded is, so core AND manifest stays the full expansion at every
+  // round.
   std::vector<Term> CoreAxioms;
   std::vector<Term> DefAxioms;
   std::vector<Term> DeferredConjs;
   Term Expanded = SK.Formula;
-  quant::ExpandOptions OrigExpand = Opts.Expand;
-  if (Opts.DeferManifest) {
-    OrigExpand.CollectDeferred = true;
-    OrigExpand.CoreTids = &Primary;
-  }
+  const std::vector<Term> *CoreTids = Manifest ? &Primary : nullptr;
+  // Expansion/ELIMCARD rounds before the loop stops with axioms pending.
+  constexpr unsigned MaxRounds = 3;
   // Collects the ground card terms of a formula into the registry.
   auto InternCards = [&](Term T) {
     std::set<Term> Cards = logic::collectSubterms(
@@ -115,7 +116,6 @@ ReduceResult sharpie::engine::reduceToGround(
       Reg.defFor(C);
   };
   for (unsigned Round = 0;; ++Round) {
-    Res.NumRounds = Round + 1;
     std::vector<Term> AllAxioms = CoreAxioms;
     AllAxioms.insert(AllAxioms.end(), DefAxioms.begin(), DefAxioms.end());
     Term AxiomConj = M.mkAnd(AllAxioms);
@@ -142,11 +142,11 @@ ReduceResult sharpie::engine::reduceToGround(
     }
 
     quant::ExpandResult ExOrig =
-        quant::expandForalls(M, SK.Formula, TidAll, IntTerms, OrigExpand);
-    quant::ExpandResult ExAx = quant::expandForalls(
-        M, M.mkAnd(CoreAxioms), Primary, IntTerms, Opts.Expand);
-    quant::ExpandResult ExDef = quant::expandForalls(
-        M, M.mkAnd(DefAxioms), Primary, IntTerms, Opts.Expand);
+        quant::expandForalls(M, SK.Formula, TidAll, IntTerms, CoreTids);
+    quant::ExpandResult ExAx =
+        quant::expandForalls(M, M.mkAnd(CoreAxioms), Primary, IntTerms);
+    quant::ExpandResult ExDef =
+        quant::expandForalls(M, M.mkAnd(DefAxioms), Primary, IntTerms);
     Res.Complete &= ExOrig.Complete && ExAx.Complete && ExDef.Complete;
     Res.NumInstances =
         ExOrig.NumInstances + ExAx.NumInstances + ExDef.NumInstances;
@@ -165,12 +165,12 @@ ReduceResult sharpie::engine::reduceToGround(
     for (Term D : DeferredConjs)
       InternCards(D);
 
-    if (Round == 0 && Opts.Card.RelevancyFilter) {
-      // Lazy mode: the relevant counters are exactly the definitions in
-      // play before any axiom has been emitted -- the obligation's own
-      // cardinalities plus the external counters (the system size). Defs
-      // minted later (axiom witnesses, store variants) are the ones the
-      // filter exists to keep out.
+    if (Round == 0 && Opts.Mode == ReduceMode::Filtered) {
+      // The relevant counters are exactly the definitions in play before
+      // any axiom has been emitted -- the obligation's own cardinalities
+      // plus the external counters (the system size). Defs minted later
+      // (axiom witnesses, store variants) are the ones the filter exists
+      // to keep out.
       std::set<uint32_t> Relevant;
       for (const card::CardDef &D : Reg.defs())
         Relevant.insert(D.K.id());
@@ -179,21 +179,21 @@ ReduceResult sharpie::engine::reduceToGround(
 
     size_t DefBefore = DefAxioms.size();
     std::vector<Term> NewAxioms =
-        AE.emitNew(UpdateEqs, Opts.DeferManifest ? &DefAxioms : nullptr);
+        AE.emitNew(UpdateEqs, Manifest ? &DefAxioms : nullptr);
     if (NewAxioms.empty() && DefAxioms.size() == DefBefore)
       break;
     CoreAxioms.insert(CoreAxioms.end(), NewAxioms.begin(), NewAxioms.end());
-    if (Round + 1 >= Opts.MaxRounds) {
+    if (Round + 1 >= MaxRounds) {
       // Out of rounds with axioms pending: one final expansion so the new
       // axioms' quantifier-free parts are at least conjoined.
-      quant::ExpandResult ExFinal = quant::expandForalls(
-          M, M.mkAnd(CoreAxioms), Primary, IntTerms, Opts.Expand);
+      quant::ExpandResult ExFinal =
+          quant::expandForalls(M, M.mkAnd(CoreAxioms), Primary, IntTerms);
       Res.Complete &= ExFinal.Complete;
       Expanded = M.mkAnd(ExOrig.Formula, ExFinal.Formula);
       InternCards(Expanded);
-      if (Opts.DeferManifest) {
-        quant::ExpandResult ExFinalDef = quant::expandForalls(
-            M, M.mkAnd(DefAxioms), Primary, IntTerms, Opts.Expand);
+      if (Manifest) {
+        quant::ExpandResult ExFinalDef =
+            quant::expandForalls(M, M.mkAnd(DefAxioms), Primary, IntTerms);
         Res.Complete &= ExFinalDef.Complete;
         DeferredConjs = std::move(OrigDeferred);
         if (ExFinalDef.Formula.kind() == Kind::And)
@@ -208,16 +208,13 @@ ReduceResult sharpie::engine::reduceToGround(
     }
   }
 
-  Res.NumAxioms = AE.stats().NumAxioms;
   Res.NumDeferred = AE.stats().NumDeferred;
-  Res.NumVennRegions = AE.stats().NumVennRegions;
-  Res.VennApplied = AE.stats().VennApplied;
   Res.Complete &= AE.stats().Complete;
-  Res.CardVars = Reg.replacements();
-  Res.Ground = logic::replaceAll(M, Expanded, Res.CardVars);
+  const std::map<Term, Term> &CardVars = Reg.replacements();
+  Res.Ground = logic::replaceAll(M, Expanded, CardVars);
   assert(!logic::containsKind(Res.Ground, Kind::Card) &&
          "cardinality term survived the reduction");
-  if (Opts.DeferManifest) {
+  if (Manifest) {
     // Finalize the manifest: card-replace, flatten to conjuncts, drop
     // trivially-true items and items already conjoined in Ground, and
     // deduplicate (preserving order, which keys the deterministic clause
@@ -230,7 +227,7 @@ ReduceResult sharpie::engine::reduceToGround(
       GroundConjs.insert(Res.Ground);
     std::set<Term> Seen;
     for (Term D : DeferredConjs) {
-      Term G = logic::replaceAll(M, D, Res.CardVars);
+      Term G = logic::replaceAll(M, D, CardVars);
       assert(!logic::containsKind(G, Kind::Card) &&
              "cardinality term survived in the deferred manifest");
       std::vector<Term> Items =
@@ -283,51 +280,56 @@ uint64_t sharpie::engine::reduceOptionsFingerprint(const ReduceOptions &O) {
   uint64_t H = 0;
   H = hashMix(H, O.Card.Update);
   H = hashMix(H, O.Card.Venn);
-  H = hashMix(H, O.Card.RelevancyFilter);
-  H = hashMix(H, O.Expand.MaxInstantiations);
-  H = hashMix(H, O.MaxRounds);
-  H = hashMix(H, O.DeferManifest);
+  H = hashMix(H, static_cast<uint64_t>(O.Mode));
   return H;
 }
 
-namespace {
-/// The key over pre-fingerprinted options and host-manager terms: shared
-/// by lookups, inserts and the persistence path, which stores the
-/// fingerprint (not the options) on disk.
-uint64_t keyFromParts(Term Psi, uint64_t OptsFp,
-                      const std::vector<std::pair<Term, Term>> &EC,
-                      const std::vector<Term> &EIT) {
+uint64_t sharpie::engine::ReduceCache::Entry::key() const {
   uint64_t H = hashMix(0, Psi.isNull() ? ~0ULL : Psi.id());
   H = hashMix(H, OptsFp);
-  for (const auto &[K, Body] : EC) {
+  for (const auto &[K, Body] : Counters) {
     H = hashMix(H, K.id());
     H = hashMix(H, Body.id());
   }
-  for (Term E : EIT)
+  for (Term E : Extra)
     H = hashMix(H, E.id());
   return H;
 }
 
-/// Translates the (Psi, options, externals) key into the host manager and
-/// keys on the translated ids: two structurally equal obligations from
-/// different managers intern to the same host nodes, so the key is
-/// manager-independent and exact. Caller holds the cache mutex.
-uint64_t sharedKey(logic::TermTranslator &In, Term Psi,
-                   const ReduceOptions &Opts,
-                   const std::vector<std::pair<Term, Term>> &ExternalCounters,
-                   const std::vector<Term> &ExtraIndexTerms) {
-  std::vector<std::pair<Term, Term>> HostEC;
-  HostEC.reserve(ExternalCounters.size());
-  for (const auto &[K, Body] : ExternalCounters)
-    HostEC.emplace_back(In(K), In(Body));
-  std::vector<Term> HostEIT;
-  HostEIT.reserve(ExtraIndexTerms.size());
-  for (Term E : ExtraIndexTerms)
-    HostEIT.push_back(In(E));
-  return keyFromParts(In(Psi), reduceOptionsFingerprint(Opts), HostEC,
-                      HostEIT);
+namespace {
+/// \p R with every term passed through \p Tr. Ground goes first and the
+/// manifest rides the same memoized translator, so their skolems stay
+/// consistent.
+ReduceResult translateResult(const ReduceResult &R,
+                             logic::TermTranslator &Tr) {
+  ReduceResult Out;
+  Out.Ground = Tr(R.Ground);
+  Out.Complete = R.Complete;
+  Out.NumInstances = R.NumInstances;
+  Out.NumDeferred = R.NumDeferred;
+  Out.Deferred.reserve(R.Deferred.size());
+  for (Term D : R.Deferred)
+    Out.Deferred.push_back(Tr(D));
+  return Out;
 }
 } // namespace
+
+sharpie::engine::ReduceCache::Entry
+sharpie::engine::ReduceCache::hostKey(
+    logic::TermTranslator &In, Term Psi, const ReduceOptions &Opts,
+    const std::vector<std::pair<Term, Term>> &ExternalCounters,
+    const std::vector<Term> &ExtraIndexTerms) {
+  Entry E;
+  E.Psi = In(Psi);
+  E.OptsFp = reduceOptionsFingerprint(Opts);
+  E.Counters.reserve(ExternalCounters.size());
+  for (const auto &[K, Body] : ExternalCounters)
+    E.Counters.emplace_back(In(K), In(Body));
+  E.Extra.reserve(ExtraIndexTerms.size());
+  for (Term X : ExtraIndexTerms)
+    E.Extra.push_back(In(X));
+  return E;
+}
 
 std::optional<ReduceResult> sharpie::engine::ReduceCache::lookupShared(
     logic::TermManager &M, Term Psi, const ReduceOptions &Opts,
@@ -335,8 +337,8 @@ std::optional<ReduceResult> sharpie::engine::ReduceCache::lookupShared(
     const std::vector<Term> &ExtraIndexTerms) {
   std::lock_guard<std::mutex> Lock(Mu);
   logic::TermTranslator In(HostM);
-  uint64_t Key = sharedKey(In, Psi, Opts, ExternalCounters, ExtraIndexTerms);
-  auto It = Entries.find(Key);
+  Entry K = hostKey(In, Psi, Opts, ExternalCounters, ExtraIndexTerms);
+  auto It = Entries.find(K.key());
   if (It == Entries.end())
     return std::nullopt;
   // Materialize in the consumer's manager. Every "!" variable in the
@@ -344,7 +346,7 @@ std::optional<ReduceResult> sharpie::engine::ReduceCache::lookupShared(
   // venn_r, ...); re-skolemizing it keeps this use disjoint from every
   // other formula living in M -- exactly what a fresh reduction would
   // have produced. The memo inside Out maps each entry variable to one
-  // fresh name, so the ground and the CardVars stay mutually consistent.
+  // fresh name.
   logic::TermTranslator Out(M);
   Out.MapVar = [&M](Term V) -> Term {
     const std::string &Name = V->name();
@@ -353,17 +355,7 @@ std::optional<ReduceResult> sharpie::engine::ReduceCache::lookupShared(
       return Term();
     return M.freshVar(Name.substr(0, Bang), V.sort());
   };
-  ReduceResult R = It->second;
-  R.Ground = Out(R.Ground);
-  R.CardVars.clear();
-  for (const auto &[C, K] : It->second.CardVars)
-    R.CardVars[Out(C)] = Out(K);
-  // The manifest rides the same memoized translator, so its skolems stay
-  // consistent with Ground and CardVars.
-  R.Deferred.clear();
-  for (Term D : It->second.Deferred)
-    R.Deferred.push_back(Out(D));
-  return R;
+  return translateResult(It->second.Result, Out);
 }
 
 void sharpie::engine::ReduceCache::insertShared(
@@ -372,29 +364,12 @@ void sharpie::engine::ReduceCache::insertShared(
     const std::vector<Term> &ExtraIndexTerms, const ReduceResult &R) {
   std::lock_guard<std::mutex> Lock(Mu);
   logic::TermTranslator In(HostM);
-  uint64_t Key = sharedKey(In, Psi, Opts, ExternalCounters, ExtraIndexTerms);
+  Entry E = hostKey(In, Psi, Opts, ExternalCounters, ExtraIndexTerms);
+  uint64_t Key = E.key();
   if (Entries.count(Key))
     return;
-  ReduceResult Host = R;
-  Host.Ground = In(R.Ground);
-  Host.CardVars.clear();
-  for (const auto &[C, K] : R.CardVars)
-    Host.CardVars[In(C)] = In(K);
-  Host.Deferred.clear();
-  for (Term D : R.Deferred)
-    Host.Deferred.push_back(In(D));
-  Entries.emplace(Key, std::move(Host));
-  // Retain the content identity so the entry can be re-keyed after a
-  // round trip through the persistent store (the translator memoizes, so
-  // re-running it over the key terms is a lookup, not a rebuild).
-  SharedKey SK;
-  SK.Psi = In(Psi);
-  SK.OptsFp = reduceOptionsFingerprint(Opts);
-  for (const auto &[K2, Body] : ExternalCounters)
-    SK.Counters.emplace_back(In(K2), In(Body));
-  for (Term E : ExtraIndexTerms)
-    SK.Extra.push_back(In(E));
-  KeyParts.emplace(Key, std::move(SK));
+  E.Result = translateResult(R, In);
+  Entries.emplace(Key, std::move(E));
 }
 
 size_t sharpie::engine::ReduceCache::size() const {
@@ -404,47 +379,32 @@ size_t sharpie::engine::ReduceCache::size() const {
 
 size_t sharpie::engine::ReduceCache::serializeShared(std::string &Out) const {
   std::lock_guard<std::mutex> Lock(Mu);
-  size_t N = 0;
   char Buf[128];
-  for (const auto &[Key, R] : Entries) {
-    auto KP = KeyParts.find(Key);
-    if (KP == KeyParts.end())
-      continue; // Entry without key material cannot be re-keyed; skip.
-    const SharedKey &SK = KP->second;
+  for (const auto &[Key, E] : Entries) {
+    const ReduceResult &R = E.Result;
     Out += "entry v1\n";
     std::snprintf(Buf, sizeof(Buf), "fp %llx\n",
-                  static_cast<unsigned long long>(SK.OptsFp));
+                  static_cast<unsigned long long>(E.OptsFp));
     Out += Buf;
-    Out += "psi " + logic::serializeTerm(SK.Psi) + "\n";
-    Out += "nec " + std::to_string(SK.Counters.size()) + "\n";
-    for (const auto &[K2, Body] : SK.Counters) {
+    Out += "psi " + logic::serializeTerm(E.Psi) + "\n";
+    Out += "nec " + std::to_string(E.Counters.size()) + "\n";
+    for (const auto &[K2, Body] : E.Counters) {
       Out += "eck " + logic::serializeTerm(K2) + "\n";
       Out += "ecb " + logic::serializeTerm(Body) + "\n";
     }
-    Out += "neit " + std::to_string(SK.Extra.size()) + "\n";
-    for (Term E : SK.Extra)
-      Out += "eit " + logic::serializeTerm(E) + "\n";
+    Out += "neit " + std::to_string(E.Extra.size()) + "\n";
+    for (Term X : E.Extra)
+      Out += "eit " + logic::serializeTerm(X) + "\n";
     Out += "ground " + logic::serializeTerm(R.Ground) + "\n";
-    // The manifest lines are optional (absent for non-manifest entries),
-    // so caches written before manifest mode existed still parse.
-    if (!R.Deferred.empty()) {
-      Out += "ndef " + std::to_string(R.Deferred.size()) + "\n";
-      for (Term D : R.Deferred)
-        Out += "def " + logic::serializeTerm(D) + "\n";
-    }
-    std::snprintf(Buf, sizeof(Buf), "meta %d %u %u %u %u %u %d\n",
-                  R.Complete ? 1 : 0, R.NumRounds, R.NumAxioms, R.NumInstances,
-                  R.NumDeferred, R.NumVennRegions, R.VennApplied ? 1 : 0);
+    Out += "ndef " + std::to_string(R.Deferred.size()) + "\n";
+    for (Term D : R.Deferred)
+      Out += "def " + logic::serializeTerm(D) + "\n";
+    std::snprintf(Buf, sizeof(Buf), "meta %d %u %u\n", R.Complete ? 1 : 0,
+                  R.NumInstances, R.NumDeferred);
     Out += Buf;
-    Out += "ncv " + std::to_string(R.CardVars.size()) + "\n";
-    for (const auto &[C, K2] : R.CardVars) {
-      Out += "cvk " + logic::serializeTerm(C) + "\n";
-      Out += "cvv " + logic::serializeTerm(K2) + "\n";
-    }
     Out += "end\n";
-    ++N;
   }
-  return N;
+  return Entries.size();
 }
 
 namespace {
@@ -492,102 +452,69 @@ size_t sharpie::engine::ReduceCache::deserializeShared(
   // Every term parse goes through the sort-validating reader; a failure
   // anywhere abandons the rest of the stream but keeps prior entries --
   // a truncated or garbage tail costs hits, never correctness.
-  auto ParseTerm = [&](std::string_view Text, bool AllowNull,
-                       Term &T) -> bool {
-    std::string TErr;
-    T = logic::deserializeTerm(HostM, Text, &TErr);
-    return !T.isNull() || (AllowNull && TErr.empty());
+  auto ParseTerm = [&](std::string_view Text, Term &T) -> bool {
+    T = logic::deserializeTerm(HostM, Text);
+    return !T.isNull();
   };
   while (LC.next(Tag, Rest)) {
     if (Tag.empty() && Rest.empty())
       continue; // Blank line between entries.
     if (Tag != "entry" || Rest != "v1")
       return Corrupt("expected 'entry v1'");
-    SharedKey SK;
-    ReduceResult R;
+    Entry E;
+    ReduceResult &R = E.Result;
     if (!LC.next(Tag, Rest) || Tag != "fp" || Rest.empty() ||
         Rest.size() > 16 ||
         Rest.find_first_not_of("0123456789abcdef") != std::string_view::npos)
       return Corrupt("bad fp line");
-    SK.OptsFp = 0;
     for (char C : Rest)
-      SK.OptsFp = SK.OptsFp * 16 +
-                  static_cast<uint64_t>(C <= '9' ? C - '0' : C - 'a' + 10);
-    if (!LC.next(Tag, Rest) || Tag != "psi" || !ParseTerm(Rest, false, SK.Psi))
+      E.OptsFp = E.OptsFp * 16 +
+                 static_cast<uint64_t>(C <= '9' ? C - '0' : C - 'a' + 10);
+    if (!LC.next(Tag, Rest) || Tag != "psi" || !ParseTerm(Rest, E.Psi))
       return Corrupt("bad psi term");
     size_t NEc = 0;
     if (!LC.next(Tag, Rest) || Tag != "nec" || !parseCount(Rest, 4096, NEc))
       return Corrupt("bad nec count");
     for (size_t I = 0; I < NEc; ++I) {
       Term K2, Body;
-      if (!LC.next(Tag, Rest) || Tag != "eck" || !ParseTerm(Rest, false, K2))
+      if (!LC.next(Tag, Rest) || Tag != "eck" || !ParseTerm(Rest, K2))
         return Corrupt("bad eck term");
-      if (!LC.next(Tag, Rest) || Tag != "ecb" || !ParseTerm(Rest, false, Body))
+      if (!LC.next(Tag, Rest) || Tag != "ecb" || !ParseTerm(Rest, Body))
         return Corrupt("bad ecb term");
-      SK.Counters.emplace_back(K2, Body);
+      E.Counters.emplace_back(K2, Body);
     }
     size_t NEit = 0;
     if (!LC.next(Tag, Rest) || Tag != "neit" || !parseCount(Rest, 65536, NEit))
       return Corrupt("bad neit count");
     for (size_t I = 0; I < NEit; ++I) {
-      Term E;
-      if (!LC.next(Tag, Rest) || Tag != "eit" || !ParseTerm(Rest, false, E))
+      Term X;
+      if (!LC.next(Tag, Rest) || Tag != "eit" || !ParseTerm(Rest, X))
         return Corrupt("bad eit term");
-      SK.Extra.push_back(E);
+      E.Extra.push_back(X);
     }
-    if (!LC.next(Tag, Rest) || Tag != "ground" ||
-        !ParseTerm(Rest, false, R.Ground))
+    if (!LC.next(Tag, Rest) || Tag != "ground" || !ParseTerm(Rest, R.Ground))
       return Corrupt("bad ground term");
-    if (!LC.next(Tag, Rest))
-      return Corrupt("truncated after ground");
-    if (Tag == "ndef") {
-      size_t NDef = 0;
-      if (!parseCount(Rest, 1 << 20, NDef))
-        return Corrupt("bad ndef count");
-      for (size_t I = 0; I < NDef; ++I) {
-        Term D;
-        if (!LC.next(Tag, Rest) || Tag != "def" || !ParseTerm(Rest, false, D))
-          return Corrupt("bad def term");
-        R.Deferred.push_back(D);
-      }
-      if (!LC.next(Tag, Rest))
-        return Corrupt("truncated after manifest");
+    size_t NDef = 0;
+    if (!LC.next(Tag, Rest) || Tag != "ndef" ||
+        !parseCount(Rest, 1 << 20, NDef))
+      return Corrupt("bad ndef count");
+    for (size_t I = 0; I < NDef; ++I) {
+      Term D;
+      if (!LC.next(Tag, Rest) || Tag != "def" || !ParseTerm(Rest, D))
+        return Corrupt("bad def term");
+      R.Deferred.push_back(D);
     }
-    if (Tag != "meta")
+    int Complete = 0;
+    if (!LC.next(Tag, Rest) || Tag != "meta" ||
+        std::sscanf(std::string(Rest).c_str(), "%d %u %u", &Complete,
+                    &R.NumInstances, &R.NumDeferred) != 3)
       return Corrupt("bad meta line");
-    {
-      int Complete = 0, VennApplied = 0;
-      unsigned Rounds = 0, Axioms = 0, Insts = 0, Deferred = 0,
-               VennRegions = 0;
-      if (std::sscanf(std::string(Rest).c_str(), "%d %u %u %u %u %u %d",
-                      &Complete, &Rounds, &Axioms, &Insts, &Deferred,
-                      &VennRegions, &VennApplied) != 7)
-        return Corrupt("bad meta fields");
-      R.Complete = Complete != 0;
-      R.NumRounds = Rounds;
-      R.NumAxioms = Axioms;
-      R.NumInstances = Insts;
-      R.NumDeferred = Deferred;
-      R.NumVennRegions = VennRegions;
-      R.VennApplied = VennApplied != 0;
-    }
-    size_t NCv = 0;
-    if (!LC.next(Tag, Rest) || Tag != "ncv" || !parseCount(Rest, 65536, NCv))
-      return Corrupt("bad ncv count");
-    for (size_t I = 0; I < NCv; ++I) {
-      Term C, K2;
-      if (!LC.next(Tag, Rest) || Tag != "cvk" || !ParseTerm(Rest, false, C))
-        return Corrupt("bad cvk term");
-      if (!LC.next(Tag, Rest) || Tag != "cvv" || !ParseTerm(Rest, false, K2))
-        return Corrupt("bad cvv term");
-      R.CardVars[C] = K2;
-    }
+    R.Complete = Complete != 0;
     if (!LC.next(Tag, Rest) || Tag != "end")
       return Corrupt("missing end marker");
-    uint64_t Key = keyFromParts(SK.Psi, SK.OptsFp, SK.Counters, SK.Extra);
+    uint64_t Key = E.key();
     if (!Entries.count(Key)) {
-      Entries.emplace(Key, std::move(R));
-      KeyParts.emplace(Key, std::move(SK));
+      Entries.emplace(Key, std::move(E));
       ++Merged;
     }
   }

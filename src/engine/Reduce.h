@@ -23,7 +23,6 @@
 
 #include "card/Card.h"
 #include "obs/Obs.h"
-#include "quant/Quant.h"
 #include "smt/SmtSolver.h"
 
 #include <cstdint>
@@ -32,60 +31,73 @@
 #include <optional>
 
 namespace sharpie {
+namespace logic {
+class TermTranslator;
+}
 namespace engine {
+
+/// The three ways the reduction runs. All three share one fixed-point
+/// loop (at most 3 expansion/ELIMCARD rounds, a constant in Reduce.cpp)
+/// and differ only in where the CARD axioms and obligation instances go.
+enum class ReduceMode : uint8_t {
+  /// The eager reduction: every axiom family and every instance in
+  /// ReduceResult::Ground. The recheck's last word and every reduce
+  /// test's oracle.
+  Full,
+  /// The recheck's first phase: CARD axioms only for the definitions in
+  /// play before any axiom is emitted -- the obligation's own
+  /// cardinalities and the external counters -- not for the store-variant
+  /// and witness definitions minted during emission
+  /// (card::AxiomEngine::setRelevant). The skipped slots are counted in
+  /// ReduceResult::NumDeferred; when it is nonzero Ground is a
+  /// *weakening* of the Full ground: Unsat is still a proof, Sat must be
+  /// confirmed against a Full reduction.
+  Filtered,
+  /// Model-guided refinement (the CEGAR instantiation loop in
+  /// synth/Synth.cpp): the Full pipeline -- every axiom family, the full
+  /// witness cascade, full instantiation domains -- with each conjunct
+  /// routed either into Ground (the core) or into the deferred-instance
+  /// manifest ReduceResult::Deferred, such that Ground AND the manifest is
+  /// logically the Full reduction. Routed out are the witness-bearing CARD
+  /// axioms and the obligation instances that bind axiom-witness constants
+  /// (the instance-bloat sources); Unsat on the core alone is therefore
+  /// sound, and a model that satisfies every manifest entry is a genuine
+  /// model of the Full reduction.
+  Manifest,
+};
 
 struct ReduceOptions {
   card::AxiomOptions Card;
-  quant::ExpandOptions Expand;
-  unsigned MaxRounds = 3;
-  /// Model-guided refinement mode (the CEGAR instantiation loop in
-  /// synth/Synth.cpp): run the *full* reduction pipeline -- every axiom
-  /// family materialized, the full witness cascade, full instantiation
-  /// domains, no relevancy skipping -- but route each conjunct either into
-  /// ReduceResult::Ground (the core) or into the deferred-instance
-  /// manifest ReduceResult::Deferred, such that Ground AND the manifest is
-  /// logically the unpartitioned full reduction. Routed out are the
-  /// witness-bearing CARD axioms and the obligation instances that bind
-  /// axiom-witness constants (the instance-bloat sources); Unsat on the
-  /// core alone is therefore sound, and a model that satisfies every
-  /// manifest entry is a genuine model of the full reduction.
-  bool DeferManifest = false;
+  ReduceMode Mode = ReduceMode::Full;
 };
 
 struct ReduceResult {
   logic::Term Ground;     ///< Quantifier- and cardinality-free formula.
   bool Complete = true;   ///< False if any step weakened the obligation.
-  unsigned NumRounds = 0;
-  unsigned NumAxioms = 0;
   unsigned NumInstances = 0;
-  /// CARD-axiom slots skipped by card::AxiomOptions::RelevancyFilter, or,
-  /// in manifest mode, the CARD-axiom instances routed into Deferred. With
-  /// the filter on, a nonzero value means Ground is a *weakening* of the
-  /// full reduction: Unsat is still a proof, Sat must be confirmed against
-  /// an unfiltered reduction.
+  /// Filtered: the CARD-axiom slots the filter skipped (nonzero means
+  /// Ground is weaker than the Full ground). Manifest: the CARD-axiom
+  /// instances routed into Deferred. Full: 0.
   unsigned NumDeferred = 0;
-  unsigned NumVennRegions = 0;
-  bool VennApplied = false;
-  /// Maps every cardinality term seen to the k variable standing for it.
-  std::map<logic::Term, logic::Term> CardVars;
-  /// ReduceOptions::DeferManifest only: the deferred-instance manifest.
-  /// Each entry is ground and cardinality-free (card terms replaced via
-  /// CardVars like Ground itself), deduplicated, and not already a
-  /// conjunct of Ground. Ground AND all entries == the full reduction;
-  /// empty outside manifest mode.
+  /// Manifest only: the deferred-instance manifest. Each entry is ground
+  /// and cardinality-free (card terms replaced by their k variables like
+  /// Ground itself), deduplicated, and not already a conjunct of Ground.
+  /// Ground AND all entries == the Full reduction; empty in the other
+  /// modes.
   std::vector<logic::Term> Deferred;
 };
 
-/// A stable fingerprint of every knob that changes reduceToGround's output
-/// for a fixed input term. Part of the reduction-cache key: results cached
-/// under one axiom configuration must not be served under another.
+/// A stable fingerprint of every option that changes reduceToGround's
+/// output for a fixed input term (Card.Update, Card.Venn, Mode). Part of
+/// the reduction-cache key: results cached under one configuration must
+/// not be served under another.
 uint64_t reduceOptionsFingerprint(const ReduceOptions &Opts);
 
 /// Memoizes reduceToGround results by content. The key is the obligation
 /// itself -- the input formula (which already encodes the full clause: the
 /// transition, the set-tuple measurements and the placeholder wiring), the
 /// external counters, the extra index terms -- translated into a
-/// TermManager the cache owns, plus the axiom-configuration fingerprint.
+/// TermManager the cache owns, plus the options fingerprint.
 /// Structurally equal obligations from any two managers intern to the
 /// same host nodes, so the key is manager-independent and exact, and
 /// every entry lives in the host manager, outliving the manager that
@@ -137,11 +149,12 @@ public:
   //
   // Entries round-trip through a line-based text encoding: every entry
   // carries its key material (the host-translated Psi, the options
-  // fingerprint, external counters, extra index terms) alongside the
-  // ReduceResult, both serialized with logic/TermIO.h. Loading parses the
-  // key terms into this cache's host manager and recomputes the key
-  // exactly as lookupShared would, so a cache written by one process
-  // serves hits in another: the keys are content, not ids.
+  // fingerprint, external counters, extra index terms) alongside its
+  // result (ground, manifest, Complete, NumInstances, NumDeferred), the
+  // terms serialized with logic/TermIO.h. Loading parses the key terms
+  // into this cache's host manager and recomputes the key exactly as
+  // lookupShared would, so a cache written by one process serves hits in
+  // another: the keys are content, not ids.
 
   /// Serializes every entry (text, deterministic order). Returns the
   /// number of entries written. Thread-safe.
@@ -160,20 +173,34 @@ public:
   size_t size() const;
 
 private:
-  /// The content identity of an entry, retained so the entry can be
-  /// re-keyed after a round trip through disk (terms live in HostM).
-  struct SharedKey {
+  /// One entry: its content identity, retained so the entry can be
+  /// re-keyed after a round trip through disk, and its result. Every term
+  /// lives in HostM.
+  struct Entry {
     logic::Term Psi;
     uint64_t OptsFp = 0;
     std::vector<std::pair<logic::Term, logic::Term>> Counters;
     std::vector<logic::Term> Extra;
+    ReduceResult Result;
+    /// The map key over the key material: shared by lookups, inserts and
+    /// the persistence path, which stores the fingerprint (not the
+    /// options) on disk.
+    uint64_t key() const;
   };
 
-  std::map<uint64_t, ReduceResult> Entries;
-  /// Key material per entry, same keys as Entries.
-  std::map<uint64_t, SharedKey> KeyParts;
-  /// Owns every key and entry term. The mutex guards Entries, KeyParts
-  /// and every translation touching HostM.
+  /// An entry holding only the key material of (Psi, Opts, counters,
+  /// extra terms), translated into HostM through \p In: structurally
+  /// equal obligations from different managers intern to the same host
+  /// nodes, so the key is manager-independent and exact. Caller holds Mu.
+  static Entry
+  hostKey(logic::TermTranslator &In, logic::Term Psi,
+          const ReduceOptions &Opts,
+          const std::vector<std::pair<logic::Term, logic::Term>> &Counters,
+          const std::vector<logic::Term> &Extra);
+
+  std::map<uint64_t, Entry> Entries;
+  /// Owns every key and entry term. The mutex guards Entries and every
+  /// translation touching HostM.
   logic::TermManager HostM;
   mutable std::mutex Mu;
 };

@@ -78,14 +78,18 @@ SkolemResult sharpie::quant::skolemize(TermManager &M, Term T) {
 
 namespace {
 
+/// Total budget of binder instances per expandForalls call.
+constexpr uint64_t MaxInstantiations = 20000;
+
 class Expander {
 public:
   Expander(TermManager &M, const std::vector<Term> &TidTerms,
-           const std::vector<Term> &IntTerms, const ExpandOptions &Opts,
-           ExpandResult &R)
-      : M(M), TidTerms(TidTerms), IntTerms(IntTerms), Opts(Opts), R(R) {
-    if (Opts.CollectDeferred && Opts.CoreTids)
-      CoreTidSet.insert(Opts.CoreTids->begin(), Opts.CoreTids->end());
+           const std::vector<Term> &IntTerms,
+           const std::vector<Term> *CoreTids, ExpandResult &R)
+      : M(M), TidTerms(TidTerms), IntTerms(IntTerms),
+        Partitioned(CoreTids != nullptr), R(R) {
+    if (CoreTids)
+      CoreTidSet.insert(CoreTids->begin(), CoreTids->end());
   }
 
   /// \p Conjunctive: T is at a conjunctive position of the root -- every
@@ -122,7 +126,7 @@ private:
     // Routing instances into the manifest is only sound at conjunctive
     // positions; enumeration always runs over the full domains (core AND
     // deferred must equal the full expansion).
-    bool Partition = Opts.CollectDeferred && Conjunctive;
+    bool Partition = Partitioned && Conjunctive;
     std::vector<std::vector<Term>> Doms;
     Doms.reserve(Bs.size());
     std::vector<std::set<Term>> CoreDoms;
@@ -149,7 +153,7 @@ private:
         return M.mkTrue();
       }
       Count *= Dom.size();
-      if (Count + R.NumInstances > Opts.MaxInstantiations) {
+      if (Count + R.NumInstances > MaxInstantiations) {
         R.Complete = false;
         return M.mkTrue();
       }
@@ -197,7 +201,7 @@ private:
   TermManager &M;
   const std::vector<Term> &TidTerms;
   const std::vector<Term> &IntTerms;
-  const ExpandOptions &Opts;
+  bool Partitioned; ///< CoreTids given: route non-core instances out.
   ExpandResult &R;
   /// The explicit core worklist (partition mode); empty = no restriction.
   std::set<Term> CoreTidSet;
@@ -208,7 +212,7 @@ private:
 ExpandResult sharpie::quant::expandForalls(TermManager &M, Term T,
                                            const std::vector<Term> &TidTerms,
                                            const std::vector<Term> &IntTerms,
-                                           const ExpandOptions &Opts) {
+                                           const std::vector<Term> *CoreTids) {
   ExpandResult R;
   constexpr size_t MaxIntTerms = 24; // Cap on Int-sorted index terms.
   std::vector<Term> BoundedInt = IntTerms;
@@ -216,7 +220,7 @@ ExpandResult sharpie::quant::expandForalls(TermManager &M, Term T,
     BoundedInt.resize(MaxIntTerms);
     R.Complete = false;
   }
-  R.Formula = Expander(M, TidTerms, BoundedInt, Opts, R)
+  R.Formula = Expander(M, TidTerms, BoundedInt, CoreTids, R)
                   .walk(T, /*Conjunctive=*/true);
   return R;
 }

@@ -46,41 +46,37 @@ struct SkolemResult {
 /// skolem *functions*; they are weakened to true and flagged.
 SkolemResult skolemize(logic::TermManager &M, logic::Term T);
 
-struct ExpandOptions {
-  unsigned MaxInstantiations = 20000; ///< Total budget of binder instances.
-  /// Partitioned expansion (model-guided refinement mode): every universal
-  /// at a conjunctive position is expanded over the full domain, and each
-  /// instance is routed either into the returned formula (the core) or
-  /// into ExpandResult::Deferred, so that Formula AND Deferred equals the
-  /// unpartitioned expansion by construction. An instance is core when
-  /// every Tid binder draws from \p CoreTids (when set); everything else
-  /// -- witness-cascade instances in particular -- is deferred. Universals
-  /// below an Or cannot be split off (their instances are not conjuncts of
-  /// the whole) and are expanded fully in place.
-  bool CollectDeferred = false;
-  /// The explicit core instance worklist for CollectDeferred: Tid terms a
-  /// core instance may bind. Null means no restriction: every instance is
-  /// core.
-  const std::vector<logic::Term> *CoreTids = nullptr;
-};
-
 struct ExpandResult {
   logic::Term Formula;   ///< Universal-free formula.
   unsigned NumInstances = 0;
   bool Complete = true;  ///< False if the budget truncated an expansion.
-  /// CollectDeferred only: the routed-out instances (each universal-free).
-  /// Invariant: mkAnd(Formula, mkAnd(Deferred)) == the full expansion.
+  /// Partitioned expansion only: the routed-out instances (each
+  /// universal-free). Invariant: mkAnd(Formula, mkAnd(Deferred)) == the
+  /// full expansion.
   std::vector<logic::Term> Deferred;
 };
 
 /// Expands every universal quantifier in the NNF, existential-free formula
 /// \p T into a conjunction of instances: Tid-sorted binders range over
-/// \p TidTerms, Int-sorted binders over \p IntTerms. Universals that exceed
-/// the budget are weakened to true (sound, flagged incomplete).
+/// \p TidTerms, Int-sorted binders over \p IntTerms. The expansion makes at
+/// most 20000 binder instances in total (a constant in Quant.cpp);
+/// universals that would exceed it are weakened to true (sound, flagged
+/// incomplete).
+///
+/// With \p CoreTids non-null the expansion is *partitioned* (the manifest
+/// reduction mode, engine/Reduce.h): every universal at a conjunctive
+/// position is still expanded over the full domain, but an instance goes
+/// into the returned formula (the core) only when every Tid binder draws
+/// from \p CoreTids (an empty list restricts nothing); every other
+/// instance -- witness-cascade instances in particular -- goes into
+/// ExpandResult::Deferred, so Formula AND Deferred equals the unpartitioned
+/// expansion by construction. Universals below an Or cannot be split off
+/// (their instances are not conjuncts of the whole) and are expanded fully
+/// in place.
 ExpandResult expandForalls(logic::TermManager &M, logic::Term T,
                            const std::vector<logic::Term> &TidTerms,
                            const std::vector<logic::Term> &IntTerms,
-                           const ExpandOptions &Opts = {});
+                           const std::vector<logic::Term> *CoreTids = nullptr);
 
 /// Result of evaluating a deferred-instance manifest against a candidate
 /// model (the refinement step of CEGAR-style lazy instantiation).

@@ -44,10 +44,10 @@ FailureClass sharpie::resil::classifyUnknownReason(std::string_view Reason) {
 
 SupervisedSolver::SupervisedSolver(
     std::unique_ptr<smt::SmtSolver> Primary, Factory Fallback,
-    SupervisionOptions Opts, FaultInjector *Faults, const char *Site,
-    obs::TraceBuffer *TB, std::chrono::steady_clock::time_point Deadline)
+    FaultInjector *Faults, const char *Site, obs::TraceBuffer *TB,
+    std::chrono::steady_clock::time_point Deadline)
     : Primary(std::move(Primary)), MakeFallback(std::move(Fallback)),
-      Opts(Opts), Faults(Faults), Site(Site), TB(TB), Deadline(Deadline) {}
+      Faults(Faults), Site(Site), TB(TB), Deadline(Deadline) {}
 
 void SupervisedSolver::bump(const char *Ctr) {
   if (TB)
@@ -175,8 +175,6 @@ SatResult SupervisedSolver::checkOnce(smt::SmtSolver &S, unsigned EffTimeoutMs,
 SatResult SupervisedSolver::check() {
   ++NumChecks;
   LastFailure = FailureClass::None;
-  if (!Opts.Enabled)
-    return Primary->check();
   return checkSupervised(nullptr);
 }
 
@@ -189,12 +187,6 @@ SupervisedSolver::checkAssuming(const std::vector<logic::Term> &A) {
   // make unsatCore() fall back to the full assumption list, not a stale
   // core from an earlier answer.
   Answered = nullptr;
-  if (!Opts.Enabled) {
-    SatResult R = Primary->checkAssuming(A);
-    if (R != SatResult::Unknown)
-      Answered = Primary.get();
-    return R;
-  }
   return checkSupervised(&A);
 }
 

@@ -58,12 +58,6 @@ enum class FailureClass : uint8_t {
 
 const char *failureClassName(FailureClass C);
 
-struct SupervisionOptions {
-  /// Disabled reproduces the bare back end: the reference the chaos
-  /// tests compare supervised runs against. The drivers always supervise.
-  bool Enabled = true;
-};
-
 /// Supervised wrapper over an smt::SmtSolver. Records the assertion
 /// trail (terms + frame stack) so a restarted or fallback solver can be
 /// replayed to the exact current state. Single-threaded, like every
@@ -77,8 +71,8 @@ public:
   /// search deadline (time_point::max() when unbudgeted); per-check
   /// timeouts are clamped to the time remaining before it.
   SupervisedSolver(std::unique_ptr<smt::SmtSolver> Primary, Factory Fallback,
-                   SupervisionOptions Opts, FaultInjector *Faults,
-                   const char *Site, obs::TraceBuffer *TB,
+                   FaultInjector *Faults, const char *Site,
+                   obs::TraceBuffer *TB,
                    std::chrono::steady_clock::time_point Deadline);
 
   void push() override;
@@ -127,7 +121,6 @@ private:
   std::unique_ptr<smt::SmtSolver> Fallback;
   /// The solver that produced the last Sat answer; model() reads it.
   smt::SmtSolver *Answered = nullptr;
-  SupervisionOptions Opts;
   FaultInjector *Faults;
   const char *Site;
   obs::TraceBuffer *TB;

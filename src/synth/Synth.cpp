@@ -179,7 +179,7 @@ public:
       : Sys(Sys), M(Sys.manager()), Opts(Opts),
         F(makeFormals(M, Opts.Shape)), Deadline(Deadline), TB(TB),
         Superseded(std::move(Superseded)) {
-    if (Opts.Supervise.Enabled && Opts.Faults && !Opts.Faults->empty()) {
+    if (Opts.Supervise && Opts.Faults && !Opts.Faults->empty()) {
       Faults.emplace(*Opts.Faults);
       Faults->setWorker(FaultRank);
     }
@@ -290,20 +290,12 @@ private:
     uint64_t Instances = 0;
   };
 
-  /// The recheck's first-phase variant of Opts.Reduce: relevancy-filtered
-  /// CARD axioms (see card::AxiomOptions::RelevancyFilter).
-  engine::ReduceOptions lazyReduceOptions() const {
+  /// Opts.Reduce's axiom families in reduction mode \p Mode: Manifest for
+  /// the clauses of the refinement loop, Filtered then Full for the
+  /// recheck (engine::ReduceMode).
+  engine::ReduceOptions reduceOptions(engine::ReduceMode Mode) const {
     engine::ReduceOptions RO = Opts.Reduce;
-    RO.Card.RelevancyFilter = true;
-    return RO;
-  }
-  /// The manifest variant of Opts.Reduce for the refinement loop: the full
-  /// pipeline with witness-bearing conjuncts routed into a deferred
-  /// manifest instead of being skipped, so Ground AND the manifest equals
-  /// the full reduction (engine::ReduceOptions::DeferManifest).
-  engine::ReduceOptions refineReduceOptions() const {
-    engine::ReduceOptions RO = Opts.Reduce;
-    RO.DeferManifest = true;
+    RO.Mode = Mode;
     return RO;
   }
   void incSetup(const std::vector<ReducedClause> &Clauses,
@@ -728,7 +720,8 @@ Synthesizer::buildClauses(const std::vector<Term> &SetBodies,
   // Every clause is reduced in manifest mode: the full reduction split
   // into a core ground plus a deferred-instance manifest, whose entries
   // model-guided refinement asserts on demand.
-  const engine::ReduceOptions BuildRO = refineReduceOptions();
+  const engine::ReduceOptions BuildRO =
+      reduceOptions(engine::ReduceMode::Manifest);
   auto Reduce = [&](ReducedClause &C, const std::vector<Term> &Conj) {
     obs::Span Sp(TB, "reduce_clause", [&] { return C.Name; });
     Term Raw = M.mkAnd(Conj);
@@ -739,10 +732,9 @@ Synthesizer::buildClauses(const std::vector<Term> &SetBodies,
     C.Deferred = std::move(R.Deferred);
     C.NumInstances = R.NumInstances;
     SHARPIE_LOGF(TB, obs::LogLevel::Debug,
-                 "[reduce] %-16s size=%-7zu inst=%-6u axioms=%-5u venn=%s/%u"
-                 " deferred=%u manifest=%zu",
+                 "[reduce] %-16s size=%-7zu inst=%-6u deferred=%u"
+                 " manifest=%zu",
                  C.Name.c_str(), logic::termSize(C.Ground), R.NumInstances,
-                 R.NumAxioms, R.VennApplied ? "yes" : "no", R.NumVennRegions,
                  R.NumDeferred, C.Deferred.size());
   };
 
@@ -1285,11 +1277,11 @@ Term Synthesizer::closedInvariant(const std::vector<Term> &SetBodies,
 /// Re-checks the closed invariant end to end: on the explicit reachable
 /// states, then every safety obligation through a fresh reduction of the
 /// concrete invariant. Two levers keep it cheap: (1) each obligation is
-/// first reduced with the CARD relevancy filter (lazyReduceOptions) --
+/// first reduced in Filtered mode (relevancy-filtered CARD axioms) --
 /// Unsat under that weaker ground already discharges it, and only a
-/// surviving answer pays the full reduction; (2) all checks share one
+/// surviving answer pays the Full reduction; (2) all checks share one
 /// solver (push/pop scoped), so its back-end translation cache warms up
-/// over the obligations. The full reduction always has the final word.
+/// over the obligations. The Full reduction always has the final word.
 bool Synthesizer::recheck(Term Inv,
                           const std::vector<sys::ParamSystem::State> &States,
                           std::string &Why) {
@@ -1299,13 +1291,15 @@ bool Synthesizer::recheck(Term Inv,
   }
   std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce");
   std::unique_ptr<smt::SmtSolver> Solver = makeSolver("smt_check");
-  const engine::ReduceOptions Lazy = lazyReduceOptions();
+  const engine::ReduceOptions Filtered =
+      reduceOptions(engine::ReduceMode::Filtered);
+  const engine::ReduceOptions Full = reduceOptions(engine::ReduceMode::Full);
   bool FirstCheck = true;
   for (const sys::Obligation &O : sys::safetyObligations(Sys, Inv)) {
     bool Discharged = false;
     size_t LastGroundSize = 0;
     for (int Phase = 0; Phase < 2; ++Phase) {
-      const engine::ReduceOptions &RO = Phase == 0 ? Lazy : Opts.Reduce;
+      const engine::ReduceOptions &RO = Phase == 0 ? Filtered : Full;
       engine::ReduceResult R = engine::reduceToGroundCached(
           Opts.ReuseReduceCache, M, O.Psi, RO, Oracle.get(),
           Sys.externalCounters(), {}, TB);
@@ -1341,16 +1335,16 @@ bool Synthesizer::recheck(Term Inv,
 // -- Per-tuple pipeline ----------------------------------------------------------------
 
 std::unique_ptr<smt::SmtSolver> Synthesizer::makeSolver(const char *Site) {
-  if (!Opts.Supervise.Enabled) {
-    // The bare back end, not a disabled wrapper: the chaos tests compare
-    // supervised runs against exactly the unwrapped code path.
+  if (!Opts.Supervise) {
+    // The bare back end: the chaos tests compare supervised runs against
+    // exactly the unwrapped code path.
     auto S = smt::makeZ3Solver(M);
     S->setTimeoutMs(Opts.SmtTimeoutMs);
     return S;
   }
   auto S = std::make_unique<resil::SupervisedSolver>(
       smt::makeZ3Solver(M), [this] { return smt::makeMiniSolver(M); },
-      Opts.Supervise, Faults ? &*Faults : nullptr, Site, TB, Deadline);
+      Faults ? &*Faults : nullptr, Site, TB, Deadline);
   S->setTimeoutMs(Opts.SmtTimeoutMs);
   return S;
 }

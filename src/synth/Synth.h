@@ -68,7 +68,10 @@ struct SynthOptions {
   /// templates verbatim, and the test suite pin known tuples.
   std::vector<logic::Term> FixedSetBodies;
 
-  engine::ReduceOptions Reduce;          ///< Axiom/expansion configuration.
+  /// The CARD axiom families (Card.Update, Card.Venn). Reduce.Mode is not
+  /// read: each phase picks its own reduction mode (Manifest for the
+  /// Houdini clauses, Filtered then Full for the recheck).
+  engine::ReduceOptions Reduce;
   explct::ExplicitOptions Explicit;      ///< Pre-filter instance size.
   bool ExplicitPrefilter = true;
   unsigned MaxTuples = 150;              ///< Set-tuple search budget.
@@ -78,7 +81,7 @@ struct SynthOptions {
   ///
   /// SOLVE is one incremental, assumption-based Houdini loop per tuple.
   /// Every clause is reduced once in manifest mode
-  /// (engine::ReduceOptions::DeferManifest) into a core ground plus a
+  /// (engine::ReduceMode::Manifest) into a core ground plus a
   /// deferred-instance manifest, and asserted once into a merged solver
   /// context behind a selector literal, with the candidate atoms tied to
   /// per-atom indicator variables. Each Houdini iteration is one
@@ -125,9 +128,9 @@ struct SynthOptions {
   /// phase times are its own share. Not owned; must outlive the call.
   obs::Tracer *Trace = nullptr;
   /// Solver supervision (retry, cross-back-end fallback, per-check
-  /// deadline clamping; see resil/Resil.h). Supervise.Enabled = false
-  /// reproduces the bare back end exactly -- the chaos tests' reference.
-  resil::SupervisionOptions Supervise;
+  /// deadline clamping; see resil/Resil.h). False hands every phase the
+  /// bare back end -- the chaos tests' reference.
+  bool Supervise = true;
   /// Deterministic fault plan (resil/Fault.h); null or empty disables
   /// injection. Applied only when supervision is enabled. Not owned; must
   /// outlive the call.

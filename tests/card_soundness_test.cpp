@@ -10,6 +10,13 @@
 // (model satisfies Psi) /\ (reduction says Unsat) witness would be a
 // soundness bug in the axioms of card/Card.cpp.
 //
+// Every seed runs under each of the three reduction modes
+// (engine::ReduceMode): the Full ground, the recheck's Filtered ground and
+// the Houdini clauses' Manifest core, each alone and conjoined with its
+// deferred manifest. And since Ground AND the manifest is the Full
+// reduction, the two must agree on every definite answer whenever neither
+// reduction lost precision.
+//
 // Theorem 2 (relative completeness of CARD-UPD for difference bounds) is
 // additionally spot-checked: for an update g = f[j <- v], the reduction
 // must *derive* the exact +-1 relation between the two counts.
@@ -22,6 +29,7 @@
 
 #include <gtest/gtest.h>
 #include <random>
+#include <tuple>
 
 using namespace sharpie;
 using namespace sharpie::logic;
@@ -123,41 +131,75 @@ private:
   std::mt19937 Rng;
 };
 
-class CardSoundnessTest : public ::testing::TestWithParam<unsigned> {};
+using SoundnessParam = std::tuple<unsigned, engine::ReduceMode>;
+
+class CardSoundnessTest : public ::testing::TestWithParam<SoundnessParam> {};
 
 TEST_P(CardSoundnessTest, ReductionNeverRefutesASatisfiableFormula) {
+  const auto [Seed, Mode] = GetParam();
   TermManager M;
-  CardFormulaGen Gen(M, GetParam());
+  CardFormulaGen Gen(M, Seed);
   Term Psi = Gen.formula();
 
   // Search for a finite model first (cheap).
   bool FoundModel = false;
-  FiniteModel Witness;
   for (int Trial = 0; Trial < 300 && !FoundModel; ++Trial) {
     FiniteModel Mod = Gen.randomModel(2 + Trial % 3);
     Evaluator Ev(Mod);
-    if (Ev.evalBool(Psi)) {
-      FoundModel = true;
-      Witness = Mod;
-    }
+    FoundModel = Ev.evalBool(Psi);
   }
 
-  engine::ReduceOptions Opts;
-  Opts.Card.Venn = GetParam() % 2 == 0; // Exercise both configurations.
-  std::unique_ptr<smt::SmtSolver> Oracle = smt::makeZ3Solver(M);
-  engine::ReduceResult R =
-      engine::reduceToGround(M, Psi, Opts, Oracle.get());
-  std::unique_ptr<smt::SmtSolver> S = smt::makeZ3Solver(M);
-  S->add(R.Ground);
-  SatResult Verdict = S->check();
+  auto Reduce = [&](engine::ReduceMode Md) {
+    engine::ReduceOptions Opts;
+    Opts.Card.Venn = Seed % 2 == 0; // Exercise both configurations.
+    Opts.Mode = Md;
+    std::unique_ptr<smt::SmtSolver> Oracle = smt::makeZ3Solver(M);
+    return engine::reduceToGround(M, Psi, Opts, Oracle.get());
+  };
+  auto Check = [&](Term F) {
+    std::unique_ptr<smt::SmtSolver> S = smt::makeZ3Solver(M);
+    S->add(F);
+    return S->check();
+  };
+  engine::ReduceResult R = Reduce(Mode);
+  SatResult GroundOnly = Check(R.Ground);
+  SatResult WithManifest =
+      R.Deferred.empty() ? GroundOnly
+                         : Check(M.mkAnd(R.Ground, M.mkAnd(R.Deferred)));
 
-  if (FoundModel)
-    EXPECT_NE(Verdict, SatResult::Unsat)
+  if (FoundModel) {
+    EXPECT_NE(GroundOnly, SatResult::Unsat)
         << "soundness bug: finite model exists for " << toString(Psi);
+    EXPECT_NE(WithManifest, SatResult::Unsat)
+        << "soundness bug (with manifest): finite model exists for "
+        << toString(Psi);
+  }
+  if (Mode == engine::ReduceMode::Manifest) {
+    engine::ReduceResult Full = Reduce(engine::ReduceMode::Full);
+    SatResult FullAnswer = Check(Full.Ground);
+    if (R.Complete && Full.Complete && FullAnswer != SatResult::Unknown &&
+        WithManifest != SatResult::Unknown) {
+      EXPECT_EQ(WithManifest, FullAnswer)
+          << "Ground AND manifest is not the Full reduction for "
+          << toString(Psi);
+    }
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CardSoundnessTest,
-                         ::testing::Range(0u, 150u));
+/// Test names read Mode_Seed, e.g. Manifest_17.
+std::string soundnessName(const ::testing::TestParamInfo<SoundnessParam> &I) {
+  static const char *const Modes[] = {"Full", "Filtered", "Manifest"};
+  return std::string(Modes[static_cast<int>(std::get<1>(I.param))]) + "_" +
+         std::to_string(std::get<0>(I.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, CardSoundnessTest,
+    ::testing::Combine(::testing::Range(0u, 150u),
+                       ::testing::Values(engine::ReduceMode::Full,
+                                         engine::ReduceMode::Filtered,
+                                         engine::ReduceMode::Manifest)),
+    soundnessName);
 
 // Theorem 2 spot check: the update axiom captures the exact difference
 // bound induced by a point-wise update.

@@ -557,8 +557,9 @@ TEST_F(ObsExportTest, ChromeTraceSchema) {
     // Timestamps are nondecreasing per track (each worker's buffer is in
     // emission order).
     auto It = LastTs.find(Tid->Num);
-    if (It != LastTs.end())
+    if (It != LastTs.end()) {
       EXPECT_GE(Ts->Num, It->second) << "ts regressed on tid " << Tid->Num;
+    }
     LastTs[Tid->Num] = Ts->Num;
     if (P == 'B')
       OpenSpans[Tid->Num].push_back(Name->Str);

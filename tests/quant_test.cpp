@@ -72,14 +72,36 @@ TEST_F(QuantTest, MultiBinderExpansionIsProduct) {
   EXPECT_EQ(R.NumInstances, 4u);
 }
 
-TEST_F(QuantTest, BudgetOverrunWeakensToTrue) {
+TEST_F(QuantTest, CoreTidsPartitionTheExpansion) {
+  // With a core list, an instance binding a Tid outside it is routed into
+  // Deferred; Formula AND Deferred is the unpartitioned expansion.
   Term Phi = M.mkForall({T}, M.mkGe(M.mkRead(F, T), M.mkInt(0)));
-  quant::ExpandOptions Opts;
-  Opts.MaxInstantiations = 1;
   Term C1 = M.mkVar("c1", Sort::Tid), C2 = M.mkVar("c2", Sort::Tid);
-  quant::ExpandResult R =
-      quant::expandForalls(M, Phi, {C1, C2}, {}, Opts);
+  std::vector<Term> Core{C1};
+  quant::ExpandResult R = quant::expandForalls(M, Phi, {C1, C2}, {}, &Core);
+  EXPECT_TRUE(R.Complete);
+  EXPECT_EQ(R.NumInstances, 2u);
+  EXPECT_EQ(R.Formula, M.mkGe(M.mkRead(F, C1), M.mkInt(0)));
+  ASSERT_EQ(R.Deferred.size(), 1u);
+  EXPECT_EQ(R.Deferred[0], M.mkGe(M.mkRead(F, C2), M.mkInt(0)));
+  EXPECT_EQ(M.mkAnd(R.Formula, M.mkAnd(R.Deferred)),
+            quant::expandForalls(M, Phi, {C1, C2}, {}).Formula);
+}
+
+TEST_F(QuantTest, BudgetOverrunWeakensToTrue) {
+  // Three Tid binders over 28 terms ask for 28^3 = 21952 instances, past
+  // the 20000 budget: the estimate rejects the universal before any
+  // instance is built.
+  Term V = M.mkVar("v", Sort::Tid);
+  Term Phi = M.mkForall(
+      {T, U, V}, M.mkOr({M.mkEq(T, U), M.mkEq(U, V),
+                         M.mkGe(M.mkRead(F, T), M.mkRead(F, V))}));
+  std::vector<Term> Tids;
+  for (int I = 0; I < 28; ++I)
+    Tids.push_back(M.mkVar("c" + std::to_string(I), Sort::Tid));
+  quant::ExpandResult R = quant::expandForalls(M, Phi, Tids, {});
   EXPECT_FALSE(R.Complete);
+  EXPECT_EQ(R.NumInstances, 0u);
   EXPECT_EQ(R.Formula, M.mkTrue());
 }
 

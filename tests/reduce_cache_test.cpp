@@ -62,13 +62,13 @@ TEST_F(ReduceCacheTest, RepeatedObligationHits) {
   // Rebuilding the obligation from scratch gives the same content, so the
   // second reduction is a lookup. The hit re-skolemizes the entry's "!"
   // variables into fresh ones, so it equals the stored result up to
-  // those names: same size, axioms and instances.
+  // those names: same size, instances and deferred count.
   engine::ReduceResult R2 = reduce(Cache, Opts, obligation());
   EXPECT_EQ(hits(), 1);
   EXPECT_EQ(misses(), 1);
   EXPECT_EQ(logic::termSize(R1.Ground), logic::termSize(R2.Ground));
-  EXPECT_EQ(R1.NumAxioms, R2.NumAxioms);
   EXPECT_EQ(R1.NumInstances, R2.NumInstances);
+  EXPECT_EQ(R1.NumDeferred, R2.NumDeferred);
 }
 
 TEST_F(ReduceCacheTest, AxiomConfigChangeMisses) {
@@ -76,16 +76,16 @@ TEST_F(ReduceCacheTest, AxiomConfigChangeMisses) {
   engine::ReduceOptions Opts;
   reduce(Cache, Opts, obligation());
 
-  // Any knob that changes the reduction's output must change the key.
+  // Any option that changes the reduction's output must change the key.
   engine::ReduceOptions VennOpts = Opts;
   VennOpts.Card.Venn = true;
   reduce(Cache, VennOpts, obligation());
   EXPECT_EQ(hits(), 0);
   EXPECT_EQ(misses(), 2);
 
-  engine::ReduceOptions RoundOpts = Opts;
-  RoundOpts.MaxRounds = Opts.MaxRounds + 1;
-  reduce(Cache, RoundOpts, obligation());
+  engine::ReduceOptions ModeOpts = Opts;
+  ModeOpts.Mode = engine::ReduceMode::Manifest;
+  reduce(Cache, ModeOpts, obligation());
   EXPECT_EQ(misses(), 3);
 
   // The original configuration still hits its old entry.

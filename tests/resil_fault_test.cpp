@@ -40,7 +40,6 @@ using resil::FaultInjector;
 using resil::FaultKind;
 using resil::FaultPlan;
 using resil::SupervisedSolver;
-using resil::SupervisionOptions;
 using smt::SatResult;
 
 namespace {
@@ -250,9 +249,8 @@ SupervisedSolver makeSupervised(Steps Primary, ScriptLog *PrimLog,
     Fb = [Fallback, FbLog] {
       return std::make_unique<ScriptedSolver>(Fallback, FbLog);
     };
-  SupervisionOptions Opts;
   return SupervisedSolver(std::make_unique<ScriptedSolver>(Primary, PrimLog),
-                          std::move(Fb), Opts, Faults, "smt_check", Ctr.TB,
+                          std::move(Fb), Faults, "smt_check", Ctr.TB,
                           Deadline);
 }
 
@@ -427,20 +425,6 @@ TEST(SupervisedSolver, InjectedTimeoutIsRetriedAndRescuedByTheFallback) {
   EXPECT_EQ(FbLog.Checks, 1u);
 }
 
-TEST(SupervisedSolver, DisabledSupervisionIsABarePassThrough) {
-  ScriptLog Log;
-  Counts Ctr;
-  SupervisionOptions Opts;
-  Opts.Enabled = false;
-  SupervisedSolver S(std::make_unique<ScriptedSolver>(
-                         Steps{ScriptedSolver::UnknownIncomplete}, &Log),
-                     /*Fallback=*/nullptr, Opts, /*Faults=*/nullptr,
-                     "smt_check", Ctr.TB,
-                     std::chrono::steady_clock::time_point::max());
-  EXPECT_EQ(S.check(), SatResult::Unknown);
-  EXPECT_EQ(Ctr("retries") + Ctr("fallbacks") + Ctr("unknown_incomplete"), 0);
-}
-
 TEST(ClassifyUnknownReason, TimeoutWordsVsEverythingElse) {
   using resil::classifyUnknownReason;
   EXPECT_EQ(classifyUnknownReason("timeout"), FailureClass::Timeout);
@@ -479,7 +463,7 @@ ChaosOut runChaos(BundleFactory Make, unsigned Workers, const char *PlanSpec,
   // outside its fragment. Real checks on these protocols take
   // milliseconds, so the cap never fires on the fault-free path.
   Opts.SmtTimeoutMs = 2000;
-  Opts.Supervise.Enabled = Supervised;
+  Opts.Supervise = Supervised;
   FaultPlan Plan;
   if (PlanSpec) {
     auto P = FaultPlan::parse(PlanSpec);

@@ -171,9 +171,8 @@ TEST(TimeoutParity, Z3TimeoutZeroMeansDisabledNotInstant) {
 TEST(TimeoutParity, SupervisedHardQueryFailsOverAndStaysWithinBudget) {
   TermManager M;
   obs::Tracer T;
-  resil::SupervisionOptions Opts;
   resil::SupervisedSolver S(
-      smt::makeZ3Solver(M), [&M] { return smt::makeMiniSolver(M); }, Opts,
+      smt::makeZ3Solver(M), [&M] { return smt::makeMiniSolver(M); },
       /*Faults=*/nullptr, "smt_check", T.worker(0),
       std::chrono::steady_clock::time_point::max());
   S.setTimeoutMs(300);

@@ -174,9 +174,9 @@ protected:
                  M.mkGe(K, M.mkInt(1))});
     engine::ReduceResult R;
     R.Ground = M.mkGe(K, M.mkInt(GuardConst));
-    R.NumRounds = 2;
-    R.NumAxioms = 3;
-    R.CardVars[M.mkCard(T, M.mkGe(M.mkRead(F, T), M.mkInt(GuardConst)))] = K;
+    R.NumInstances = 2;
+    R.NumDeferred = 3;
+    R.Deferred.push_back(M.mkLe(K, M.mkInt(GuardConst + 5)));
     C.insertShared(Psi, Opts, {{K, M.mkTrue()}}, {}, R);
   }
 
@@ -204,10 +204,11 @@ TEST_F(Tier2Test, RoundTripServesHitsInAFreshCache) {
                        M2.mkGe(K, M2.mkInt(1))});
   auto Hit = C2.lookupShared(M2, Psi, Opts, {{K, M2.mkTrue()}}, {});
   ASSERT_TRUE(Hit.has_value());
-  EXPECT_EQ(2u, Hit->NumRounds);
-  EXPECT_EQ(3u, Hit->NumAxioms);
-  EXPECT_EQ(1u, Hit->CardVars.size());
-  EXPECT_FALSE(Hit->Ground.isNull());
+  EXPECT_EQ(2u, Hit->NumInstances);
+  EXPECT_EQ(3u, Hit->NumDeferred);
+  EXPECT_EQ(M2.mkGe(K, M2.mkInt(2)), Hit->Ground);
+  ASSERT_EQ(1u, Hit->Deferred.size());
+  EXPECT_EQ(M2.mkLe(K, M2.mkInt(7)), Hit->Deferred[0]);
 
   // A semantically different obligation must miss.
   Term Psi3 = M2.mkAnd({M2.mkForall({T}, M2.mkGe(M2.mkRead(F, T), M2.mkInt(3))),
@@ -271,12 +272,13 @@ TEST_F(Tier2Test, WrongVersionHeaderLoadsAsEmpty) {
   std::stringstream SS;
   SS << In.rdbuf();
   std::string Full = SS.str();
-  // A store written before the current format (the retired v2 header,
-  // whose keys fingerprint option fields that are constants now) must
+  // A store written before the current format (the retired v3 header,
+  // whose keys fingerprint option fields that are constants or a mode
+  // now, and whose entries carry the dropped card-variable block) must
   // load as empty.
-  size_t P = Full.find("t2 v3");
+  size_t P = Full.find("t2 v4");
   ASSERT_NE(std::string::npos, P);
-  Full.replace(P, 5, "t2 v2");
+  Full.replace(P, 5, "t2 v3");
   {
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
     Out << Full;

@@ -110,8 +110,9 @@ TEST_P(SmtCrossTest, MiniSolverAgreesWithZ3) {
     std::unique_ptr<smt::SmtModel> Model = Mini->model();
     ASSERT_NE(Model, nullptr);
     std::optional<bool> V = Model->evalBool(F);
-    if (V.has_value())
+    if (V.has_value()) {
       EXPECT_TRUE(*V) << "MiniSolver model does not satisfy " << toString(F);
+    }
   }
 }
 

@@ -110,17 +110,18 @@ inline void emitJsonRow(const RowResult &Row) {
       Fp,
       "{\"protocol\":\"%s\",\"workers\":%u,\"expected_safe\":%s,"
       "\"verified\":%s,\"found_cex\":%s,\"seconds\":%.3f,"
-      "\"tuples_tried\":%u,\"smt_checks\":%u,\"cache_hits\":%u,"
-      "\"cache_misses\":%u,\"worker_utilization\":%.3f,"
+      "\"tuples_tried\":%u,\"tuples_screened\":%u,\"smt_checks\":%u,"
+      "\"cache_hits\":%u,\"cache_misses\":%u,\"worker_utilization\":%.3f,"
       "\"prefilter_seconds\":%.3f,\"reduce_seconds\":%.3f,"
       "\"houdini_seconds\":%.3f,\"recheck_seconds\":%.3f,"
       "\"cards\":\"%s\",\"atoms\":[%s]}\n",
       obs::jsonEscape(Row.Name).c_str(), S.NumWorkers,
       Row.Expected ? "true" : "false", Row.Verified ? "true" : "false",
       Row.FoundCex ? "true" : "false", Row.Seconds, S.TuplesTried,
-      S.SmtChecks, S.CacheHits, S.CacheMisses, S.WorkerUtilization,
-      S.PrefilterSeconds, S.ReduceSeconds, S.HoudiniSeconds,
-      S.RecheckSeconds, obs::jsonEscape(Row.Cards).c_str(), Atoms.c_str());
+      S.TuplesScreened, S.SmtChecks, S.CacheHits, S.CacheMisses,
+      S.WorkerUtilization, S.PrefilterSeconds, S.ReduceSeconds,
+      S.HoudiniSeconds, S.RecheckSeconds, obs::jsonEscape(Row.Cards).c_str(),
+      Atoms.c_str());
   std::fclose(Fp);
 }
 

@@ -114,7 +114,7 @@ struct AxiomStats {
   /// Emission slots skipped by the relevancy filter (one per suppressed
   /// unary batch / pair), or, in partition mode, the number of axiom
   /// instances routed into the deferred manifest. The
-  /// "axioms_lazy_deferred" counter.
+  /// "axioms_filter_skipped" or "axioms_manifest_deferred" counter.
   unsigned NumDeferred = 0;
 };
 

@@ -248,7 +248,12 @@ ReduceResult sharpie::engine::reduceToGround(
     Trace->counter("card_axioms.update", AS.NumUpdate);
     Trace->counter("card_axioms.cover", AS.NumCover);
     Trace->counter("card_axioms.venn", AS.NumVennAxioms);
-    Trace->counter("axioms_lazy_deferred", AS.NumDeferred);
+    // NumDeferred means one thing per mode (ReduceResult::NumDeferred),
+    // so each meaning has its own counter; Full mode defers nothing.
+    if (Opts.Mode == ReduceMode::Filtered)
+      Trace->counter("axioms_filter_skipped", AS.NumDeferred);
+    else if (Manifest)
+      Trace->counter("axioms_manifest_deferred", AS.NumDeferred);
     Trace->counter("quant_instances", Res.NumInstances);
     if (!Res.Deferred.empty())
       Trace->counter("manifest_instances",

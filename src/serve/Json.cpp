@@ -350,7 +350,7 @@ std::string Json::dump() const {
 }
 
 Json sharpie::serve::parseJson(std::string_view Text, std::string *Err) {
-  Parser P{Text};
+  Parser P{Text, 0, {}};
   Json Out;
   if (!P.parseValue(Out, 0)) {
     if (Err)

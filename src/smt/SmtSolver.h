@@ -93,8 +93,12 @@ protected:
 };
 
 /// Creates a Z3-backed solver over \p M. The manager must outlive the
-/// solver.
-std::unique_ptr<SmtSolver> makeZ3Solver(logic::TermManager &M);
+/// solver. \p Simple selects Z3's plain SMT kernel instead of its default
+/// tactic-combined solver: it skips the tactic setup of the first check
+/// (several milliseconds), which dominates a short-lived solver that
+/// answers a few small checks.
+std::unique_ptr<SmtSolver> makeZ3Solver(logic::TermManager &M,
+                                        bool Simple = false);
 
 /// Creates the from-scratch MiniSolver (see smt/MiniSolver.h) over \p M.
 std::unique_ptr<SmtSolver> makeMiniSolver(logic::TermManager &M);

@@ -191,8 +191,10 @@ private:
 
 class Z3SolverImpl final : public SmtSolver {
 public:
-  explicit Z3SolverImpl(logic::TermManager &M)
-      : M(M), Solver(Ctx), Tr(std::make_shared<Z3Translator>(Ctx)) {
+  Z3SolverImpl(logic::TermManager &M, bool Simple)
+      : M(M), Solver(Simple ? z3::solver(Ctx, z3::solver::simple())
+                            : z3::solver(Ctx)),
+        Tr(std::make_shared<Z3Translator>(Ctx)) {
     (void)this->M;
   }
 
@@ -291,8 +293,9 @@ private:
 
 } // namespace
 
-std::unique_ptr<SmtSolver> sharpie::smt::makeZ3Solver(logic::TermManager &M) {
-  return std::make_unique<Z3SolverImpl>(M);
+std::unique_ptr<SmtSolver> sharpie::smt::makeZ3Solver(logic::TermManager &M,
+                                                      bool Simple) {
+  return std::make_unique<Z3SolverImpl>(M, Simple);
 }
 
 Validity sharpie::smt::checkValid(SmtSolver &S, logic::TermManager &M,

@@ -35,8 +35,11 @@ __attribute__((format(printf, 2, 3))) void appendf(std::string &Out,
 std::string sharpie::synth::renderStatsTable(const SynthStats &S,
                                              double WallSeconds) {
   std::string Out;
-  appendf(Out, "  search    tuples=%u smt_checks=%u workers=%u util=%.2f\n",
-          S.TuplesTried, S.SmtChecks, S.NumWorkers, S.WorkerUtilization);
+  appendf(Out,
+          "  search    tuples=%u screened=%u smt_checks=%u workers=%u"
+          " util=%.2f\n",
+          S.TuplesTried, S.TuplesScreened, S.SmtChecks, S.NumWorkers,
+          S.WorkerUtilization);
   appendf(Out, "  atoms     pool=%u prefilter=%u invariant=%u\n",
           S.AtomsInPool, S.AtomsAfterPrefilter, S.AtomsInInvariant);
   appendf(Out, "  explicit  states=%u\n", S.ExplicitStates);
@@ -61,6 +64,7 @@ std::string sharpie::synth::renderStatsTable(const SynthStats &S,
       {"explicit", S.ExplicitSeconds},
       {"enumerate", S.EnumerateSeconds},
       {"prefilter", S.PrefilterSeconds},
+      {"screen", S.Metrics.span("screen").Seconds},
       {"reduce", S.ReduceSeconds},
       {"houdini", S.HoudiniSeconds},
       {"recheck", S.RecheckSeconds},
@@ -123,8 +127,10 @@ std::string sharpie::synth::renderInconclusiveReport(const SynthResult &Res) {
 
 std::string sharpie::synth::statsJsonFields(const SynthStats &S) {
   std::string Out;
-  appendf(Out, "\"tuples_tried\": %u, \"smt_checks\": %u", S.TuplesTried,
-          S.SmtChecks);
+  appendf(Out,
+          "\"tuples_tried\": %u, \"tuples_screened\": %u"
+          ", \"smt_checks\": %u",
+          S.TuplesTried, S.TuplesScreened, S.SmtChecks);
   appendf(Out, ", \"atoms_pool\": %u, \"atoms_prefilter\": %u"
                ", \"atoms_invariant\": %u",
           S.AtomsInPool, S.AtomsAfterPrefilter, S.AtomsInInvariant);

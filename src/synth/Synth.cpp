@@ -20,6 +20,7 @@
 
 #include "synth/Synth.h"
 
+#include "bounded/Bounded.h"
 #include "engine/Pool.h"
 #include "front/Front.h"
 #include "logic/TermOps.h"
@@ -60,6 +61,41 @@ SynthOptions sharpie::synth::optionsFor(const front::FrontBundle &B) {
 
 namespace {
 
+/// True when \p A mentions neither a template quantifier nor a counter
+/// formal of \p F (e.g. "n >= 2"): such an atom holds outside the
+/// template quantifier.
+bool isGlobalAtom(const Formals &F, Term A) {
+  for (Term V : logic::freeVars(A)) {
+    if (std::find(F.Q.begin(), F.Q.end(), V) != F.Q.end())
+      return false;
+    if (std::find(F.K.begin(), F.K.end(), V) != F.K.end())
+      return false;
+  }
+  return true;
+}
+
+} // namespace
+
+Term sharpie::synth::closedInvariant(TermManager &M, const Formals &F,
+                                     Term QGuard,
+                                     const std::vector<Term> &SetBodies,
+                                     const std::vector<Term> &Atoms) {
+  Subst KSub;
+  for (size_t I = 0; I < SetBodies.size(); ++I)
+    KSub[F.K[I]] = M.mkCard(F.BoundVar, SetBodies[I]);
+  std::vector<Term> GlobalAs, QuantAs;
+  for (Term A : Atoms)
+    (isGlobalAtom(F, A) ? GlobalAs : QuantAs)
+        .push_back(logic::substitute(M, A, KSub));
+  Term Inner = M.mkAnd(QuantAs);
+  if (!QGuard.isNull())
+    Inner = M.mkImplies(QGuard, Inner);
+  Term Quant = F.Q.empty() ? Inner : M.mkForall(F.Q, Inner);
+  return M.mkAnd(M.mkAnd(GlobalAs), Quant);
+}
+
+namespace {
+
 double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
       .count();
@@ -84,6 +120,7 @@ void deriveCounts(SynthStats &S, const obs::MetricsSummary &Before,
     return After.span(Name).Seconds - Before.span(Name).Seconds;
   };
   S.TuplesTried = Count("tuples_tried");
+  S.TuplesScreened = Count("tuples_screened");
   S.SmtChecks = Count("smt_checks");
   S.ExplicitStates = Count("explicit_states");
   S.CacheHits = Count("reduce_cache_hits");
@@ -334,13 +371,21 @@ private:
                std::vector<Term> &Cand, TupleOutcome &Out);
   void minimizeAtoms(const std::vector<ReducedClause> &Clauses,
                      std::vector<Term> &Cand);
-  bool isGlobalAtom(logic::Term A) const;
   Term substitutedClause(const ReducedClause &C,
                          const std::vector<Term> &Cand) const;
   Term closedInvariant(const std::vector<Term> &SetBodies,
                        const std::vector<Term> &Atoms) const;
   bool recheck(Term Inv, const std::vector<sys::ParamSystem::State> &States,
                std::string &Why);
+  /// The bounded-N screen (DESIGN.md Sec. 4, "Bounded-N tuple screen"):
+  /// Houdini over \p Cand on the N-thread instance, N the explicit
+  /// instance size. True when a model satisfies every surviving atom and
+  /// violates safety at N: the tuple cannot verify, and \p Out says why.
+  /// False when the survivors imply safety at N, and on every unknown --
+  /// a formula without an exact encoding, a solver Unknown or timeout, an
+  /// exception, aborted() -- so the tuple runs as if unscreened.
+  bool screenRejects(const std::vector<Term> &SetBodies,
+                     const std::vector<Term> &Cand, TupleOutcome &Out);
 
   /// Builds this attempt's standard solver stack for injection site
   /// \p Site: supervised Z3 with a MiniSolver fallback factory, wired to
@@ -812,16 +857,6 @@ Synthesizer::buildClauses(const std::vector<Term> &SetBodies,
 
 // -- SOLVE --------------------------------------------------------------------------
 
-bool Synthesizer::isGlobalAtom(Term A) const {
-  for (Term V : logic::freeVars(A)) {
-    if (std::find(F.Q.begin(), F.Q.end(), V) != F.Q.end())
-      return false;
-    if (std::find(F.K.begin(), F.K.end(), V) != F.K.end())
-      return false;
-  }
-  return true;
-}
-
 Term Synthesizer::substitutedClause(const ReducedClause &C,
                                     const std::vector<Term> &Cand) const {
   std::map<Term, Term> Rep;
@@ -829,7 +864,7 @@ Term Synthesizer::substitutedClause(const ReducedClause &C,
     std::vector<Term> As;
     As.reserve(Cand.size());
     for (Term A : Cand) {
-      if (I.GlobalOnly && !isGlobalAtom(A))
+      if (I.GlobalOnly && !isGlobalAtom(F, A))
         continue;
       As.push_back(logic::substitute(M, A, I.AtomSubst));
     }
@@ -889,7 +924,7 @@ void Synthesizer::incSetup(const std::vector<ReducedClause> &Clauses,
       std::vector<Term> Guarded;
       Guarded.reserve(Cand.size());
       for (size_t K = 0; K < Cand.size(); ++K) {
-        if (I.GlobalOnly && !isGlobalAtom(Cand[K]))
+        if (I.GlobalOnly && !isGlobalAtom(F, Cand[K]))
           continue;
         Guarded.push_back(M.mkImplies(
             Inc.Ind[K], logic::substitute(M, Cand[K], I.AtomSubst)));
@@ -1260,18 +1295,7 @@ void Synthesizer::minimizeAtoms(const std::vector<ReducedClause> &Clauses,
 
 Term Synthesizer::closedInvariant(const std::vector<Term> &SetBodies,
                                   const std::vector<Term> &Atoms) const {
-  Subst KSub;
-  for (size_t I = 0; I < SetBodies.size(); ++I)
-    KSub[F.K[I]] = M.mkCard(F.BoundVar, SetBodies[I]);
-  std::vector<Term> GlobalAs, QuantAs;
-  for (Term A : Atoms)
-    (isGlobalAtom(A) ? GlobalAs : QuantAs)
-        .push_back(logic::substitute(M, A, KSub));
-  Term Inner = M.mkAnd(QuantAs);
-  if (!Opts.QGuard.isNull())
-    Inner = M.mkImplies(Opts.QGuard, Inner);
-  Term Quant = F.Q.empty() ? Inner : M.mkForall(F.Q, Inner);
-  return M.mkAnd(M.mkAnd(GlobalAs), Quant);
+  return synth::closedInvariant(M, F, Opts.QGuard, SetBodies, Atoms);
 }
 
 /// Re-checks the closed invariant end to end: on the explicit reachable
@@ -1332,6 +1356,127 @@ bool Synthesizer::recheck(Term Inv,
   return true;
 }
 
+// -- Bounded-N screen ------------------------------------------------------------------
+
+bool Synthesizer::screenRejects(const std::vector<Term> &SetBodies,
+                                const std::vector<Term> &Cand,
+                                TupleOutcome &Out) {
+  const unsigned N = static_cast<unsigned>(Opts.Explicit.NumThreads);
+  obs::Span Sp(TB, "screen", [&] { return "N=" + std::to_string(N); });
+  auto Unknown = [&](const std::string &Why) {
+    SHARPIE_LOGF(TB, obs::LogLevel::Debug, "[screen] N=%u unknown: %s", N,
+                 Why.c_str());
+    return false;
+  };
+  if (N == 0)
+    return Unknown("no instance size");
+  try {
+    bounded::Instance I(Sys, N);
+    // Each atom's own closed invariant, so the conjunction over any live
+    // set is that set's closed invariant; Post is its post-state twin.
+    std::vector<Term> Pre, Post;
+    for (Term A : Cand) {
+      Term Inv = closedInvariant(SetBodies, {A});
+      Pre.push_back(I.encode(Inv));
+      Post.push_back(I.encode(logic::substitute(M, Inv, Sys.primeSubst())));
+      if (Pre.back().isNull() || Post.back().isNull())
+        return Unknown("no exact encoding of " + logic::toString(A));
+    }
+    Term Init = I.init(), Safe = I.safe();
+    std::vector<Term> Trans;
+    for (const sys::Transition &T : Sys.transitions())
+      Trans.push_back(I.transition(T));
+    if (Init.isNull() || Safe.isNull() ||
+        std::find(Trans.begin(), Trans.end(), Term()) != Trans.end())
+      return Unknown("no exact encoding of the system");
+
+    // One bare Z3 context, set up like incSetup's: per-atom indicators,
+    // every clause behind its selector, and some clause selected. Z3's
+    // plain SMT kernel skips the default solver's tactic setup, which
+    // would dominate a context that answers a few small checks.
+    std::unique_ptr<smt::SmtSolver> S =
+        smt::makeZ3Solver(M, /*Simple=*/true);
+    S->setTimeoutMs(Opts.SmtTimeoutMs);
+    std::vector<Term> Ind, Hyp, HypPost;
+    for (size_t K = 0; K < Cand.size(); ++K) {
+      Ind.push_back(M.mkVar("screen$ind$" + std::to_string(K), Sort::Bool));
+      Hyp.push_back(M.mkImplies(Ind[K], Pre[K]));
+      HypPost.push_back(M.mkImplies(Ind[K], Post[K]));
+    }
+    Term H = M.mkAnd(Hyp), HPost = M.mkAnd(HypPost);
+    std::vector<Term> Sel; // init, one per transition, safety last.
+    auto AddClause = [&](Term Body) {
+      Sel.push_back(
+          M.mkVar("screen$sel$" + std::to_string(Sel.size()), Sort::Bool));
+      S->add(M.mkImplies(Sel.back(), Body));
+    };
+    AddClause(M.mkAnd(Init, M.mkNot(H)));
+    for (Term T : Trans)
+      AddClause(M.mkAnd({H, T, M.mkNot(HPost)}));
+    AddClause(M.mkAnd(H, M.mkNot(Safe)));
+    S->add(M.mkOr(Sel));
+
+    std::vector<char> Live(Cand.size(), 1);
+    for (;;) {
+      if (aborted())
+        return Unknown("aborted");
+      std::vector<Term> A;
+      for (size_t K = 0; K < Cand.size(); ++K)
+        A.push_back(Live[K] ? Ind[K] : M.mkNot(Ind[K]));
+      SatResult R =
+          smt::checkAssumingTraced(*S, A, TB, "smt_ms.screen", "screen");
+      if (R == SatResult::Unsat) {
+        SHARPIE_LOGF(TB, obs::LogLevel::Debug,
+                     "[screen] N=%u passes with %zu of %zu atoms", N,
+                     static_cast<size_t>(
+                         std::count(Live.begin(), Live.end(), 1)),
+                     Cand.size());
+        return false;
+      }
+      if (R != SatResult::Sat)
+        return Unknown("solver " + S->reasonUnknown());
+      std::unique_ptr<smt::SmtModel> Model = S->model();
+      if (!Model)
+        return Unknown("no model");
+      if (Model->evalBool(Sel.back()).value_or(false)) {
+        // A state that satisfies every survivor and violates safety at N.
+        std::string State = I.renderState(*Model);
+        TB->counter("tuples_screened", 1);
+        TB->instant("screen_reject", "N=" + std::to_string(N) + ": " + State,
+                    N);
+        SHARPIE_LOGF(TB, obs::LogLevel::Debug, "[screen] N=%u rejects: %s",
+                     N, State.c_str());
+        Out.Why = "candidate too weak for safety at N=" + std::to_string(N) +
+                  " (screen)";
+        Out.HasPartial = true;
+        for (size_t K = 0; K < Cand.size(); ++K)
+          if (Live[K])
+            Out.PartialAtoms.push_back(Cand[K]);
+        Out.FailedOn = "safe at N=" + std::to_string(N);
+        return true;
+      }
+      // Houdini's step at N: drop every live atom the model's head state
+      // falsifies in each selected clause (the pre-state for init, the
+      // post-state for a transition).
+      unsigned Dropped = 0;
+      for (size_t C = 0; C + 1 < Sel.size(); ++C) {
+        if (!Model->evalBool(Sel[C]).value_or(false))
+          continue;
+        const std::vector<Term> &Head = C == 0 ? Pre : Post;
+        for (size_t K = 0; K < Cand.size(); ++K)
+          if (Live[K] && !Model->evalBool(Head[K]).value_or(true)) {
+            Live[K] = 0;
+            ++Dropped;
+          }
+      }
+      if (Dropped == 0)
+        return Unknown("no atom refuted by the model");
+    }
+  } catch (const std::exception &E) {
+    return Unknown(std::string("exception: ") + E.what());
+  }
+}
+
 // -- Per-tuple pipeline ----------------------------------------------------------------
 
 std::unique_ptr<smt::SmtSolver> Synthesizer::makeSolver(const char *Site) {
@@ -1384,6 +1529,11 @@ Synthesizer::tryTuple(size_t Rank, const std::vector<Term> &SetBodies,
                  Cand.size(), Pool.size(), Sp.seconds());
   }
   Out.AtomsAfterPrefilter = static_cast<unsigned>(Cand.size());
+
+  // Rank 1 is never screened: most runs win there, where the screen would
+  // be pure cost.
+  if (Rank >= 1 && screenRejects(SetBodies, Cand, Out))
+    return Out;
 
   // Per-tuple solver setup is part of the clause-building cost.
   obs::Span BuildSp(TB, "build_clauses");
@@ -1714,11 +1864,13 @@ SynthResult Search::run() {
   TB->counter("fallbacks", 0);
   TB->counter("faults_injected", 0);
   TB->counter("tuples_skipped", 0);
+  TB->counter("tuples_screened", 0);
   // Same for the Houdini and refinement-loop counters, so every run
   // emits the same JSON keys whether or not they fired.
   TB->counter("core_drops", 0);
   TB->counter("solver_context_reuses", 0);
-  TB->counter("axioms_lazy_deferred", 0);
+  TB->counter("axioms_filter_skipped", 0);
+  TB->counter("axioms_manifest_deferred", 0);
   TB->counter("refine_full_groundings", 0);
   TB->counter("refine_instances_asserted", 0);
   TB->counter("refine_budget_exhausted", 0);

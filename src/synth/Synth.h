@@ -10,6 +10,10 @@
 // Pipeline per candidate set tuple (s_1..s_m), drawn from the ranked
 // grammar of Grammar.h:
 //
+//   0. Every tuple but the first-ranked is screened on the N-thread
+//      instance (bounded/Bounded.h): Houdini over the prefiltered atoms
+//      at N, and a tuple whose survivors do not imply safety at N cannot
+//      verify and stops here (DESIGN.md Sec. 4, "Bounded-N tuple screen").
 //   1. INSTQ: the template quantifiers are instantiated over a small set of
 //      relevant terms (head skolems, the mover, safety witnesses, local
 //      reads); each instance contributes "measurement" equations
@@ -72,7 +76,9 @@ struct SynthOptions {
   /// read: each phase picks its own reduction mode (Manifest for the
   /// Houdini clauses, Filtered then Full for the recheck).
   engine::ReduceOptions Reduce;
-  explct::ExplicitOptions Explicit;      ///< Pre-filter instance size.
+  /// The pre-filter's instance, whose size N is also the bounded-N
+  /// screen's (DESIGN.md Sec. 4, "Bounded-N tuple screen").
+  explct::ExplicitOptions Explicit;
   bool ExplicitPrefilter = true;
   unsigned MaxTuples = 150;              ///< Set-tuple search budget.
   unsigned SmtTimeoutMs = 30000;
@@ -129,7 +135,9 @@ struct SynthOptions {
   obs::Tracer *Trace = nullptr;
   /// Solver supervision (retry, cross-back-end fallback, per-check
   /// deadline clamping; see resil/Resil.h). False hands every phase the
-  /// bare back end -- the chaos tests' reference.
+  /// bare back end -- the chaos tests' reference. The bounded-N screen
+  /// always runs on the bare Z3 back end: an Unknown there only means the
+  /// tuple runs unscreened.
   bool Supervise = true;
   /// Deterministic fault plan (resil/Fault.h); null or empty disables
   /// injection. Applied only when supervision is enabled. Not owned; must
@@ -156,7 +164,7 @@ struct SynthOptions {
   const engine::CancellationToken *Cancel = nullptr;
 };
 
-/// What a run reports about itself. The counts -- TuplesTried, SmtChecks,
+/// What a run reports about itself. The counts -- TuplesTried to SmtChecks,
 /// ExplicitStates, CacheHits, CacheMisses, Retries to WorkerExceptions --
 /// and the phase times -- ExplicitSeconds to RecheckSeconds and
 /// WorkerUtilization -- are not tallied anywhere: synthesize() reads each
@@ -164,6 +172,9 @@ struct SynthOptions {
 /// Sec. 8 and 12 name them). The search sets the rest.
 struct SynthStats {
   unsigned TuplesTried = 0;
+  /// Tuples the bounded-N screen rejected before any reduction (they are
+  /// also counted in TuplesTried).
+  unsigned TuplesScreened = 0;
   unsigned SmtChecks = 0;
   unsigned AtomsInPool = 0;
   unsigned AtomsAfterPrefilter = 0;
@@ -256,6 +267,17 @@ struct SynthResult {
 /// The formal variables a caller needs to phrase SynthOptions::QGuard.
 Formals formalsFor(logic::TermManager &M, const ShapeTemplate &Shape);
 
+/// The closed invariant that \p Atoms (over \p F) denote under the set
+/// bodies \p SetBodies: each counter formal becomes its cardinality, the
+/// atoms that mention no template formal are conjoined as they are, and
+/// the rest sit under  forall Q: QGuard -> (...)  (no guard when \p QGuard
+/// is null). A verified run reports it as SynthResult::Invariant; the
+/// bounded-N screen encodes it per atom.
+logic::Term closedInvariant(logic::TermManager &M, const Formals &F,
+                            logic::Term QGuard,
+                            const std::vector<logic::Term> &SetBodies,
+                            const std::vector<logic::Term> &Atoms);
+
 /// The options bundle \p B asks for: its shape, quantifier guard and
 /// explicit instance, and the Venn axioms iff it declares NeedsVenn. Run
 /// settings (workers, budgets, tracer, ...) keep their defaults.
@@ -269,6 +291,7 @@ SynthResult synthesize(sys::ParamSystem &Sys, const SynthOptions &Opts);
 /// is S.Metrics' "t1_lookup" span) with their share of \p WallSeconds, and
 /// the histogram five-number summaries from S.Metrics. Returned as a string
 /// so drivers outside src/ decide where it goes (src/ itself never prints).
+/// The screen row is S.Metrics' "screen" span.
 std::string renderStatsTable(const SynthStats &S, double WallSeconds);
 
 /// Renders the inconclusive-outcome report: per-failure-class tallies and

@@ -82,7 +82,7 @@ for R in requests_shed drain_cancelled breaker_trips serve_faults_injected; do
   }
 done
 
-COUNTS='TuplesTried|SmtChecks|ExplicitStates|CacheHits|CacheMisses|Retries|Fallbacks|FaultsInjected|UnknownTimeouts|UnknownIncomplete|SolverExceptions|TuplesSkipped|WorkerExceptions'
+COUNTS='TuplesTried|TuplesScreened|SmtChecks|ExplicitStates|CacheHits|CacheMisses|Retries|Fallbacks|FaultsInjected|UnknownTimeouts|UnknownIncomplete|SolverExceptions|TuplesSkipped|WorkerExceptions'
 PHASES='ExplicitSeconds|EnumerateSeconds|PrefilterSeconds|ReduceSeconds|HoudiniSeconds|RecheckSeconds|WorkerUtilization'
 FIELDS="$COUNTS|$PHASES"
 TALLIES=$(find "$ROOT/src/synth" "$ROOT/src/resil" -name '*.cpp' -o -name '*.h' \

@@ -483,9 +483,10 @@ TEST(ObsGolden, HoudiniRunEmitsCoreDropAndPhaseMetrics) {
   // Emitted even when zero (run() flushes a zero delta) so consumers can
   // tell "did not fire" from "field renamed".
   for (const char *C :
-       {"core_drops", "solver_context_reuses", "axioms_lazy_deferred",
-        "refine_full_groundings", "refine_instances_asserted",
-        "refine_budget_exhausted", "manifest_instances"}) {
+       {"core_drops", "solver_context_reuses", "axioms_filter_skipped",
+        "axioms_manifest_deferred", "refine_full_groundings",
+        "refine_instances_asserted", "refine_budget_exhausted",
+        "manifest_instances", "tuples_screened"}) {
     const int64_t *V = S.counter(C);
     ASSERT_NE(V, nullptr) << "missing counter " << C;
     EXPECT_GE(*V, 0) << C;

@@ -504,7 +504,8 @@ TEST_F(ServerTest, ConcurrentRequestsShareOneStoreSafely) {
         {"cache_misses", "ctr_reduce_cache_misses"},
         {"cache_hits", "ctr_reduce_cache_hits"},
         {"smt_checks", "ctr_smt_checks"},
-        {"tuples_tried", "ctr_tuples_tried"}};
+        {"tuples_tried", "ctr_tuples_tried"},
+        {"tuples_screened", "ctr_tuples_screened"}};
     for (const auto &[Scalar, Counter] : Pairs)
       EXPECT_EQ(J.get(Scalar).asInt(), J.get(Counter).asInt()) << Scalar;
   }

@@ -183,6 +183,7 @@ TEST(SynthParallel, TracerFourWorkers) {
   EXPECT_EQ(int64_t(R.Stats.CacheHits), Ctr("reduce_cache_hits"));
   EXPECT_EQ(int64_t(R.Stats.SmtChecks), Ctr("smt_checks"));
   EXPECT_EQ(int64_t(R.Stats.TuplesTried), Ctr("tuples_tried"));
+  EXPECT_EQ(int64_t(R.Stats.TuplesScreened), Ctr("tuples_screened"));
   std::fclose(Sink);
 }
 

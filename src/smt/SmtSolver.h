@@ -92,13 +92,25 @@ protected:
   std::vector<logic::Term> LastAssumptions;
 };
 
-/// Creates a Z3-backed solver over \p M. The manager must outlive the
-/// solver. \p Simple selects Z3's plain SMT kernel instead of its default
-/// tactic-combined solver: it skips the tactic setup of the first check
-/// (several milliseconds), which dominates a short-lived solver that
-/// answers a few small checks.
-std::unique_ptr<SmtSolver> makeZ3Solver(logic::TermManager &M,
-                                        bool Simple = false);
+/// A Z3 context: the term store and configuration that Z3 solvers live
+/// in. Making and dropping one costs milliseconds, so solvers that run one
+/// after another on one thread share one (makeZ3Solver's \p Ctx). A
+/// context is not thread-safe: its solvers must stay on one thread at a
+/// time. Solvers and their models keep their context alive.
+class Z3Context;
+
+/// Makes a Z3 context and counts it in "smt_contexts" on \p TB when that
+/// is not null: the one place a context is made.
+std::shared_ptr<Z3Context> makeZ3Context(obs::TraceBuffer *TB = nullptr);
+
+/// Creates a Z3-backed solver over \p M in context \p Ctx, or in a private
+/// uncounted one when \p Ctx is null. The manager must outlive the solver.
+/// Solvers sharing a context share no assertions. \p Simple selects Z3's
+/// plain SMT kernel instead of its default tactic-combined solver, whose
+/// setup and preprocessing cost more on small checks.
+std::unique_ptr<SmtSolver>
+makeZ3Solver(logic::TermManager &M, bool Simple = false,
+             std::shared_ptr<Z3Context> Ctx = nullptr);
 
 /// Creates the from-scratch MiniSolver (see smt/MiniSolver.h) over \p M.
 std::unique_ptr<SmtSolver> makeMiniSolver(logic::TermManager &M);

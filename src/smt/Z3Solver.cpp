@@ -52,12 +52,27 @@ SatResult SmtSolver::checkAssuming(const std::vector<logic::Term> &A) {
   return R;
 }
 
+class sharpie::smt::Z3Context {
+public:
+  z3::context C;
+};
+
+std::shared_ptr<Z3Context> sharpie::smt::makeZ3Context(obs::TraceBuffer *TB) {
+  if (TB)
+    TB->counter("smt_contexts", 1);
+  return std::make_shared<Z3Context>();
+}
+
 namespace {
 
-/// Translates terms to Z3 expressions with caching.
+/// Translates terms to Z3 expressions with caching. It holds its context,
+/// so the solver and the models that share it keep the context alive.
 class Z3Translator {
 public:
-  explicit Z3Translator(z3::context &C) : C(C) {}
+  explicit Z3Translator(std::shared_ptr<Z3Context> Ctx)
+      : Ctx(std::move(Ctx)), C(this->Ctx->C) {}
+
+  z3::context &context() { return C; }
 
   z3::expr toZ3(Term T) {
     auto It = Cache.find(T);
@@ -151,6 +166,7 @@ private:
     return C.int_val(0);
   }
 
+  std::shared_ptr<Z3Context> Ctx; // Declared first: dropped after Cache.
   z3::context &C;
   std::map<Term, z3::expr> Cache;
 };
@@ -158,7 +174,7 @@ private:
 class Z3Model final : public SmtModel {
 public:
   Z3Model(z3::model Model, std::shared_ptr<Z3Translator> Tr)
-      : Model(std::move(Model)), Tr(std::move(Tr)) {}
+      : Tr(std::move(Tr)), Model(std::move(Model)) {}
 
   std::optional<int64_t> evalInt(Term T) override {
     try {
@@ -185,16 +201,17 @@ public:
   }
 
 private:
+  std::shared_ptr<Z3Translator> Tr; // Declared first: outlives Model.
   z3::model Model;
-  std::shared_ptr<Z3Translator> Tr;
 };
 
 class Z3SolverImpl final : public SmtSolver {
 public:
-  Z3SolverImpl(logic::TermManager &M, bool Simple)
-      : M(M), Solver(Simple ? z3::solver(Ctx, z3::solver::simple())
-                            : z3::solver(Ctx)),
-        Tr(std::make_shared<Z3Translator>(Ctx)) {
+  Z3SolverImpl(logic::TermManager &M, bool Simple,
+               std::shared_ptr<Z3Context> Ctx)
+      : M(M), Tr(std::make_shared<Z3Translator>(std::move(Ctx))),
+        Solver(Simple ? z3::solver(Tr->context(), z3::solver::simple())
+                      : z3::solver(Tr->context())) {
     (void)this->M;
   }
 
@@ -231,7 +248,7 @@ public:
     LastReason.clear();
     LastCore.clear();
     try {
-      z3::expr_vector V(Ctx);
+      z3::expr_vector V(Tr->context());
       for (Term T : A)
         V.push_back(Tr->toZ3(T));
       z3::check_result R = Solver.check(V);
@@ -274,7 +291,7 @@ public:
   }
 
   void setTimeoutMs(unsigned Ms) override {
-    z3::params P(Ctx);
+    z3::params P(Tr->context());
     // Z3's timeout param treats 0 as "0 ms", not "disabled"; the
     // interface contract (SmtSolver.h) says 0 disables, and MiniSolver
     // already honors that, so map 0 to Z3's no-timeout sentinel.
@@ -284,18 +301,19 @@ public:
 
 private:
   logic::TermManager &M;
-  z3::context Ctx;
+  std::shared_ptr<Z3Translator> Tr; // Declared first: outlives Solver.
   z3::solver Solver;
-  std::shared_ptr<Z3Translator> Tr;
   std::string LastReason;
   std::vector<Term> LastCore;
 };
 
 } // namespace
 
-std::unique_ptr<SmtSolver> sharpie::smt::makeZ3Solver(logic::TermManager &M,
-                                                      bool Simple) {
-  return std::make_unique<Z3SolverImpl>(M, Simple);
+std::unique_ptr<SmtSolver>
+sharpie::smt::makeZ3Solver(logic::TermManager &M, bool Simple,
+                           std::shared_ptr<Z3Context> Ctx) {
+  return std::make_unique<Z3SolverImpl>(M, Simple,
+                                        Ctx ? std::move(Ctx) : makeZ3Context());
 }
 
 Validity sharpie::smt::checkValid(SmtSolver &S, logic::TermManager &M,

@@ -7,20 +7,22 @@
 // worker 0 and pool threads are workers 1..W-1, each claiming the next
 // rank from an atomic cursor. Every tuple attempt builds a private world
 // -- a TermManager, the system cloned into it, the pool, states and set
-// bodies translated into it, and its own SMT solvers -- and drops it when
-// the attempt ends, so hash-consing tables and solver state need no locks
-// and an attempt cannot see which tuples ran before it. The only shared
-// mutable state is the cursor, the best-verified-rank watermark, the
-// mutex-guarded per-rank outcome table, and a caller-supplied reduction
-// cache. Results merge by rank: the lowest-ranked verified tuple wins, so
-// the invariant is independent of thread timing and of the width (see
-// DESIGN.md, "Parallel search & determinism").
+// bodies translated into it, and its own SMT solvers in one Z3 context --
+// and drops it when the attempt ends, so hash-consing tables and solver
+// state need no locks and an attempt cannot see which tuples ran before
+// it. The one exception is each worker's bounded-N screen, whose verdicts
+// do not depend on what it screened before. The only shared mutable state
+// is the cursor, the best-verified-rank watermark, the mutex-guarded
+// per-rank outcome table, and a caller-supplied reduction cache. Results
+// merge by rank: the lowest-ranked verified tuple wins, so the invariant
+// is independent of thread timing and of the width (see DESIGN.md,
+// "Parallel search & determinism").
 //
 //===----------------------------------------------------------------------===//
 
 #include "synth/Synth.h"
 
-#include "bounded/Bounded.h"
+#include "bounded/Screen.h"
 #include "engine/Pool.h"
 #include "front/Front.h"
 #include "logic/TermOps.h"
@@ -92,6 +94,35 @@ Term sharpie::synth::closedInvariant(TermManager &M, const Formals &F,
     Inner = M.mkImplies(QGuard, Inner);
   Term Quant = F.Q.empty() ? Inner : M.mkForall(F.Q, Inner);
   return M.mkAnd(M.mkAnd(GlobalAs), Quant);
+}
+
+std::vector<Term> sharpie::synth::prefilterAtoms(
+    TermManager &M, const Formals &F, Term QGuard,
+    const std::vector<Term> &Pool, const std::vector<Term> &SetBodies,
+    const std::vector<sys::ParamSystem::State> &States) {
+  std::vector<Term> Out;
+  // Bind counter formals to the cardinality terms themselves so the finite
+  // evaluator counts exactly.
+  Subst KSub;
+  for (size_t I = 0; I < SetBodies.size(); ++I)
+    KSub[F.K[I]] = M.mkCard(F.BoundVar, SetBodies[I]);
+  for (Term A : Pool) {
+    Term Inner = logic::substitute(M, A, KSub);
+    if (!QGuard.isNull())
+      Inner = M.mkImplies(QGuard, Inner);
+    Term Quantified = F.Q.empty() ? Inner : M.mkForall(F.Q, Inner);
+    bool Holds = true;
+    for (const sys::ParamSystem::State &S : States) {
+      logic::Evaluator Ev(S);
+      if (!Ev.evalBool(Quantified)) {
+        Holds = false;
+        break;
+      }
+    }
+    if (Holds)
+      Out.push_back(A);
+  }
+  return Out;
 }
 
 namespace {
@@ -207,15 +238,17 @@ class Synthesizer {
 public:
   /// \p TB is the attempt's worker buffer (trace rank W+1 on worker W),
   /// \p FaultRank the rank a `worker=N` fault trigger compares against
-  /// (the same W+1), and \p Superseded tells a tuple that a lower rank
-  /// already won.
+  /// (the same W+1), \p Superseded tells a tuple that a lower rank
+  /// already won, and \p Screen is the worker's bounded-N screen (null
+  /// until the worker's first screened tuple).
   Synthesizer(sys::ParamSystem &Sys, const SynthOptions &Opts,
               std::chrono::steady_clock::time_point Deadline,
               obs::TraceBuffer *TB, unsigned FaultRank,
-              std::function<bool()> Superseded)
+              std::function<bool()> Superseded,
+              std::unique_ptr<bounded::Screen> &Screen)
       : Sys(Sys), M(Sys.manager()), Opts(Opts),
         F(makeFormals(M, Opts.Shape)), Deadline(Deadline), TB(TB),
-        Superseded(std::move(Superseded)) {
+        Superseded(std::move(Superseded)), Screen(Screen) {
     if (Opts.Supervise && Opts.Faults && !Opts.Faults->empty()) {
       Faults.emplace(*Opts.Faults);
       Faults->setWorker(FaultRank);
@@ -236,11 +269,6 @@ private:
   /// True when this tuple attempt should stop early: the time budget ran
   /// out, or a lower-ranked tuple already verified.
   bool aborted() const { return outOfTime() || Superseded(); }
-
-  std::vector<Term> prefilterAtoms(const std::vector<Term> &Pool,
-                                   const std::vector<Term> &SetBodies,
-                                   const std::vector<sys::ParamSystem::State>
-                                       &States) const;
 
   // -- Clause construction (INSTQ + measurements + placeholders) ---------------
   /// Deterministic clause-local variables: the same (clause, position)
@@ -379,11 +407,12 @@ private:
                std::string &Why);
   /// The bounded-N screen (DESIGN.md Sec. 4, "Bounded-N tuple screen"):
   /// Houdini over \p Cand on the N-thread instance, N the explicit
-  /// instance size. True when a model satisfies every surviving atom and
-  /// violates safety at N: the tuple cannot verify, and \p Out says why.
-  /// False when the survivors imply safety at N, and on every unknown --
-  /// a formula without an exact encoding, a solver Unknown or timeout, an
-  /// exception, aborted() -- so the tuple runs as if unscreened.
+  /// instance size, in the worker's screen. True when a model satisfies
+  /// every surviving atom and violates safety at N: the tuple cannot
+  /// verify, and \p Out says why. False when the survivors imply safety
+  /// at N, and on every unknown -- a formula without an exact encoding, a
+  /// solver Unknown or timeout, an exception, aborted() -- so the tuple
+  /// runs as if unscreened. A failure drops the worker's screen.
   bool screenRejects(const std::vector<Term> &SetBodies,
                      const std::vector<Term> &Cand, TupleOutcome &Out);
 
@@ -391,6 +420,7 @@ private:
   /// \p Site: supervised Z3 with a MiniSolver fallback factory, wired to
   /// this attempt's injector, trace buffer and deadline.
   /// With supervision disabled, the bare Z3 back end (the A/B baseline).
+  /// Every Z3 solver of the attempt lives in Z3Ctx.
   std::unique_ptr<smt::SmtSolver> makeSolver(const char *Site);
 
   sys::ParamSystem &Sys;
@@ -407,6 +437,10 @@ private:
   /// the only tally of the run's counts.
   obs::TraceBuffer *TB;
   std::function<bool()> Superseded;
+  std::unique_ptr<bounded::Screen> &Screen; ///< The worker's.
+  /// The attempt's one Z3 context: made with its first solver, dropped
+  /// with the attempt.
+  std::shared_ptr<smt::Z3Context> Z3Ctx;
 };
 
 /// One tuple attempt's world: a private TermManager and the system cloned
@@ -453,15 +487,17 @@ private:
   /// One tuple attempt on worker \p W, inside its "tuple" span (the
   /// worker's busy time): builds the world \p Wd (the clone, and the
   /// pool, states and set bodies translated into it) and runs the
-  /// pipeline there, all inside the exception containment -- a throw
-  /// anywhere, world construction included, marks the tuple skipped (with
-  /// the reason recorded) and the search continues.
+  /// pipeline there with the worker's \p Screen, all inside the
+  /// exception containment -- a throw anywhere, world construction
+  /// included, marks the tuple skipped (with the reason recorded) and the
+  /// search continues.
   TupleOutcome attempt(unsigned W, size_t Rank,
                        const std::vector<Term> &SetBodies,
                        const std::vector<Term> &Pool,
                        const std::vector<sys::ParamSystem::State> &States,
                        std::function<bool()> Superseded,
-                       std::unique_ptr<World> &Wd);
+                       std::unique_ptr<World> &Wd,
+                       std::unique_ptr<bounded::Screen> &Screen);
 
   /// Fills \p Res.Stats at the end of the run: the search's stats, the
   /// wall time since \p Start, the tracer's metrics, and the counts and
@@ -564,36 +600,6 @@ Search::rankTuples(const std::vector<SetCandidate> &Cands) const {
   if (Tuples.size() > Opts.MaxTuples)
     Tuples.resize(Opts.MaxTuples);
   return Tuples;
-}
-
-// -- Explicit pre-filter ------------------------------------------------------------
-
-std::vector<Term> Synthesizer::prefilterAtoms(
-    const std::vector<Term> &Pool, const std::vector<Term> &SetBodies,
-    const std::vector<sys::ParamSystem::State> &States) const {
-  std::vector<Term> Out;
-  // Bind counter formals to the cardinality terms themselves so the finite
-  // evaluator counts exactly.
-  Subst KSub;
-  for (size_t I = 0; I < SetBodies.size(); ++I)
-    KSub[F.K[I]] = M.mkCard(F.BoundVar, SetBodies[I]);
-  for (Term A : Pool) {
-    Term Inner = logic::substitute(M, A, KSub);
-    if (!Opts.QGuard.isNull())
-      Inner = M.mkImplies(Opts.QGuard, Inner);
-    Term Quantified = F.Q.empty() ? Inner : M.mkForall(F.Q, Inner);
-    bool Holds = true;
-    for (const sys::ParamSystem::State &S : States) {
-      logic::Evaluator Ev(S);
-      if (!Ev.evalBool(Quantified)) {
-        Holds = false;
-        break;
-      }
-    }
-    if (Holds)
-      Out.push_back(A);
-  }
-  return Out;
 }
 
 // -- Clause construction -------------------------------------------------------------
@@ -1370,125 +1376,65 @@ bool Synthesizer::screenRejects(const std::vector<Term> &SetBodies,
   };
   if (N == 0)
     return Unknown("no instance size");
+  bounded::Screen::Result R;
   try {
-    bounded::Instance I(Sys, N);
+    if (!Screen)
+      Screen = std::make_unique<bounded::Screen>(Sys, N, Opts.SmtTimeoutMs);
     // Each atom's own closed invariant, so the conjunction over any live
-    // set is that set's closed invariant; Post is its post-state twin.
-    std::vector<Term> Pre, Post;
-    for (Term A : Cand) {
-      Term Inv = closedInvariant(SetBodies, {A});
-      Pre.push_back(I.encode(Inv));
-      Post.push_back(I.encode(logic::substitute(M, Inv, Sys.primeSubst())));
-      if (Pre.back().isNull() || Post.back().isNull())
-        return Unknown("no exact encoding of " + logic::toString(A));
-    }
-    Term Init = I.init(), Safe = I.safe();
-    std::vector<Term> Trans;
-    for (const sys::Transition &T : Sys.transitions())
-      Trans.push_back(I.transition(T));
-    if (Init.isNull() || Safe.isNull() ||
-        std::find(Trans.begin(), Trans.end(), Term()) != Trans.end())
-      return Unknown("no exact encoding of the system");
-
-    // One bare Z3 context, set up like incSetup's: per-atom indicators,
-    // every clause behind its selector, and some clause selected. Z3's
-    // plain SMT kernel skips the default solver's tactic setup, which
-    // would dominate a context that answers a few small checks.
-    std::unique_ptr<smt::SmtSolver> S =
-        smt::makeZ3Solver(M, /*Simple=*/true);
-    S->setTimeoutMs(Opts.SmtTimeoutMs);
-    std::vector<Term> Ind, Hyp, HypPost;
-    for (size_t K = 0; K < Cand.size(); ++K) {
-      Ind.push_back(M.mkVar("screen$ind$" + std::to_string(K), Sort::Bool));
-      Hyp.push_back(M.mkImplies(Ind[K], Pre[K]));
-      HypPost.push_back(M.mkImplies(Ind[K], Post[K]));
-    }
-    Term H = M.mkAnd(Hyp), HPost = M.mkAnd(HypPost);
-    std::vector<Term> Sel; // init, one per transition, safety last.
-    auto AddClause = [&](Term Body) {
-      Sel.push_back(
-          M.mkVar("screen$sel$" + std::to_string(Sel.size()), Sort::Bool));
-      S->add(M.mkImplies(Sel.back(), Body));
-    };
-    AddClause(M.mkAnd(Init, M.mkNot(H)));
-    for (Term T : Trans)
-      AddClause(M.mkAnd({H, T, M.mkNot(HPost)}));
-    AddClause(M.mkAnd(H, M.mkNot(Safe)));
-    S->add(M.mkOr(Sel));
-
-    std::vector<char> Live(Cand.size(), 1);
-    for (;;) {
-      if (aborted())
-        return Unknown("aborted");
-      std::vector<Term> A;
-      for (size_t K = 0; K < Cand.size(); ++K)
-        A.push_back(Live[K] ? Ind[K] : M.mkNot(Ind[K]));
-      SatResult R =
-          smt::checkAssumingTraced(*S, A, TB, "smt_ms.screen", "screen");
-      if (R == SatResult::Unsat) {
-        SHARPIE_LOGF(TB, obs::LogLevel::Debug,
-                     "[screen] N=%u passes with %zu of %zu atoms", N,
-                     static_cast<size_t>(
-                         std::count(Live.begin(), Live.end(), 1)),
-                     Cand.size());
-        return false;
-      }
-      if (R != SatResult::Sat)
-        return Unknown("solver " + S->reasonUnknown());
-      std::unique_ptr<smt::SmtModel> Model = S->model();
-      if (!Model)
-        return Unknown("no model");
-      if (Model->evalBool(Sel.back()).value_or(false)) {
-        // A state that satisfies every survivor and violates safety at N.
-        std::string State = I.renderState(*Model);
-        TB->counter("tuples_screened", 1);
-        TB->instant("screen_reject", "N=" + std::to_string(N) + ": " + State,
-                    N);
-        SHARPIE_LOGF(TB, obs::LogLevel::Debug, "[screen] N=%u rejects: %s",
-                     N, State.c_str());
-        Out.Why = "candidate too weak for safety at N=" + std::to_string(N) +
-                  " (screen)";
-        Out.HasPartial = true;
-        for (size_t K = 0; K < Cand.size(); ++K)
-          if (Live[K])
-            Out.PartialAtoms.push_back(Cand[K]);
-        Out.FailedOn = "safe at N=" + std::to_string(N);
-        return true;
-      }
-      // Houdini's step at N: drop every live atom the model's head state
-      // falsifies in each selected clause (the pre-state for init, the
-      // post-state for a transition).
-      unsigned Dropped = 0;
-      for (size_t C = 0; C + 1 < Sel.size(); ++C) {
-        if (!Model->evalBool(Sel[C]).value_or(false))
-          continue;
-        const std::vector<Term> &Head = C == 0 ? Pre : Post;
-        for (size_t K = 0; K < Cand.size(); ++K)
-          if (Live[K] && !Model->evalBool(Head[K]).value_or(true)) {
-            Live[K] = 0;
-            ++Dropped;
-          }
-      }
-      if (Dropped == 0)
-        return Unknown("no atom refuted by the model");
-    }
+    // set is that set's closed invariant.
+    std::vector<Term> Invs;
+    for (Term A : Cand)
+      Invs.push_back(closedInvariant(SetBodies, {A}));
+    R = Screen->run(Invs, TB, [this] { return aborted(); });
   } catch (const std::exception &E) {
-    return Unknown(std::string("exception: ") + E.what());
+    R.Detail = std::string("exception: ") + E.what();
+    Screen.reset();
   }
+  // A failed run may have left the solver out of step with its base: the
+  // worker's next screened tuple builds a new screen.
+  if (Screen && !Screen->usable())
+    Screen.reset();
+  if (R.V == bounded::Screen::Verdict::Unknown)
+    return Unknown(R.Detail);
+  if (R.V == bounded::Screen::Verdict::Pass) {
+    SHARPIE_LOGF(TB, obs::LogLevel::Debug,
+                 "[screen] N=%u passes with %zu of %zu atoms", N,
+                 static_cast<size_t>(
+                     std::count(R.Live.begin(), R.Live.end(), 1)),
+                 Cand.size());
+    return false;
+  }
+  // A state that satisfies every survivor and violates safety at N.
+  TB->counter("tuples_screened", 1);
+  TB->instant("screen_reject", "N=" + std::to_string(N) + ": " + R.Detail,
+              N);
+  SHARPIE_LOGF(TB, obs::LogLevel::Debug, "[screen] N=%u rejects: %s", N,
+               R.Detail.c_str());
+  Out.Why = "candidate too weak for safety at N=" + std::to_string(N) +
+            " (screen)";
+  Out.HasPartial = true;
+  for (size_t K = 0; K < Cand.size(); ++K)
+    if (R.Live[K])
+      Out.PartialAtoms.push_back(Cand[K]);
+  Out.FailedOn = "safe at N=" + std::to_string(N);
+  return true;
 }
 
 // -- Per-tuple pipeline ----------------------------------------------------------------
 
 std::unique_ptr<smt::SmtSolver> Synthesizer::makeSolver(const char *Site) {
+  if (!Z3Ctx)
+    Z3Ctx = smt::makeZ3Context(TB);
   if (!Opts.Supervise) {
     // The bare back end: the chaos tests compare supervised runs against
     // exactly the unwrapped code path.
-    auto S = smt::makeZ3Solver(M);
+    auto S = smt::makeZ3Solver(M, /*Simple=*/false, Z3Ctx);
     S->setTimeoutMs(Opts.SmtTimeoutMs);
     return S;
   }
   auto S = std::make_unique<resil::SupervisedSolver>(
-      smt::makeZ3Solver(M), [this] { return smt::makeMiniSolver(M); },
+      smt::makeZ3Solver(M, /*Simple=*/false, Z3Ctx),
+      [this] { return smt::makeMiniSolver(M); },
       Faults ? &*Faults : nullptr, Site, TB, Deadline);
   S->setTimeoutMs(Opts.SmtTimeoutMs);
   return S;
@@ -1523,7 +1469,7 @@ Synthesizer::tryTuple(size_t Rank, const std::vector<Term> &SetBodies,
   std::vector<Term> Cand = Pool;
   if (Opts.ExplicitPrefilter && !States.empty()) {
     obs::Span Sp(TB, "prefilter");
-    Cand = prefilterAtoms(Pool, SetBodies, States);
+    Cand = prefilterAtoms(M, F, Opts.QGuard, Pool, SetBodies, States);
     SHARPIE_LOGF(TB, obs::LogLevel::Debug,
                  "atoms: %zu of %zu survive the explicit pre-filter (%.2fs)",
                  Cand.size(), Pool.size(), Sp.seconds());
@@ -1535,10 +1481,14 @@ Synthesizer::tryTuple(size_t Rank, const std::vector<Term> &SetBodies,
   if (Rank >= 1 && screenRejects(SetBodies, Cand, Out))
     return Out;
 
-  // Per-tuple solver setup is part of the clause-building cost.
+  // The reduce oracle's setup and teardown are part of the clause-building
+  // cost.
   obs::Span BuildSp(TB, "build_clauses");
-  std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce");
-  std::vector<ReducedClause> Clauses = buildClauses(SetBodies, Oracle.get());
+  std::vector<ReducedClause> Clauses;
+  {
+    std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce");
+    Clauses = buildClauses(SetBodies, Oracle.get());
+  }
   SHARPIE_LOGF(TB, obs::LogLevel::Debug, "clauses built in %.2fs",
                BuildSp.seconds());
   BuildSp.close();
@@ -1556,8 +1506,8 @@ Synthesizer::tryTuple(size_t Rank, const std::vector<Term> &SetBodies,
   obs::Span MinimizeSp(TB, "minimize");
   size_t Before = Cand.size();
   minimizeAtoms(Clauses, Cand);
-  // Free the merged context before the recheck: the invariant is fixed
-  // now, and the recheck builds its own solver.
+  // Free the merged context's solver before the recheck: the invariant is
+  // fixed now, and the recheck builds solvers of its own.
   Inc = IncCtx();
   SHARPIE_LOGF(TB, obs::LogLevel::Debug, "minimized %zu -> %zu atoms in %.2fs",
                Before, Cand.size(), MinimizeSp.seconds());
@@ -1585,7 +1535,8 @@ TupleOutcome Search::attempt(unsigned W, size_t Rank,
                              const std::vector<Term> &Pool,
                              const std::vector<sys::ParamSystem::State> &States,
                              std::function<bool()> Superseded,
-                             std::unique_ptr<World> &Wd) {
+                             std::unique_ptr<World> &Wd,
+                             std::unique_ptr<bounded::Screen> &Screen) {
   // Worker W owns trace rank W+1 (rank 0 is the driver); registration is
   // the one mutex-guarded step, the buffer itself is thread-local.
   obs::TraceBuffer *WTB = Opts.Trace->worker(W + 1);
@@ -1599,14 +1550,18 @@ TupleOutcome Search::attempt(unsigned W, size_t Rank,
   SHARPIE_LOGF(WTB, obs::LogLevel::Debug, "[tuple %zu] %s", Rank + 1,
                Bodies().c_str());
   try {
+    // Building and dropping the attempt's world is the attempt's fixed
+    // cost, its own layer.
+    obs::Span WorldSp(WTB, "world");
     Wd = std::make_unique<World>();
     Wd->Sys = Sys.cloneInto(Wd->M);
     logic::TermTranslator Tr(Wd->M);
     SynthOptions WOpts = Opts;
     WOpts.QGuard = Tr(Opts.QGuard);
     // Fault rules with a worker=N trigger key on the trace rank, W+1.
-    Synthesizer Synth(*Wd->Sys, WOpts, Deadline, WTB, W + 1,
-                      std::move(Superseded));
+    auto Synth = std::make_unique<Synthesizer>(*Wd->Sys, WOpts, Deadline,
+                                               WTB, W + 1,
+                                               std::move(Superseded), Screen);
     std::vector<Term> WPool;
     WPool.reserve(Pool.size());
     for (Term A : Pool)
@@ -1627,7 +1582,13 @@ TupleOutcome Search::attempt(unsigned W, size_t Rank,
     WBodies.reserve(SetBodies.size());
     for (Term B : SetBodies)
       WBodies.push_back(Tr(B));
-    return Synth.tryTuple(Rank, WBodies, WPool, WStates);
+    WorldSp.close();
+    TupleOutcome O = Synth->tryTuple(Rank, WBodies, WPool, WStates);
+    // The attempt's solvers and Z3 context die here; the world's terms
+    // die when searchTuples is done with the outcome.
+    obs::Span EndSp(WTB, "world", [] { return std::string("teardown"); });
+    Synth.reset();
+    return O;
   } catch (const std::exception &E) {
     TupleOutcome Out;
     Out.Why = std::string("exception: ") + E.what();
@@ -1672,6 +1633,10 @@ void Search::searchTuples(unsigned Workers,
   engine::CancellationToken Decided;
 
   auto WorkerMain = [&](unsigned W) {
+    obs::TraceBuffer *WTB = Opts.Trace->worker(W + 1);
+    // The worker's bounded-N screen: built on its first screened tuple,
+    // kept until the search ends.
+    std::unique_ptr<bounded::Screen> Screen;
     for (;;) {
       size_t Rank = Cursor.fetch_add(1);
       if (Rank >= TupleBodies.size() || Decided.cancelled())
@@ -1688,7 +1653,7 @@ void Search::searchTuples(unsigned Workers,
           [&BestVerified, &Decided, Rank] {
             return BestVerified.load() < Rank || Decided.cancelled();
           },
-          Wd);
+          Wd, Screen);
       if (O.Verified) {
         size_t Cur = BestVerified.load();
         while (Rank < Cur &&
@@ -1727,7 +1692,17 @@ void Search::searchTuples(unsigned Workers,
       // decided; everything still in flight is wasted work.
       if (AllBelowBestDone)
         Decided.cancel();
-    } // An unverified attempt's world drops here, outside the lock.
+      if (Wd) {
+        // An unverified attempt's world drops here, outside the lock.
+        obs::Span Sp(WTB, "world", [] { return std::string("teardown"); });
+        Wd.reset();
+      }
+    }
+    if (Screen) {
+      // The screen's teardown is screen time.
+      obs::Span Sp(WTB, "screen", [] { return std::string("teardown"); });
+      Screen.reset();
+    }
   };
 
   {
@@ -1865,6 +1840,7 @@ SynthResult Search::run() {
   TB->counter("faults_injected", 0);
   TB->counter("tuples_skipped", 0);
   TB->counter("tuples_screened", 0);
+  TB->counter("smt_contexts", 0);
   // Same for the Houdini and refinement-loop counters, so every run
   // emits the same JSON keys whether or not they fired.
   TB->counter("core_drops", 0);

@@ -11,9 +11,10 @@
 // grammar of Grammar.h:
 //
 //   0. Every tuple but the first-ranked is screened on the N-thread
-//      instance (bounded/Bounded.h): Houdini over the prefiltered atoms
-//      at N, and a tuple whose survivors do not imply safety at N cannot
-//      verify and stops here (DESIGN.md Sec. 4, "Bounded-N tuple screen").
+//      instance (bounded/Screen.h, one screen per search worker): Houdini
+//      over the prefiltered atoms at N, and a tuple whose survivors do
+//      not imply safety at N cannot verify and stops here (DESIGN.md
+//      Sec. 4, "Bounded-N tuple screen").
 //   1. INSTQ: the template quantifiers are instantiated over a small set of
 //      relevant terms (head skolems, the mover, safety witnesses, local
 //      reads); each instance contributes "measurement" equations
@@ -277,6 +278,15 @@ logic::Term closedInvariant(logic::TermManager &M, const Formals &F,
                             logic::Term QGuard,
                             const std::vector<logic::Term> &SetBodies,
                             const std::vector<logic::Term> &Atoms);
+
+/// The explicit pre-filter (step 3): the atoms of \p Pool that hold in
+/// every state of \p States under the set bodies \p SetBodies, read as
+///  forall Q: QGuard -> atom  with each counter formal its cardinality.
+std::vector<logic::Term>
+prefilterAtoms(logic::TermManager &M, const Formals &F, logic::Term QGuard,
+               const std::vector<logic::Term> &Pool,
+               const std::vector<logic::Term> &SetBodies,
+               const std::vector<sys::ParamSystem::State> &States);
 
 /// The options bundle \p B asks for: its shape, quantifier guard and
 /// explicit instance, and the Venn axioms iff it declares NeedsVenn. Run

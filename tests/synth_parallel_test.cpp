@@ -58,9 +58,14 @@ RunOutput runWith(BundleFactory Make, unsigned NumWorkers) {
   return runOn(Make(M), NumWorkers);
 }
 
-void expectIdentical(BundleFactory Make, const char *Name) {
+/// Runs \p Make at 1 and 4 workers and expects the same invariant; the
+/// 4-worker run goes to \p ParOut when that is not null.
+void expectIdentical(BundleFactory Make, const char *Name,
+                     RunOutput *ParOut = nullptr) {
   RunOutput Serial = runWith(Make, 1);
   RunOutput Par = runWith(Make, 4);
+  if (ParOut)
+    *ParOut = Par;
   ASSERT_TRUE(Serial.Verified) << Name << ": " << Serial.Note;
   ASSERT_TRUE(Par.Verified) << Name << ": " << Par.Note;
   EXPECT_EQ(Serial.SetBodies, Par.SetBodies) << Name;
@@ -86,6 +91,18 @@ TEST(SynthParallel, TicketLockIdenticalInvariant) {
 
 TEST(SynthParallel, OneThirdIdenticalInvariant) {
   expectIdentical(makeOneThird, "one_third");
+}
+
+// simp-bar screens 103 of its 105 tuples at 1 worker. At 4 workers each
+// worker screens the tuples the schedule hands it in its own bounded-N
+// screen, which lives across those tuples (DESIGN.md Sec. 4).
+TEST(SynthParallel, SimpBarIdenticalInvariant) {
+  RunOutput Par;
+  expectIdentical(
+      [](logic::TermManager &M) { return makeSimpBar(M, /*Barrier=*/true); },
+      "simp_bar", &Par);
+  EXPECT_EQ(Par.Stats.NumWorkers, 4u);
+  EXPECT_GT(Par.Stats.TuplesScreened, 0u);
 }
 
 // A 1-worker run reports its width and a measured utilization: the one
